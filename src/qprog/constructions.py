@@ -9,8 +9,10 @@ Three constructions, in increasing size order:
   square back into it, of size exactly q^2 -- found by full census of all
   q^2 + q + 1 planes and certified by exhaustive progression search.
 
-Every emitted set is re-certified by ``is_progression_free`` before being
-returned; a certification failure is a bug signal, not a data condition.
+Every emitted set is certified once, by ``is_progression_free``, before
+being returned; a certification failure is a bug signal, not a data
+condition.  The search runs over ordered pairs of members, O(|A|^2) for a
+set A: q^2 pairs for the line in F_{q^2}, q^4 for the plane in F_{q^3}.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ def is_progression_free(eset: ElementSet) -> tuple[bool, tuple[int, int] | None]
 
     Repeated values count: any pair {a, a+1} already fails via y = 1.  The
     witness, when present, is the first (x, y) in lexicographic code order.
+    Costs O(|A|^2) (see ``count_progressions``).
     """
     count, witness = count_progressions(eset.ctx, eset.mask)
     return count == 0, witness
@@ -72,34 +75,37 @@ def _certify(eset: ElementSet, label: str) -> ElementSet:
 # ---------------------------------------------------------------------------
 
 
-def _addition_blocked(ctx: FieldCtx, mask: np.ndarray, e: int) -> bool:
+def _addition_blocked(
+    ctx: FieldCtx, mask: np.ndarray, e: int, members: np.ndarray | None = None
+) -> bool:
     """Would adding e to a progression-free set create a progression?
 
     The new element must occupy one of the three positions; the other two
-    entries are drawn from the set including e itself.
+    entries are drawn from the set including e itself.  Since y != 0, the
+    entry x or x + y next to e is always a member other than e, so only the
+    members are enumerated (``members`` lists them, e excluded, when the
+    caller keeps them): O(|A|) per candidate, not O(q).  ``mask`` is left
+    as it was.
     """
-    m = mask.copy()
-    m[e] = True
-    codes = ctx.elements()
-    ys = ctx.units()
-    # e = x
-    if np.any(m[ctx.add_vec(e, ys)] & m[ctx.add_vec(e, ctx.sq_vec(ys))]):
-        return True
-    # e = x + y, y = e - x != 0
-    y = ctx.sub_vec(e, codes)
-    hit = m[codes] & (y != 0) & m[ctx.add_vec(codes, ctx.sq_vec(y))]
-    if np.any(hit):
-        return True
-    # e = x + y^2, y a nonzero square root of e - x
-    r1, r2 = sqrt_pairs(ctx)
-    d = ctx.sub_vec(e, codes)
-    for roots in (r1, r2):
-        rv = roots[d]
-        safe = np.where(rv < 1, 0, rv)  # rv <= 0 means no usable root
-        hit = m[codes] & (rv > 0) & m[ctx.add_vec(codes, safe)]
-        if np.any(hit):
+    if members is None:
+        members = np.flatnonzero(mask)
+        members = members[members != e]
+    had = mask[e]
+    mask[e] = True
+    try:
+        d = ctx.sub_vec(e, members)  # never 0
+        d2 = ctx.sq_vec(d)
+        # (e, e + y, e + y^2) with e + y a member (y = -d), or
+        # (x, e, x + y^2) with x a member (y = d)
+        if np.any(mask[ctx.add_vec(e, d2)] | mask[ctx.add_vec(members, d2)]):
             return True
-    return False
+        # (x, x + y, e) with x a member and y^2 = d
+        r1, r2 = sqrt_pairs(ctx)
+        roots = np.stack((r1[d], r2[d]))  # -1 where d is not a square
+        usable = roots > 0
+        return bool(np.any(usable & mask[ctx.add_vec(members, np.where(usable, roots, 0))]))
+    finally:
+        mask[e] = had
 
 
 def greedy_progression_free(
@@ -108,7 +114,8 @@ def greedy_progression_free(
     """Greedily add elements whose addition keeps the set progression-free.
 
     ``order="code"`` scans ascending codes (deterministic, the default);
-    ``order="random"`` uses a seeded shuffle for exploration.
+    ``order="random"`` uses a seeded shuffle for exploration.  Each of the q
+    candidates is tested against the members only: O(q |A|) in all.
     """
     if order == "code":
         scan = range(ctx.q)
@@ -117,9 +124,13 @@ def greedy_progression_free(
     else:
         raise ValueError(f"unknown order {order!r}")
     mask = np.zeros(ctx.q, dtype=bool)
+    members = np.empty(ctx.q, dtype=np.int64)
+    size = 0
     for e in scan:
-        if not _addition_blocked(ctx, mask, int(e)):
+        if not _addition_blocked(ctx, mask, int(e), members[:size]):
             mask[e] = True
+            members[size] = e
+            size += 1
     return _certify(ElementSet(ctx, mask), "greedy")
 
 

@@ -23,8 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
-# Largest field materialised by default; keeps every exhaustive scan in this
-# package under ~1e8 primitive operations.
+# Largest field materialised by default.  It bounds q, not the work: in
+# q = |F|, the exhaustive routes cost
+#   dense q x q tables (add table, char_matrix, quad_kernel_table)  q^2 memory
+#   averaging_apply, deviation_norm                                 q^2
+#   weil_scan, substitution_check, ratio_sum_check                  q^3
+#   pair_kernel_check, decomposition_check, sliced_norm_scan        q^4
+#   count_progressions on a set A                                   |A|^2
+#   greedy_progression_free                                         q |A|
+#   plane_census over F_{q^3}                                       q^4
 DESK_CAP = 10_000
 
 # Fields up to this size get a dense q x q addition table (2197^2 int32 is
@@ -171,6 +178,24 @@ def _code_of(coeffs: list[int], p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def check_field_params(p: int, s: int, cap: int = DESK_CAP) -> int:
+    """Validate (p, s) against odd characteristic and the cap; return q.
+
+    Raises the ValueError that building the field would raise, without
+    building it.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if p == 2:
+        raise ValueError("characteristic 2 is not supported (odd characteristic required)")
+    if s < 1:
+        raise ValueError(f"extension degree must be >= 1, got {s}")
+    q = p**s
+    if q > cap:
+        raise ValueError(f"q = {p}^{s} = {q} exceeds the desk-scale cap {cap}")
+    return q
+
+
 class FieldCtx:
     """A fully materialised finite field F_{p^s} of odd characteristic.
 
@@ -180,15 +205,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, s: int, cap: int = DESK_CAP):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if p == 2:
-            raise ValueError("characteristic 2 is not supported (odd characteristic required)")
-        if s < 1:
-            raise ValueError(f"extension degree must be >= 1, got {s}")
-        q = p**s
-        if q > cap:
-            raise ValueError(f"q = {p}^{s} = {q} exceeds the desk-scale cap {cap}")
+        q = check_field_params(p, s, cap)
 
         self.p = p
         self.s = s
@@ -376,7 +393,11 @@ class FieldCtx:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def sq_vec(self, a) -> np.ndarray:
-        return self.mul_vec(a, a)
+        tab = self._cache.get("sq_table")
+        if tab is None:
+            codes = np.arange(self.q, dtype=np.int64)
+            tab = self._cache["sq_table"] = self.mul_vec(codes, codes)
+        return tab[np.asarray(a, dtype=np.int64)]
 
     def inv_vec(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -97,11 +96,3 @@ def fit_slope_vs_logq(qs, values) -> float:
 def relative_error(a: float, b: float) -> float:
     denom = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / denom
-
-
-def close_abs(a, b, tol: float) -> bool:
-    return abs(a - b) <= tol
-
-
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)

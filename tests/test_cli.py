@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qprog import constructions
 from qprog.cli import main
 
 
@@ -117,3 +118,36 @@ def test_verify_parallel_jobs_matches_serial(tmp_path):
         a = _scrub(json.loads((serial / name).read_text()))
         b = _scrub(json.loads((parallel / name).read_text()))
         assert a == b
+
+
+def test_verify_operators_at_q3(tmp_path):
+    rc = main(["verify", "operators", "--p", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "verify-3-1.json").read_text())
+    names = {c["name"]: c for c in report["suites"]["operators"]}
+    assert list(names) == ["averaging-two-routes", "slice-expansion-identity",
+                           "slice-point-mass-modulus"]
+    assert names["slice-point-mass-modulus"]["cases"] == 3
+
+
+def test_bare_verify_passes(tmp_path):
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, sets", [
+    (["construct", "line", "--p", "5"], 1),
+    (["construct", "greedy", "--p", "13"], 1),
+    (["construct", "plane", "--p", "3"], 1),
+    (["verify", "constructions", "--p", "3"], 3),  # greedy, line, plane
+])
+def test_each_set_certified_once(tmp_path, monkeypatch, argv, sets):
+    calls = []
+    count = constructions.count_progressions
+
+    def counting(ctx, members):
+        calls.append(ctx.q)
+        return count(ctx, members)
+
+    monkeypatch.setattr(constructions, "count_progressions", counting)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == sets

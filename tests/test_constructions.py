@@ -14,7 +14,8 @@ from qprog.constructions import (
     quadratic_extension_line,
 )
 
-from conftest import Q_SMALL
+from conftest import Q_FULL, Q_SMALL, field_for
+from progression_oracles import addition_blocked_field_scan, greedy_field_scan
 
 # frozen greedy calibration: min of size/sqrt(q) over the prime fields q <= 121
 # (attained at q = 3 with ratio 1/sqrt(3) = 0.577)
@@ -79,6 +80,36 @@ def test_greedy_maximality():
     for e in range(11):
         if not out.mask[e]:
             assert _addition_blocked(ctx, out.mask, e)
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243])
+def test_greedy_matches_field_scan(q):
+    """Member enumeration builds the same greedy set as the O(q) field scan
+    per candidate, in both orders."""
+    ctx = field_for(q)
+    for order, seed in (("code", None), ("random", q)):
+        out = greedy_progression_free(ctx, order=order, seed=seed)
+        assert out.codes().tolist() == np.flatnonzero(greedy_field_scan(ctx, order, seed)).tolist()
+
+
+@pytest.mark.parametrize("q", [9, 11, 25, 27])
+def test_addition_blocked_matches_field_scan(q):
+    """On arbitrary sets (not only progression-free ones, e inside or not)."""
+    from qprog.constructions import _addition_blocked
+
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    for density in (0.05, 0.2, 0.5):
+        mask = rng.random(q) < density
+        before = mask.copy()
+        for e in range(q):
+            assert _addition_blocked(ctx, mask, e) == addition_blocked_field_scan(ctx, mask, e)
+        assert np.array_equal(mask, before)
+
+
+def test_greedy_size_at_4999():
+    out = greedy_progression_free(get_field(4999, 1))
+    assert out.size == 105
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,7 @@ def test_pairwise_axioms_exhaustive(q):
     assert np.array_equal(ctx.add_vec(a, ctx.neg_vec(a)), np.zeros_like(a))
     units = ctx.units()
     assert np.array_equal(ctx.mul_vec(units, ctx.inv_vec(units)), np.ones_like(units))
+    assert [int(v) for v in ctx.sq_vec(codes)] == [ctx.mul_direct(int(c), int(c)) for c in codes]
     # log/exp round trip for every nonzero element
     assert np.array_equal(ctx.exp_table[ctx.log_table[units]], units)
     assert len(ctx.exp_table) == ctx.q - 1

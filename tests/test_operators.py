@@ -24,7 +24,11 @@ from qprog.operators import (
     triple_average_chain,
 )
 
-from conftest import field_for
+from conftest import Q_FULL, field_for
+from progression_oracles import count_progressions_field_scan
+
+# the test ladder plus larger extension fields, for the two-route count test
+Q_COUNT = Q_FULL + [125, 243, 343]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +283,35 @@ def test_count_progressions_brute_oracle():
     )
     count, _ = count_progressions(ctx, members)
     assert count == expected
+
+
+@pytest.mark.parametrize("q", Q_COUNT)
+@pytest.mark.parametrize("density", [0.0, 0.02, 0.1, 0.5, 1.0])
+def test_count_progressions_matches_field_scan(q, density):
+    """Member-pair search against the O(q^2) field scan: count and witness."""
+    ctx = field_for(q)
+    rng = np.random.default_rng((q, int(density * 100)))
+    for _ in range(3):
+        mask = rng.random(q) < density
+        assert count_progressions(ctx, mask) == count_progressions_field_scan(ctx, mask)
+
+
+@pytest.mark.parametrize("q", Q_COUNT)
+def test_count_progressions_planted(q):
+    """Sparse sets with planted triples (x, x+y, x+y^2): both routes agree and
+    the witness is no later than the least planted (x, y)."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    for _ in range(4):
+        mask = rng.random(q) < 0.02
+        planted = []
+        for _ in range(2):
+            x, y = int(rng.integers(q)), int(rng.integers(1, q))
+            mask[[x, ctx.add(x, y), ctx.add(x, ctx.mul(y, y))]] = True
+            planted.append((x, y))
+        count, witness = count_progressions(ctx, mask)
+        assert (count, witness) == count_progressions_field_scan(ctx, mask)
+        assert count >= 1 and witness <= min(planted)
 
 
 # ---------------------------------------------------------------------------
