@@ -65,7 +65,6 @@ from .weil import (
     WeilScanReport,
     mixed_char_sum,
     ratio_char_sum,
-    substitution_identity,
     weil_scan,
 )
 from .constructions import (

@@ -161,11 +161,11 @@ def _suite_constructions(ctx, args) -> list[CheckResult]:
         )
     )
     if ctx.q**2 <= args.cap:
-        emb = subfield_embed(ctx, get_field(ctx.p, 2 * ctx.s))
+        emb = subfield_embed(ctx, get_field(ctx.p, 2 * ctx.s, args.cap))
         line = constructions.quadratic_extension_line(emb)
         out.append(CheckResult("line-certified", line.size == ctx.q, line.size, 0.0))
     if ctx.q**3 <= args.cap:
-        emb = subfield_embed(ctx, get_field(ctx.p, 3 * ctx.s))
+        emb = subfield_embed(ctx, get_field(ctx.p, 3 * ctx.s, args.cap))
         census = constructions.plane_census(emb)
         out.append(
             CheckResult(
@@ -197,7 +197,7 @@ _SUITES = {
 def _verify_one_field(payload: dict) -> dict:
     """Worker: run the selected suites on one field (picklable for --jobs)."""
     args = argparse.Namespace(**payload["args"])
-    ctx = get_field(payload["p"], payload["s"])
+    ctx = get_field(payload["p"], payload["s"], args.cap)
     results = {}
     timings = {}
     for target in payload["targets"]:
@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
 
 def _scan_one_field(payload: dict) -> dict:
     args = argparse.Namespace(**payload["args"])
-    ctx = get_field(payload["p"], payload["s"])
+    ctx = get_field(payload["p"], payload["s"], args.cap)
     kind = payload["kind"]
     t0 = time.perf_counter()
     if kind == "delta":

@@ -437,9 +437,9 @@ def build_field(p: int, s: int, cap: int = DESK_CAP) -> FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def get_field(p: int, s: int) -> FieldCtx:
+def get_field(p: int, s: int, cap: int = DESK_CAP) -> FieldCtx:
     """Cached field construction (contexts are immutable, sharing is safe)."""
-    return build_field(p, s)
+    return build_field(p, s, cap)
 
 
 def field_from_descriptor(d: dict) -> FieldCtx:

@@ -57,6 +57,15 @@ def classify_quad(ctx: FieldCtx, a: int, b: int) -> KernelCase:
     return KernelCase.B_ZERO_A_ZERO if a == 0 else KernelCase.B_ZERO_A_NONZERO
 
 
+def _quad_generic(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sigma q^{-1/2} chi(b) e(-a^2/(4b)), broadcast over code arrays a and b (b != 0)."""
+    sigma = gauss_sum(ctx).sigma
+    inv4b = ctx.inv_vec(ctx.mul_vec(ctx.from_int(4), b))
+    phase = ctx.neg_vec(ctx.mul_vec(ctx.sq_vec(a), inv4b))
+    chi = quadratic_char_table(ctx)
+    return (sigma / math.sqrt(ctx.q)) * chi[b] * additive_char_table(ctx)[phase]
+
+
 def quad_kernel(ctx: FieldCtx, a: int, b: int) -> complex:
     """Closed form: sigma q^{-1/2} chi(b) e(-a^2/(4b)) for b != 0; 1 at (0,0); else 0."""
     a, b = ctx.check_element(a), ctx.check_element(b)
@@ -65,10 +74,7 @@ def quad_kernel(ctx: FieldCtx, a: int, b: int) -> complex:
         return 1.0 + 0.0j
     if case is KernelCase.B_ZERO_A_NONZERO:
         return 0.0 + 0.0j
-    sigma = gauss_sum(ctx).sigma
-    phase_code = ctx.neg(ctx.div(ctx.mul(a, a), ctx.mul(ctx.from_int(4), b)))
-    e = additive_char_table(ctx)
-    return sigma / math.sqrt(ctx.q) * quadratic_char(ctx, b) * complex(e[phase_code])
+    return complex(_quad_generic(ctx, np.array(a), np.array(b)))
 
 
 def quad_kernel_brute(ctx: FieldCtx, a: int, b: int) -> complex:
@@ -83,16 +89,8 @@ def quad_kernel_table(ctx: FieldCtx) -> np.ndarray:
     """Closed-form K on the whole q x q grid (cached; rows a, columns b)."""
     tab = ctx._cache.get("quad_kernel_table")
     if tab is None:
-        q = ctx.q
-        codes = ctx.elements()
-        e = additive_char_table(ctx)
-        chi = quadratic_char_table(ctx)
-        sigma = gauss_sum(ctx).sigma
-        tab = np.zeros((q, q), dtype=complex)
-        bs = ctx.units()
-        inv4b = ctx.inv_vec(ctx.mul_vec(ctx.from_int(4), bs))
-        phase = ctx.neg_vec(ctx.mul_vec(ctx.sq_vec(codes)[:, None], inv4b[None, :]))
-        tab[:, 1:] = (sigma / math.sqrt(q)) * chi[bs][None, :] * e[phase]
+        tab = np.zeros((ctx.q, ctx.q), dtype=complex)
+        tab[:, 1:] = _quad_generic(ctx, ctx.elements()[:, None], ctx.units()[None, :])
         tab[0, 0] = 1.0
         ctx._cache["quad_kernel_table"] = tab
     return tab
@@ -181,6 +179,20 @@ def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int,
     return a, b, c
 
 
+def _pair_generic(ctx: FieldCtx, h: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z)) on code
+    arrays y, z off the diagonal and the vanishing antidiagonal."""
+    hyz = ctx.add_vec(ctx.add_vec(h, y), z)
+    ymz = ctx.sub_vec(y, z)
+    denom = ctx.mul_vec(ctx.mul_vec(ctx.add_vec(h, y), ctx.add_vec(h, z)), ctx.mul_vec(y, z))
+    chi_arg = ctx.div_vec(ctx.mul_vec(ctx.mul_vec(h, hyz), ymz), denom)
+    phase = ctx.div_vec(ctx.mul_vec(h, ctx.neg_vec(ymz)), hyz)
+    sigma = gauss_sum(ctx).sigma
+    chi = quadratic_char_table(ctx)
+    e = additive_char_table(ctx)
+    return sigma * math.sqrt(ctx.q) * chi[chi_arg] * e[phase]
+
+
 def pair_kernel_closed(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
     """Case evaluation: q on the diagonal, 0 on the vanishing antidiagonal,
     sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z)) otherwise."""
@@ -189,14 +201,7 @@ def pair_kernel_closed(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
         return complex(ctx.q)
     if case is KernelCase.ANTIDIAGONAL_ZERO:
         return 0.0 + 0.0j
-    hyz = ctx.add(ctx.add(h, y), z)
-    ymz = ctx.sub(y, z)
-    denom = ctx.mul(ctx.mul(ctx.add(h, y), ctx.add(h, z)), ctx.mul(y, z))
-    chi_arg = ctx.div(ctx.mul(ctx.mul(h, hyz), ymz), denom)
-    phase = ctx.div(ctx.mul(h, ctx.neg(ymz)), hyz)
-    sigma = gauss_sum(ctx).sigma
-    e = additive_char_table(ctx)
-    return sigma * math.sqrt(ctx.q) * quadratic_char(ctx, chi_arg) * complex(e[phase])
+    return complex(_pair_generic(ctx, h, np.array(y), np.array(z)))
 
 
 def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,26 +210,11 @@ def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarr
     n = len(ys)
     Y = np.broadcast_to(ys[:, None], (n, n))
     Z = np.broadcast_to(ys[None, :], (n, n))
-    hyz = ctx.add_vec(ctx.add_vec(h, Y), Z)
-    ymz = ctx.sub_vec(Y, Z)
     diag = Y == Z
-    anti = (hyz == 0) & ~diag
-    generic = ~diag & ~anti
-
+    generic = ~diag & (ctx.add_vec(ctx.add_vec(h, Y), Z) != 0)
     out = np.zeros((n, n), dtype=complex)
     out[diag] = ctx.q
-    if generic.any():
-        Yg, Zg = Y[generic], Z[generic]
-        hyzg, ymzg = hyz[generic], ymz[generic]
-        denom = ctx.mul_vec(
-            ctx.mul_vec(ctx.add_vec(h, Yg), ctx.add_vec(h, Zg)), ctx.mul_vec(Yg, Zg)
-        )
-        chi_arg = ctx.div_vec(ctx.mul_vec(ctx.mul_vec(h, hyzg), ymzg), denom)
-        phase = ctx.div_vec(ctx.mul_vec(h, ctx.neg_vec(ymzg)), hyzg)
-        sigma = gauss_sum(ctx).sigma
-        chi = quadratic_char_table(ctx)
-        e = additive_char_table(ctx)
-        out[generic] = sigma * math.sqrt(ctx.q) * chi[chi_arg] * e[phase]
+    out[generic] = _pair_generic(ctx, h, Y[generic], Z[generic])
     return ys, out
 
 
@@ -239,20 +229,6 @@ def twisted_prefactor(ctx: FieldCtx, h: int) -> complex:
     if h == 0:
         raise ValueError("h must be nonzero")
     return gauss_sum(ctx).sigma * quadratic_char(ctx, h)
-
-
-def ratio_kernel(ctx: FieldCtx, h: int, r: int) -> complex:
-    """sigma chi(h) chi(1 - r^2) e(h (r-1)/(r+1)) away from r = +-1, zero there."""
-    h, r = ctx.check_element(h), ctx.check_element(r)
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    one, neg_one = 1, ctx.neg(1)
-    if r in (one, neg_one):
-        return 0.0 + 0.0j
-    chi_arg = ctx.sub(1, ctx.mul(r, r))
-    phase = ctx.mul(h, ctx.div(ctx.sub(r, 1), ctx.add(r, 1)))
-    e = additive_char_table(ctx)
-    return twisted_prefactor(ctx, h) * quadratic_char(ctx, chi_arg) * complex(e[phase])
 
 
 def ratio_kernel_table(ctx: FieldCtx, h: int) -> np.ndarray:
@@ -271,6 +247,11 @@ def ratio_kernel_table(ctx: FieldCtx, h: int) -> np.ndarray:
     out = np.zeros(ctx.q, dtype=complex)
     out[ok] = twisted_prefactor(ctx, h) * chi[chi_arg] * e[phase]
     return out
+
+
+def ratio_kernel(ctx: FieldCtx, h: int, r: int) -> complex:
+    """sigma chi(h) chi(1 - r^2) e(h (r-1)/(r+1)) away from r = +-1, zero there."""
+    return complex(ratio_kernel_table(ctx, h)[ctx.check_element(r)])
 
 
 def half_shift(ctx: FieldCtx, h: int) -> int:

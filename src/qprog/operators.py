@@ -43,19 +43,25 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     return ComplexFn(ctx, acc / ctx.q)
 
 
+def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn, n_start: int) -> np.ndarray:
+    """sum over n >= n_start of fhat1(m-n) fhat2(n) K(m-n, n), for every m."""
+    ctx = f1.ctx
+    fh1, fh2 = fourier(f1).values, fourier(f2).values
+    Kt = quad_kernel_table(ctx)
+    codes = ctx.elements()
+    coeffs = np.zeros(ctx.q, dtype=complex)
+    for n in range(n_start, ctx.q):
+        mn = ctx.sub_vec(codes, n)
+        coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
+    return coeffs
+
+
 def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n)."""
     ctx = f1.ctx
     if f2.ctx is not ctx:
         raise ValueError("functions live on different fields")
-    fh1, fh2 = fourier(f1).values, fourier(f2).values
-    Kt = quad_kernel_table(ctx)
-    codes = ctx.elements()
-    coeffs = np.zeros(ctx.q, dtype=complex)
-    for n in range(ctx.q):
-        mn = ctx.sub_vec(codes, n)
-        coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
-    return ComplexFn(ctx, char_matrix(ctx) @ coeffs)
+    return ComplexFn(ctx, char_matrix(ctx) @ _kernel_coeffs(f1, f2, 0))
 
 
 class DeviationNorms(NamedTuple):
@@ -72,17 +78,10 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn, tol: float = 1e-8) -> Deviation
     The two agree identically in exact arithmetic; a mismatch beyond ``tol``
     raises (internal-consistency failure, not an input error).
     """
-    ctx = f1.ctx
     dev = averaging_apply(f1, f2).values - f1.mean() * f2.mean()
     direct = float(np.sqrt((np.abs(dev) ** 2).mean()))
 
-    fh1, fh2 = fourier(f1).values, fourier(f2).values
-    Kt = quad_kernel_table(ctx)
-    codes = ctx.elements()
-    coeffs = np.zeros(ctx.q, dtype=complex)
-    for n in range(1, ctx.q):
-        mn = ctx.sub_vec(codes, n)
-        coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
+    coeffs = _kernel_coeffs(f1, f2, 1)
     fourier_side = float(np.sqrt((np.abs(coeffs) ** 2).sum()))
 
     if abs(direct - fourier_side) > tol * max(1.0, direct, fourier_side):
@@ -142,51 +141,12 @@ def sliced_operator_apply(ctx: FieldCtx, h: int, G: ComplexFn) -> ComplexFn:
     return ComplexFn(ctx, sliced_operator_matrix(ctx, h) @ G.values)
 
 
-def sliced_operator_norm_svd(ctx: FieldCtx, h: int) -> float:
-    """Full-spectrum route: largest singular value via dense SVD."""
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    return float(np.linalg.svd(sliced_operator_matrix(ctx, h), compute_uv=False)[0])
-
-
-def sliced_operator_norm(
-    ctx: FieldCtx,
-    h: int,
-    tol: float = 1e-10,
-    maxiter: int = 50_000,
-) -> float:
-    """Largest singular value of the sliced operator.
-
-    Iterates M^H M from a fixed seeded start vector until the Rayleigh
-    quotient stabilizes (relative change below ``tol``).  Falls back to the
-    dense SVD for q <= 49 if the iteration stalls; for larger fields a stall
-    raises with the last two iterates.
-    """
+def sliced_operator_norm(ctx: FieldCtx, h: int) -> float:
+    """Largest singular value of the sliced operator, by dense SVD."""
     h = ctx.check_element(h)
     if h == 0:
         raise ValueError("h must be nonzero")
-    M = sliced_operator_matrix(ctx, h)
-    A = M.conj().T @ M
-    rng = np.random.default_rng((ctx.q, h, 0x51CE))
-    v = rng.standard_normal(ctx.q) + 1j * rng.standard_normal(ctx.q)
-    v /= np.linalg.norm(v)
-    rho_prev = -1.0
-    for _ in range(maxiter):
-        w = A @ v
-        rho = float((v.conj() @ w).real)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if rho_prev >= 0 and abs(rho - rho_prev) <= tol * max(rho, 1e-300):
-            return math.sqrt(max(rho, 0.0))
-        rho_prev = rho
-    if ctx.q <= 49:
-        return sliced_operator_norm_svd(ctx, h)
-    raise RuntimeError(
-        f"power iteration did not stabilize for q={ctx.q}, h={h}: "
-        f"last Rayleigh iterates {rho_prev!r}, {rho!r}"
-    )
+    return float(np.linalg.svd(sliced_operator_matrix(ctx, h), compute_uv=False)[0])
 
 
 @dataclass

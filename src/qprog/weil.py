@@ -10,11 +10,15 @@ nontrivial eta this is a complete mixed sum with three ramified points
 |sum| <= 3 sqrt(q).  For trivial eta it is a Gauss sum minus the two terms at
 s = +-1, so |sum| <= sqrt(q) + 2.  The grid maximum is therefore at most
 min(3 sqrt(q), q - 3); eta = chi attains 3 sqrt(q) at q = 27, 81 and 243.
-``envelope_check`` asserts the looser envelope 4 sqrt(q) + 3 on every sum.
+``envelope_check`` asserts that bound, up to 1e-9, on the whole grid.
 
-Sums run in ascending element-code order in double precision; at desk scale
-(q <= 1e4 unit-modulus terms) the accumulated error stays below 1e-10 and no
-compensated summation is needed.
+Every sum here is one product of an eta matrix with a weight matrix
+(``_char_sums``); the mixed, reindexed and ratio sums differ only in their
+weights, so the two-route checks compare whole grids.
+
+Sums accumulate in double precision; at desk scale (q <= 1e4 unit-modulus
+terms) the accumulated error stays below 1e-10 and no compensated summation
+is needed.
 """
 
 from __future__ import annotations
@@ -41,8 +45,52 @@ def _scan_codes(ctx: FieldCtx) -> np.ndarray:
 
 
 def envelope(q: int) -> float:
-    """Empirical bound asserted on every scanned sum: 4 sqrt(q) + 3."""
-    return 4.0 * math.sqrt(q) + 3.0
+    """The proven bound min(3 sqrt(q), q - 3) on every scanned sum."""
+    return min(3.0 * math.sqrt(q), q - 3.0)
+
+
+def _char_sums(ctx: FieldCtx, at: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """sum_k eta_t(at[k]) weights[j, k] for every t in ``ts``: rows t, columns j.
+
+    Blocks of t bound the eta matrix at about 2^22 entries on big grids.
+    """
+    n = ctx.q - 1
+    logs = ctx.log_table[at]
+    roots = unit_root_powers(ctx)
+    sums = np.empty((len(ts), len(weights)), dtype=complex)
+    block = max(1, 2**22 // max(1, logs.size))
+    for i0 in range(0, len(ts), block):
+        eta = roots[(ts[i0 : i0 + block, None] * logs[None, :]) % n]
+        sums[i0 : i0 + block] = eta @ weights.T
+    return sums
+
+
+def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, W) with W[j, k] = chi(1 - r_k^2) e(lambda_j (r_k - 1)/(r_k + 1)), r outside {0, +-1}."""
+    rs = _scan_codes(ctx)
+    chi = quadratic_char_table(ctx)
+    e = additive_char_table(ctx)
+    chi_part = chi[ctx.sub_vec(1, ctx.sq_vec(rs))].astype(complex)
+    u = ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
+    return rs, e[ctx.mul_vec(lams[:, None], u[None, :])] * chi_part[None, :]
+
+
+def _substituted_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed sum after the reindexing s = (r-1)/(r+1), s outside {-1, 0, 1}:
+    eta is taken at r = (1+s)/(1-s) and W[j, k] = chi(-4s_k/(1-s_k)^2) e(lambda_j s_k)."""
+    ss = _scan_codes(ctx)
+    chi = quadratic_char_table(ctx)
+    e = additive_char_table(ctx)
+    r_of_s = ctx.div_vec(ctx.add_vec(1, ss), ctx.sub_vec(1, ss))
+    neg4 = ctx.neg(ctx.from_int(4))
+    chi_arg = ctx.div_vec(ctx.mul_vec(neg4, ss), ctx.sq_vec(ctx.sub_vec(1, ss)))
+    return r_of_s, e[ctx.mul_vec(lams[:, None], ss[None, :])] * chi[chi_arg][None, :]
+
+
+def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, W) with W[j, k] = L_{h_j}(r_k), the ratio kernel, over every nonzero r."""
+    rs = ctx.units()
+    return rs, np.stack([ratio_kernel_table(ctx, int(h))[rs] for h in hs])
 
 
 def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
@@ -52,43 +100,7 @@ def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
         raise ValueError("lambda must be nonzero (the additive phase must be nonconstant)")
     if not 0 <= t <= ctx.q - 2:
         raise ValueError(f"character index t={t} out of range")
-    rs = _scan_codes(ctx)
-    if rs.size == 0:
-        return 0.0 + 0.0j
-    chi = quadratic_char_table(ctx)
-    e = additive_char_table(ctx)
-    eta = unit_root_powers(ctx)[(t * ctx.log_table[rs]) % (ctx.q - 1)]
-    chi_part = chi[ctx.sub_vec(1, ctx.sq_vec(rs))]
-    phase = e[ctx.mul_vec(lam, ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1)))]
-    return complex((eta * chi_part * phase).sum())
-
-
-def substitution_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
-    """The same sum after the fractional-linear reindexing s = (r-1)/(r+1):
-
-    sum over s outside {-1, 0, 1} of eta((1+s)/(1-s)) chi(-4s/(1-s)^2) e(lambda s).
-    """
-    lam = ctx.check_element(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    ss = _scan_codes(ctx)
-    if ss.size == 0:
-        return 0.0 + 0.0j
-    chi = quadratic_char_table(ctx)
-    e = additive_char_table(ctx)
-    r_of_s = ctx.div_vec(ctx.add_vec(1, ss), ctx.sub_vec(1, ss))
-    eta = unit_root_powers(ctx)[(t * ctx.log_table[r_of_s]) % (ctx.q - 1)]
-    neg4 = ctx.neg(ctx.from_int(4))
-    chi_arg = ctx.div_vec(ctx.mul_vec(neg4, ss), ctx.sq_vec(ctx.sub_vec(1, ss)))
-    phase = e[ctx.mul_vec(lam, ss)]
-    return complex((eta * chi[chi_arg] * phase).sum())
-
-
-def substitution_identity(ctx: FieldCtx, t: int, lam: int) -> tuple[complex, complex, bool]:
-    """Both routes of the reindexed sum; exact equality up to 1e-9 absolute."""
-    lhs = mixed_char_sum(ctx, t, lam)
-    rhs = substitution_sum(ctx, t, lam)
-    return lhs, rhs, abs(lhs - rhs) <= 1e-9
+    return complex(_char_sums(ctx, *_mixed_terms(ctx, np.array([lam])), np.array([t]))[0, 0])
 
 
 def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
@@ -102,10 +114,7 @@ def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
         raise ValueError("h must be nonzero")
     if not 0 <= t <= ctx.q - 2:
         raise ValueError(f"character index t={t} out of range")
-    rs = ctx.units()
-    lh = ratio_kernel_table(ctx, h)[rs]
-    eta = unit_root_powers(ctx)[(t * ctx.log_table[rs]) % (ctx.q - 1)]
-    return complex((lh * eta).sum())
+    return complex(_char_sums(ctx, *_ratio_terms(ctx, np.array([h])), np.array([t]))[0, 0])
 
 
 @dataclass
@@ -127,24 +136,8 @@ def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
     by smallest (t, lambda) codes."""
     q = ctx.q
     n = q - 1
-    rs = _scan_codes(ctx)
     lams = ctx.units()
-    if rs.size == 0:
-        sums = np.zeros((n, n), dtype=complex)
-    else:
-        chi = quadratic_char_table(ctx)
-        e = additive_char_table(ctx)
-        chi_part = chi[ctx.sub_vec(1, ctx.sq_vec(rs))].astype(complex)
-        u = ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
-        weights = e[ctx.mul_vec(lams[:, None], u[None, :])] * chi_part[None, :]
-        logr = ctx.log_table[rs]
-        roots = unit_root_powers(ctx)
-        sums = np.empty((n, n), dtype=complex)
-        block = max(1, 2**22 // max(1, rs.size))  # bound memory on big grids
-        for t0 in range(0, n, block):
-            ts = np.arange(t0, min(t0 + block, n))
-            eta = roots[(ts[:, None] * logr[None, :]) % n]
-            sums[ts] = eta @ weights.T
+    sums = _char_sums(ctx, *_mixed_terms(ctx, lams), np.arange(n))
     absgrid = np.abs(sums)
     flat = int(absgrid.argmax())
     ti, li = divmod(flat, n)
@@ -167,45 +160,49 @@ def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
 # ---------------------------------------------------------------------------
 
 
+def _grid_result(name: str, err: np.ndarray, tol: float, cell) -> CheckResult:
+    """Pass when every error is below ``tol``; the first failure is the first
+    bad cell in row-major order, named by ``cell(i, j)``."""
+    bad = np.flatnonzero(err >= tol)
+    first = None
+    if bad.size:
+        i, j = divmod(int(bad[0]), err.shape[1])
+        first = f"{cell(i, j)} err={err[i, j]:.3e}"
+    max_err = float(err.max())
+    return CheckResult(name, max_err < tol, err.size, max_err, first)
+
+
 def substitution_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
     """Reindexing identity on the full (t, lambda) grid."""
-    n = ctx.q - 1
-    max_err = 0.0
-    first = None
-    for t in range(n):
-        for lam in ctx.units():
-            lhs, rhs, _ = substitution_identity(ctx, t, int(lam))
-            err = abs(lhs - rhs)
-            if err > max_err:
-                max_err = err
-                if err >= tol and first is None:
-                    first = f"(t={t}, lambda={int(lam)}) err={err:.3e}"
-    return CheckResult("substitution-identity", max_err < tol, n * n, max_err, first)
+    lams = ctx.units()
+    ts = np.arange(ctx.q - 1)
+    mixed = _char_sums(ctx, *_mixed_terms(ctx, lams), ts)
+    substituted = _char_sums(ctx, *_substituted_terms(ctx, lams), ts)
+    err = np.abs(mixed - substituted)
+    return _grid_result(
+        "substitution-identity", err, tol, lambda t, j: f"(t={t}, lambda={int(lams[j])})"
+    )
 
 
 def ratio_sum_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
-    """ratio_char_sum(h, t) == twisted_prefactor(h) * mixed_char_sum(t, h)."""
-    n = ctx.q - 1
-    max_err = 0.0
-    first = None
-    for h in ctx.units():
-        w = twisted_prefactor(ctx, int(h))
-        for t in range(n):
-            lhs = ratio_char_sum(ctx, int(h), t)
-            rhs = w * mixed_char_sum(ctx, t, int(h))
-            err = abs(lhs - rhs)
-            if err > max_err:
-                max_err = err
-                if err >= tol and first is None:
-                    first = f"(h={int(h)}, t={t}) err={err:.3e}"
-    return CheckResult("ratio-kernel-char-sum", max_err < tol, n * n, max_err, first)
+    """ratio_char_sum(h, t) == twisted_prefactor(h) * mixed_char_sum(t, h) on
+    the full (h, t) grid."""
+    hs = ctx.units()
+    ts = np.arange(ctx.q - 1)
+    ratio = _char_sums(ctx, *_ratio_terms(ctx, hs), ts)
+    mixed = _char_sums(ctx, *_mixed_terms(ctx, hs), ts)
+    prefactor = np.array([twisted_prefactor(ctx, int(h)) for h in hs])
+    err = np.abs(ratio - prefactor[None, :] * mixed).T  # rows h, columns t
+    return _grid_result(
+        "ratio-kernel-char-sum", err, tol, lambda j, t: f"(h={int(hs[j])}, t={t})"
+    )
 
 
 def envelope_check(ctx: FieldCtx) -> CheckResult:
-    """Every grid sum within the 4 sqrt(q) + 3 envelope."""
+    """Every grid sum within the proven bound min(3 sqrt(q), q - 3)."""
     report = weil_scan(ctx)
     bound = envelope(ctx.q)
-    passed = report.max_abs_sum <= bound
+    passed = report.max_abs_sum <= bound + 1e-9
     first = None
     if not passed:
         first = (

@@ -1,10 +1,11 @@
 """CLI contract: exit codes, report files, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from qprog import constructions
+from qprog import constructions, weil
 from qprog.cli import main
 
 
@@ -49,6 +50,32 @@ def test_verify_cap_exceeded(tmp_path):
     assert rc == 2
 
 
+def test_verify_cap_above_desk_cap_is_honoured(tmp_path):
+    rc = main(["verify", "constructions", "--p", "101", "--cap", "20000", "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "verify-101-1.json").read_text())
+    names = {c["name"]: c for c in report["suites"]["constructions"]}
+    assert names["line-certified"]["passed"] and names["line-certified"]["cases"] == 101
+
+
+def test_verify_weil_gates_on_weil_bound(tmp_path, monkeypatch, capsys):
+    """Sums inflated by q^0.05 stay under the old 4 sqrt(q) + 3 envelope at
+    q = 27 but break the proven 3 sqrt(q)."""
+    scan = weil.weil_scan
+
+    def inflated(ctx, keep_grid=False):
+        rep = scan(ctx, keep_grid)
+        f = ctx.q**0.05
+        return dataclasses.replace(rep, max_abs_sum=rep.max_abs_sum * f, max_ratio=rep.max_ratio * f)
+
+    monkeypatch.setattr(weil, "weil_scan", inflated)
+    rc = main(["verify", "weil", "--p", "3", "--s", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    report = json.loads((tmp_path / "verify-3-3.json").read_text())
+    assert report["first_failure"]["name"] == "weil-envelope"
+    assert "weil-envelope" in capsys.readouterr().out
+
+
 def test_scan_weil_writes_reports_and_csv(tmp_path):
     rc = main(["scan", "weil", "--q-list", "5,7", "--out", str(tmp_path), "--format", "both"])
     assert rc == 0
@@ -61,15 +88,22 @@ def test_scan_weil_writes_reports_and_csv(tmp_path):
     assert len(csv_text) == 1 + (5 - 1) ** 2
 
 
-def test_scan_delta_deterministic(tmp_path):
+@pytest.mark.parametrize("argv, reports", [
+    (["verify", "--p", "3", "--s", "2"], ["verify-3-2.json"]),
+    (["scan", "delta", "--q-list", "9", "--trials", "4", "--seed", "7"],
+     ["scan-delta-3-2.json", "scan-delta-summary.json"]),
+    (["scan", "weil", "--q-list", "9"], ["scan-weil-3-2.json", "scan-weil-summary.json"]),
+    (["scan", "slices", "--q-list", "9"], ["scan-slices-3-2.json", "scan-slices-summary.json"]),
+    (["construct", "line", "--p", "5"], ["construct-line-5-1.json"]),
+], ids=["verify", "scan-delta", "scan-weil", "scan-slices", "construct-line"])
+def test_rerun_is_deterministic(tmp_path, argv, reports):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
-        rc = main(["scan", "delta", "--q-list", "9", "--trials", "4", "--seed", "7",
-                   "--out", str(d)])
-        assert rc == 0
-    a = _scrub(json.loads((a_dir / "scan-delta-3-2.json").read_text()))
-    b = _scrub(json.loads((b_dir / "scan-delta-3-2.json").read_text()))
-    assert a == b
+        assert main(argv + ["--out", str(d)]) == 0
+    for name in reports:
+        a = _scrub(json.loads((a_dir / name).read_text()))
+        b = _scrub(json.loads((b_dir / name).read_text()))
+        assert a == b
 
 
 def test_scan_slices_band(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qprog import weil
 from qprog.field import get_field
 from qprog.characters import (
     additive_char,
@@ -21,7 +22,7 @@ from qprog.weil import (
     substitution_check,
     weil_scan,
 )
-from qprog.kernels import ratio_kernel
+from qprog.kernels import ratio_kernel, twisted_prefactor
 
 from conftest import Q_MEDIUM, field_for
 
@@ -112,6 +113,49 @@ def test_ratio_char_sum_identity(q):
     assert res.passed, res
 
 
+def test_substitution_check_names_first_bad_cell(monkeypatch):
+    """Corrupt the reindexed route: eta taken at -r(s) flips the sign of every
+    odd t (eta_t(-1) = (-1)^t), and the last lambda's weights are doubled.
+    In (t, lambda) loop order the first bad cell is (t=0, lambda=6), not the
+    (t=1, lambda=1) a lambda-major order would name."""
+    ctx = get_field(7, 1)
+    terms = weil._substituted_terms
+
+    def corrupted(ctx, lams):
+        at, w = terms(ctx, lams)
+        w = w.copy()
+        w[-1] *= 2
+        return ctx.neg_vec(at), w
+
+    monkeypatch.setattr(weil, "_substituted_terms", corrupted)
+    res = substitution_check(ctx)
+    assert not res.passed and res.cases == 36
+    assert res.first_failure.startswith("(t=0, lambda=6) ")
+    assert abs(mixed_char_sum(ctx, 1, 1)) > 1e-9  # (t=1, lambda=1) is bad too
+
+
+def test_ratio_sum_check_names_first_bad_cell(monkeypatch):
+    """Corrupt the ratio route: conjugate L_1 and double L_6.  In (h, t) loop
+    order the first bad cell is (h=1, t=1), not the (h=6, t=0) a t-major
+    order would name."""
+    ctx = get_field(7, 1)
+    table = weil.ratio_kernel_table
+
+    def corrupted(ctx, h):
+        out = table(ctx, h)
+        return out.conj() if h == 1 else 2 * out if h == 6 else out
+
+    monkeypatch.setattr(weil, "ratio_kernel_table", corrupted)
+
+    def err(h, t):
+        return abs(ratio_char_sum(ctx, h, t) - twisted_prefactor(ctx, h) * mixed_char_sum(ctx, t, h))
+
+    assert err(1, 0) < 1e-9 and err(1, 1) >= 1e-9 and err(6, 0) >= 1e-9
+    res = ratio_sum_check(ctx)
+    assert not res.passed and res.cases == 36
+    assert res.first_failure == f"(h=1, t=1) err={err(1, 1):.3e}"
+
+
 def test_ratio_char_sum_brute():
     """Scalar oracle: sum the ratio kernel against a character directly."""
     ctx = get_field(9 // 3, 2)
@@ -126,14 +170,14 @@ def test_ratio_char_sum_envelope(ctx_medium):
     ctx = ctx_medium
     for h in (1, ctx.q - 1):
         for t in range(ctx.q - 1):
-            assert abs(ratio_char_sum(ctx, h, t)) <= envelope(ctx.q)
+            assert abs(ratio_char_sum(ctx, h, t)) <= envelope(ctx.q) + 1e-9
 
 
 def test_scan_grid_and_envelope(ctx_medium):
     ctx = ctx_medium
     rep = weil_scan(ctx)
     assert rep.grid_count == (ctx.q - 1) ** 2
-    assert rep.max_abs_sum <= envelope(ctx.q)
+    assert rep.max_abs_sum <= envelope(ctx.q) + 1e-9
     assert rep.max_ratio < 4.0
     res = envelope_check(ctx)
     assert res.passed
