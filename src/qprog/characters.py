@@ -12,6 +12,10 @@ The additive character is fixed as e(x) = exp(2 pi i Tr(x)/p); any nontrivial
 choice gives a unitarily equivalent theory, and fixing one keeps reports
 deterministic.  Unit roots are computed from rational angles directly, never
 by repeated multiplication, so q-term sums carry no accumulated phase error.
+
+Both transforms are FFTs, O(q log q) with no q x q table: the additive one
+runs along the s base-p digit axes of the code (see ``_trace_index``), the
+multiplicative one along the discrete log.
 """
 
 from __future__ import annotations
@@ -159,15 +163,20 @@ def random_fn(ctx: FieldCtx, rng: np.random.Generator, kind: str = "gaussian") -
 # ---------------------------------------------------------------------------
 
 
-def char_matrix(ctx: FieldCtx) -> np.ndarray:
-    """The q x q synthesis matrix E[x, xi] = e(x*xi), cached per field."""
-    mat = ctx._cache.get("char_matrix")
-    if mat is None:
+def _trace_index(ctx: FieldCtx) -> np.ndarray:
+    """k[xi] = sum_j Tr(X^j xi) p^j, cached per field.
+
+    Tr is F_p-linear, so Tr(x xi) = sum_j x_j Tr(X^j xi): the base-p digits
+    of x dotted with those of k[xi], mod p (the trace dual basis).  Hence
+    e(x xi) = exp(2 pi i d(x).d(k[xi])/p), and every additive transform is
+    a length-p DFT along each of the s digit axes, read through k.
+    """
+    k = ctx._cache.get("trace_index")
+    if k is None:
         codes = ctx.elements()
-        prods = ctx.mul_vec(codes[:, None], codes[None, :])
-        mat = additive_char_table(ctx)[prods]
-        ctx._cache["char_matrix"] = mat
-    return mat
+        k = sum(ctx.trace_table[ctx.mul_vec(ctx.p**j, codes)] * ctx.p**j for j in range(ctx.s))
+        ctx._cache["trace_index"] = k
+    return k
 
 
 def fourier(f: ComplexFn) -> ComplexFn:
@@ -175,30 +184,30 @@ def fourier(f: ComplexFn) -> ComplexFn:
     if f.domain != FULL:
         raise ValueError("fourier expects a full-field function")
     ctx = f.ctx
-    vals = char_matrix(ctx).conj() @ f.values / ctx.q
-    return ComplexFn(ctx, vals)
+    spectrum = np.fft.fftn(f.values.reshape((ctx.p,) * ctx.s), norm="forward").ravel()
+    return ComplexFn(ctx, spectrum[_trace_index(ctx)])
 
 
 def fourier_inverse(fhat: ComplexFn) -> ComplexFn:
     """f(x) = sum_xi fhat(xi) e(x xi); plain-sum synthesis convention."""
     ctx = fhat.ctx
-    return ComplexFn(ctx, char_matrix(ctx) @ fhat.values)
+    spectrum = np.empty(ctx.q, dtype=complex)
+    spectrum[_trace_index(ctx)] = fhat.values
+    vals = np.fft.ifftn(spectrum.reshape((ctx.p,) * ctx.s), norm="forward").ravel()
+    return ComplexFn(ctx, vals)
 
 
 def mult_fourier(f: ComplexFn) -> np.ndarray:
     """Multiplicative coefficients M_f(t) = sum_{Y != 0} f(Y) conj(eta_t(Y)).
 
     Requires f(0) = 0.  Indexed by t = 0..q-2; counting normalization on both
-    sides, so (1/(q-1)) sum_t |M_f(t)|^2 = sum_Y |f(Y)|^2.
+    sides, so (1/(q-1)) sum_t |M_f(t)|^2 = sum_Y |f(Y)|^2.  With Y = g^k this
+    is the DFT of the by-log vector k -> f(g^k).
     """
     ctx = f.ctx
     if f.values[0] != 0:
         raise ValueError("multiplicative transform requires f(0) = 0")
-    n = ctx.q - 1
-    by_log = f.values[ctx.exp_table]  # F[k] = f(g^k)
-    t = np.arange(n)
-    mat = unit_root_powers(ctx)[(-np.outer(t, np.arange(n))) % n]
-    return mat @ by_log
+    return np.fft.fft(f.values[ctx.exp_table])
 
 
 def mult_fourier_inverse(ctx: FieldCtx, coeffs: np.ndarray) -> ComplexFn:
@@ -207,10 +216,8 @@ def mult_fourier_inverse(ctx: FieldCtx, coeffs: np.ndarray) -> ComplexFn:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (n,):
         raise ValueError(f"expected {n} coefficients")
-    t = np.arange(n)
-    mat = unit_root_powers(ctx)[np.outer(np.arange(n), t) % n]
     vals = np.zeros(ctx.q, dtype=complex)
-    vals[ctx.exp_table] = mat @ coeffs / n
+    vals[ctx.exp_table] = np.fft.ifft(coeffs)
     return ComplexFn(ctx, vals, MULTIPLICATIVE)
 
 

@@ -25,9 +25,10 @@ import numpy as np
 
 # Largest field materialised by default.  It bounds q, not the work: in
 # q = |F|, the exhaustive routes cost
-#   dense q x q tables (add table, char_matrix, quad_kernel_table)  q^2 memory
+#   dense q x q tables (add table, quad_kernel_table)               q^2 memory
+#   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm                                 q^2
-#   weil_scan, substitution_check, ratio_sum_check                  q^3
+#   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
 #   pair_kernel_check, decomposition_check, sliced_norm_scan        q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free                                         q |A|
@@ -329,9 +330,6 @@ class FieldCtx:
     def mul_direct(self, a: int, b: int) -> int:
         """Reference product bypassing the log/exp tables (testing oracle)."""
         return self._mul_poly(a, b)
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
 
     def from_int(self, n: int) -> int:
         """Code of the constant n*1 (image of the integer in the prime field)."""

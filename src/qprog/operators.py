@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import FieldCtx
-from .characters import ComplexFn, char_matrix, fourier, random_fn
+from .characters import ComplexFn, fourier, fourier_inverse, random_fn
 from .kernels import quad_kernel_table
 
 
@@ -61,7 +61,7 @@ def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     ctx = f1.ctx
     if f2.ctx is not ctx:
         raise ValueError("functions live on different fields")
-    return ComplexFn(ctx, char_matrix(ctx) @ _kernel_coeffs(f1, f2, 0))
+    return fourier_inverse(ComplexFn(ctx, _kernel_coeffs(f1, f2, 0)))
 
 
 class DeviationNorms(NamedTuple):

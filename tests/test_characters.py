@@ -23,7 +23,13 @@ from qprog.characters import (
     random_fn,
 )
 
-from conftest import field_for
+from conftest import Q_FULL, field_for
+from transform_oracles import (
+    fourier_dense,
+    fourier_inverse_dense,
+    mult_fourier_dense,
+    mult_fourier_inverse_dense,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +187,18 @@ def test_transforms_are_linear():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 343])
+def test_fourier_matches_dense_oracle(q):
+    """The digit-axis FFT read through the trace-dual index equals the dense
+    character-matrix product, both directions, on every kind of input."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    for kind in ("gaussian", "pm1", "indicator"):
+        f = random_fn(ctx, rng, kind)
+        assert np.abs(fourier(f).values - fourier_dense(f).values).max() <= 1e-12
+        assert np.abs(fourier_inverse(f).values - fourier_inverse_dense(f).values).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # multiplicative transform
 # ---------------------------------------------------------------------------
@@ -217,6 +235,20 @@ def test_mult_fourier_parseval_and_inverse(ctx_medium):
         assert abs(lhs - rhs) / max(lhs, rhs) < 1e-9
         back = mult_fourier_inverse(ctx, coeffs)
         assert np.abs(back.values - v).max() < 1e-9
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243])
+def test_mult_fourier_matches_dense_oracle(q):
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    v = rng.standard_normal(ctx.q) + 1j * rng.standard_normal(ctx.q)
+    v[0] = 0.0
+    f = ComplexFn(ctx, v)
+    assert np.abs(mult_fourier(f) - mult_fourier_dense(f)).max() <= 1e-10
+    coeffs = rng.standard_normal(ctx.q - 1) + 1j * rng.standard_normal(ctx.q - 1)
+    fft_route = mult_fourier_inverse(ctx, coeffs)
+    assert fft_route.domain == "multiplicative"
+    assert np.abs(fft_route.values - mult_fourier_inverse_dense(ctx, coeffs).values).max() <= 1e-10
 
 
 def test_mult_fourier_rejects_nonvanishing_origin():

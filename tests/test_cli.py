@@ -3,10 +3,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from qprog import constructions, weil
 from qprog.cli import main
+from qprog.field import DESK_CAP, get_field
 
 
 def _scrub(payload):
@@ -162,6 +164,17 @@ def test_verify_operators_at_q3(tmp_path):
     assert list(names) == ["averaging-two-routes", "slice-expansion-identity",
                            "slice-point-mass-modulus"]
     assert names["slice-point-mass-modulus"]["cases"] == 3
+
+
+def test_verify_fourier_at_cap_edge_holds_no_square_table(tmp_path):
+    """q = 3^8 = 6561 runs the additive FFT over s = 8 digit axes; no cached
+    array reaches q^2 entries (a q x q complex table would be 690 MB)."""
+    rc = main(["verify", "fourier", "--p", "3", "--s", "8", "--trials", "4", "--out", str(tmp_path)])
+    assert rc == 0
+    q = 3**8
+    cache = get_field(3, 8, DESK_CAP)._cache  # same cache key as the CLI worker
+    assert "trace_index" in cache
+    assert all(v.size < q * q for v in cache.values() if isinstance(v, np.ndarray))
 
 
 def test_bare_verify_passes(tmp_path):

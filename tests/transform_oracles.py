@@ -1,0 +1,60 @@
+"""Dense character transforms, kept as test oracles.
+
+Each builds the full character matrix, q x q for the additive transforms and
+(q-1) x (q-1) for the multiplicative ones and the Weil grids, and sums term
+by term: O(q^2) memory and O(q^2)-O(q^3) time.  The package computes the
+same objects by FFT; two-route tests compare the two on small fields.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qprog.characters import MULTIPLICATIVE, ComplexFn, additive_char_table, unit_root_powers
+from qprog.field import FieldCtx
+
+
+def char_matrix(ctx: FieldCtx) -> np.ndarray:
+    """The q x q synthesis matrix E[x, xi] = e(x*xi)."""
+    codes = ctx.elements()
+    return additive_char_table(ctx)[ctx.mul_vec(codes[:, None], codes[None, :])]
+
+
+def fourier_dense(f: ComplexFn) -> ComplexFn:
+    """fhat(xi) = (1/q) sum_x f(x) e(-x xi), as a matrix product."""
+    ctx = f.ctx
+    return ComplexFn(ctx, char_matrix(ctx).conj() @ f.values / ctx.q)
+
+
+def fourier_inverse_dense(fhat: ComplexFn) -> ComplexFn:
+    """f(x) = sum_xi fhat(xi) e(x xi), as a matrix product."""
+    ctx = fhat.ctx
+    return ComplexFn(ctx, char_matrix(ctx) @ fhat.values)
+
+
+def _root_matrix(ctx: FieldCtx, sign: int) -> np.ndarray:
+    """zeta^{sign * t k} for t, k in 0..q-2."""
+    n = ctx.q - 1
+    idx = np.arange(n)
+    return unit_root_powers(ctx)[(sign * np.outer(idx, idx)) % n]
+
+
+def mult_fourier_dense(f: ComplexFn) -> np.ndarray:
+    """M_f(t) = sum_k f(g^k) zeta^{-tk}, as a matrix product."""
+    ctx = f.ctx
+    return _root_matrix(ctx, -1) @ f.values[ctx.exp_table]
+
+
+def mult_fourier_inverse_dense(ctx: FieldCtx, coeffs: np.ndarray) -> ComplexFn:
+    """f(g^k) = (1/(q-1)) sum_t M(t) zeta^{tk}, as a matrix product."""
+    vals = np.zeros(ctx.q, dtype=complex)
+    vals[ctx.exp_table] = _root_matrix(ctx, 1) @ np.asarray(coeffs, dtype=complex) / (ctx.q - 1)
+    return ComplexFn(ctx, vals, MULTIPLICATIVE)
+
+
+def char_sums_dense(ctx: FieldCtx, at: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k eta_t(at[k]) weights[j, k] for every t (rows) and j (columns):
+    the eta matrix eta_t(at[k]) times the transposed weight matrix."""
+    n = ctx.q - 1
+    eta = unit_root_powers(ctx)[(np.arange(n)[:, None] * ctx.log_table[at][None, :]) % n]
+    return eta @ weights.T
