@@ -190,11 +190,19 @@ def fourier(f: ComplexFn) -> ComplexFn:
 
 def fourier_inverse(fhat: ComplexFn) -> ComplexFn:
     """f(x) = sum_xi fhat(xi) e(x xi); plain-sum synthesis convention."""
-    ctx = fhat.ctx
-    spectrum = np.empty(ctx.q, dtype=complex)
-    spectrum[_trace_index(ctx)] = fhat.values
-    vals = np.fft.ifftn(spectrum.reshape((ctx.p,) * ctx.s), norm="forward").ravel()
-    return ComplexFn(ctx, vals)
+    return ComplexFn(fhat.ctx, fourier_inverse_rows(fhat.ctx, fhat.values))
+
+
+def fourier_inverse_rows(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
+    """``fourier_inverse`` along the last axis of an (..., q) array:
+    out[..., x] = sum_xi rows[..., xi] e(x xi)."""
+    rows = np.asarray(rows)
+    lead = rows.shape[:-1]
+    spectrum = np.empty(rows.shape, dtype=complex)
+    spectrum[..., _trace_index(ctx)] = rows
+    digits = spectrum.reshape(lead + (ctx.p,) * ctx.s)
+    axes = tuple(range(len(lead), len(lead) + ctx.s))
+    return np.fft.ifftn(digits, axes=axes, norm="forward").reshape(rows.shape)
 
 
 def mult_fourier(f: ComplexFn) -> np.ndarray:

@@ -29,15 +29,20 @@ import numpy as np
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm                                 q^2
 #   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
-#   pair_kernel_check, decomposition_check, sliced_norm_scan        q^4
+#   sliced_norm_scan (ratio-sum grid, ~55 O(q) bisection steps/h)   q^2 log q
+#   pair_kernel_check, decomposition_check                          q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free                                         q |A|
 #   plane_census over F_{q^3}                                       q^4
 DESK_CAP = 10_000
 
-# Fields up to this size get a dense q x q addition table (2197^2 int32 is
-# ~19 MB); larger fields fall back to digitwise addition.
+# Fields up to this size get a dense q x q addition table (2187^2 int16 is
+# ~9.6 MB); larger fields fall back to digitwise addition.
 _ADD_TABLE_MAX = 2500
+
+# rows of the addition table computed at once: the int64 digit arithmetic
+# stays a few MB instead of q^2 words
+_ADD_TABLE_ROWS = 64
 
 
 def is_prime(n: int) -> bool:
@@ -354,8 +359,10 @@ class FieldCtx:
         tab = self._cache.get("add_table")
         if tab is None:
             codes = np.arange(self.q, dtype=np.int64)
-            tab = self._add_digitwise(codes[:, None], codes[None, :])
-            tab = tab.astype(np.int32 if self.q > 2**15 else np.int16)
+            tab = np.empty((self.q, self.q), dtype=np.int32 if self.q > 2**15 else np.int16)
+            for a0 in range(0, self.q, _ADD_TABLE_ROWS):
+                rows = codes[a0 : a0 + _ADD_TABLE_ROWS, None]
+                tab[a0 : a0 + _ADD_TABLE_ROWS] = self._add_digitwise(rows, codes[None, :])
             self._cache["add_table"] = tab
         return tab
 

@@ -10,6 +10,20 @@ conventions explicitly):
   frequency-side norm, which is exactly what the transform conventions give.
 * the sliced operator acts on frequency-side vectors, so its operator norm is
   a plain spectral norm in the counting l2 on both sides.
+
+Slice norms come from the Weil sums, not from the slice matrix.  With
+h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
+B_{h'} (``kernels.pair_kernel_grid_closed``).  Twisted by a +-1 diagonal, B_{h'}
+is the compression, to the complement of {c, -c} (c = h'/2), of an operator
+N on {0} and the units: q 1_{Y=Z} + sqrt(q) L_{h'}(Z/Y) between units, q at
+(0, 0) and a constant of modulus sqrt(q) on the rest of row and column 0.
+Multiplicative characters diagonalise N: eta_t (t != 0) has eigenvalue
+q + sqrt(q) S_t with S_t = ratio_char_sum(h', t), and eta_0 with the point 0
+spans a 2 x 2 block.  Every eigenvector is even or odd under Y -> -Y, since
+eta_t(-1) = (-1)^t, so the deleted points split into one even and one odd
+direction, and each sector's top eigenvalue is the largest root of a secular
+equation.  One FFT grid of ratio sums per block of h gives every S_t, so a
+whole scan costs O(q^2 log q) for the sums plus O(q) per h and bisection step.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ import numpy as np
 from .field import FieldCtx
 from .characters import ComplexFn, fourier, fourier_inverse, random_fn
 from .kernels import quad_kernel_table
+from .weil import _blocked_char_sums, _ratio_terms
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +156,67 @@ def sliced_operator_apply(ctx: FieldCtx, h: int, G: ComplexFn) -> ComplexFn:
     return ComplexFn(ctx, sliced_operator_matrix(ctx, h) @ G.values)
 
 
+def _top_secular_root(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row i, the top eigenvalue of diag(lam[i]) compressed to the
+    complement of a unit vector v with |v_k|^2 = w[i, k] > 0.
+
+    It is the root of sum_k w_k / (lam_k - x) = 0 between the row's two
+    largest lam, where the sum increases from -inf to +inf; bisect there.
+    A row leaves once its midpoint is no longer strictly inside its bracket,
+    so no division ever happens at an endpoint; a bracket that starts
+    collapsed (a repeated top eigenvalue) returns that eigenvalue.
+    """
+    top2 = np.partition(lam, -2, axis=1)[:, -2:]
+    lo, hi = top2[:, 0].copy(), top2[:, 1].copy()
+    rows = np.arange(len(lam))
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        inside = (lo[rows] < mid) & (mid < hi[rows])
+        if not inside.all():
+            rows, mid = rows[inside], mid[inside]
+            lam, w = lam[inside], w[inside]
+        d = lam - mid[:, None]
+        above = (np.divide(w, d, out=d)).sum(axis=1) > 0  # the root lies below mid
+        hi[rows[above]] = mid[above]
+        lo[rows[~above]] = mid[~above]
+    return lo
+
+
+def _slice_eigenvalues(q: int, S: np.ndarray) -> np.ndarray:
+    """q^2 ||T_h||^2 for each row of S, S[i, t] = ratio_char_sum(h_i/4, t)."""
+    n = q - 1
+    rq = math.sqrt(q)
+    # the {0, eta_0} block [[q, b], [conj(b), q + sqrt(q) S_0]], |b|^2 = q(q-1)
+    d = rq * S[:, :1]
+    rad = np.sqrt(d * d + 4.0 * q * n)
+    shift = np.concatenate([(d + rad) / 2, (d - rad) / 2], axis=1)  # mu - q
+    w_unit = shift**2 / (shift**2 + q * n)  # weight of each mu's vector on eta_0
+    lam = q + rq * S
+    even = np.concatenate([lam[:, 2::2], q + shift], axis=1)
+    even_w = np.concatenate([np.full((len(S), (n - 2) // 2), 2.0 / n), 2.0 * w_unit / n], axis=1)
+    top = _top_secular_root(even, even_w)
+    odd = lam[:, 1::2]
+    if odd.shape[1] > 1:  # at q = 3 the odd sector is the deleted direction alone
+        top = np.maximum(top, _top_secular_root(odd, np.full(odd.shape, 2.0 / n)))
+    return top
+
+
+def _slice_norms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
+    """||T_h|| for every h in ``hs`` (nonzero codes), from the ratio sums at h/4."""
+    q = ctx.q
+    quarters = ctx.div_vec(hs, ctx.from_int(4))
+    eig = np.empty(len(hs))
+    for i0, sums in _blocked_char_sums(ctx, _ratio_terms, quarters):
+        eig[i0 : i0 + sums.shape[1]] = _slice_eigenvalues(q, np.ascontiguousarray(sums.real.T))
+    return np.sqrt(eig) / q
+
+
 def sliced_operator_norm(ctx: FieldCtx, h: int) -> float:
-    """Largest singular value of the sliced operator, by dense SVD."""
+    """Largest singular value of the sliced operator T_h, by the spectral route."""
     h = ctx.check_element(h)
     if h == 0:
         raise ValueError("h must be nonzero")
-    return float(np.linalg.svd(sliced_operator_matrix(ctx, h), compute_uv=False)[0])
+    return float(_slice_norms(ctx, np.array([h]))[0])
 
 
 @dataclass
@@ -160,7 +230,8 @@ class SlicedNormReport:
 
 
 def sliced_norm_scan(ctx: FieldCtx) -> SlicedNormReport:
-    norms = [sliced_operator_norm(ctx, h) for h in range(1, ctx.q)]
+    """||T_h|| for every nonzero h, by the spectral route: O(q^2 log q)."""
+    norms = _slice_norms(ctx, ctx.units()).tolist()
     mx = max(norms)
     return SlicedNormReport(ctx.q, norms, mx, mx * math.sqrt(ctx.q))
 

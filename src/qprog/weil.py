@@ -15,8 +15,11 @@ min(3 sqrt(q), q - 3); eta = chi attains 3 sqrt(q) at q = 27, 81 and 243.
 Every sum here is one weighted sum of eta_t over distinct units
 (``_char_sums``): the weights sit at the discrete logs of their units, and
 one length-(q-1) inverse FFT per weight row gives the sums for every t at
-once, O(q^2 log q) for a whole grid.  The mixed, reindexed and ratio sums
-differ only in their weights, so the two-route checks compare whole grids.
+once, O(q^2 log q) for a whole grid.  Grids are built in blocks of weight
+rows (``_blocked_char_sums``), so no whole (q-1)^2 grid is held unless a
+caller asks for it.  The mixed and ratio sums differ only in their weights.
+``substitution_check`` sums the reindexed side the other way round: for
+each t, one additive FFT in lambda over the digit axes.
 
 Sums accumulate in double precision.  The FFT's rounding error grows like
 log q: at q = 2187 the grid and the term-by-term sums differ by at most
@@ -32,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldCtx
-from .characters import additive_char_table, quadratic_char_table
+from .characters import (
+    additive_char_table,
+    fourier_inverse_rows,
+    quadratic_char_table,
+    unit_root_powers,
+)
 from .kernels import ratio_kernel_table, twisted_prefactor
 from .reporting import CheckResult
 
@@ -61,6 +69,19 @@ def _char_sums(ctx: FieldCtx, at: np.ndarray, weights: np.ndarray) -> np.ndarray
     return np.fft.ifft(placed, norm="forward", out=placed).T
 
 
+# cells (weight rows times q - 1 columns) per block of a Weil grid: 16 MB of
+# complex sums, whatever q is
+_BLOCK_CELLS = 1 << 20
+
+
+def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray):
+    """Yield (i0, _char_sums(ctx, *terms(ctx, rows[i0 : i0 + k]))) for blocks
+    of k = max(1, _BLOCK_CELLS // q) weight rows, in order."""
+    k = max(1, _BLOCK_CELLS // ctx.q)
+    for i0 in range(0, len(rows), k):
+        yield i0, _char_sums(ctx, *terms(ctx, rows[i0 : i0 + k]))
+
+
 def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, W) with W[j, k] = chi(1 - r_k^2) e(lambda_j (r_k - 1)/(r_k + 1)), r outside {0, +-1}."""
     rs = _scan_codes(ctx)
@@ -71,22 +92,25 @@ def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return rs, e[ctx.mul_vec(lams[:, None], u[None, :])] * chi_part[None, :]
 
 
-def _substituted_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mixed sum after the reindexing s = (r-1)/(r+1), s outside {-1, 0, 1}:
-    eta is taken at r = (1+s)/(1-s) and W[j, k] = chi(-4s_k/(1-s_k)^2) e(lambda_j s_k)."""
+def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, r, c): the mixed sum after the reindexing s = (r-1)/(r+1) is
+    sum over s outside {-1, 0, 1} of eta(r_k) c_k e(lambda s_k), with
+    r = (1+s)/(1-s) and c = chi(-4s/(1-s)^2)."""
     ss = _scan_codes(ctx)
     chi = quadratic_char_table(ctx)
-    e = additive_char_table(ctx)
     r_of_s = ctx.div_vec(ctx.add_vec(1, ss), ctx.sub_vec(1, ss))
     neg4 = ctx.neg(ctx.from_int(4))
     chi_arg = ctx.div_vec(ctx.mul_vec(neg4, ss), ctx.sq_vec(ctx.sub_vec(1, ss)))
-    return r_of_s, e[ctx.mul_vec(lams[:, None], ss[None, :])] * chi[chi_arg][None, :]
+    return ss, r_of_s, chi[chi_arg]
 
 
 def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, W) with W[j, k] = L_{h_j}(r_k), the ratio kernel, over every nonzero r."""
     rs = ctx.units()
-    return rs, np.stack([ratio_kernel_table(ctx, int(h))[rs] for h in hs])
+    out = np.empty((len(hs), len(rs)), dtype=complex)
+    for i, h in enumerate(hs):
+        out[i] = ratio_kernel_table(ctx, int(h))[rs]
+    return rs, out
 
 
 def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
@@ -130,13 +154,30 @@ class WeilScanReport:
 def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
     """Scan all (q-1)^2 pairs (t, lambda != 0).  The argmax is the smallest
     (t, lambda) in code order with |sum| within 1e-9 of the maximum, so
-    rounding never decides between tied cells."""
+    rounding never decides between tied cells.
+
+    The grid is summed in blocks of lambda rows; only ``keep_grid`` holds it
+    whole.  Each block keeps its cells within 1e-9 of its own maximum, a
+    superset of its cells within 1e-9 of the global one.
+    """
     q = ctx.q
     n = q - 1
     lams = ctx.units()
-    absgrid = np.abs(_char_sums(ctx, *_mixed_terms(ctx, lams)))
-    max_abs = float(absgrid.max())
-    ti, li = divmod(int(np.argmax(absgrid >= max_abs - 1e-9)), n)
+    grid = np.empty((n, n)) if keep_grid else None
+    max_abs = 0.0
+    near = []  # per block: (|sum|, t, lambda index) of the cells near its maximum
+    for j0, sums in _blocked_char_sums(ctx, _mixed_terms, lams):
+        block = np.abs(sums)  # rows t, columns lambda index j0, j0 + 1, ...
+        if grid is not None:
+            grid[:, j0 : j0 + block.shape[1]] = block
+        top = float(block.max())
+        ts, js = np.nonzero(block >= top - 1e-9)
+        near.append((block[ts, js], ts, js + j0))
+        max_abs = max(max_abs, top)
+    vals, ts, js = (np.concatenate(col) for col in zip(*near))
+    tied = vals >= max_abs - 1e-9
+    first = np.lexsort((js[tied], ts[tied]))[0]
+    ti, li = ts[tied][first], js[tied][first]
     max_ratio = max_abs / math.sqrt(q)
     return WeilScanReport(
         q=q,
@@ -146,7 +187,7 @@ def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
         argmax_t=int(ti),
         argmax_lambda=int(lams[li]),
         below_sanity_floor=bool(max_ratio < 0.5),
-        grid=absgrid if keep_grid else None,
+        grid=grid,
     )
 
 
@@ -168,11 +209,22 @@ def _grid_result(name: str, err: np.ndarray, tol: float, cell) -> CheckResult:
 
 
 def substitution_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
-    """Reindexing identity on the full (t, lambda) grid."""
+    """Reindexing identity on the full (t, lambda) grid, by two summations.
+
+    The mixed sum over r is the multiplicative FFT grid.  The reindexed sum
+    is, for each t, the additive transform in lambda of
+    g_t(s) = eta_t((1+s)/(1-s)) chi(-4s/(1-s)^2) (zero at s = 0, +-1): one
+    inverse FFT over the digit axes per t, with eta_t read from the unit-root
+    table, not placed at the discrete logs.
+    """
+    n = ctx.q - 1
     lams = ctx.units()
     mixed = _char_sums(ctx, *_mixed_terms(ctx, lams))
-    substituted = _char_sums(ctx, *_substituted_terms(ctx, lams))
-    err = np.abs(mixed - substituted)
+    ss, r_of_s, c = _reindexed_terms(ctx)
+    g = np.zeros((n, ctx.q), dtype=complex)
+    g[:, ss] = unit_root_powers(ctx)[np.outer(np.arange(n), ctx.log_table[r_of_s]) % n] * c
+    reindexed = fourier_inverse_rows(ctx, g)[:, lams]
+    err = np.abs(mixed - reindexed)
     return _grid_result(
         "substitution-identity", err, tol, lambda t, j: f"(t={t}, lambda={int(lams[j])})"
     )

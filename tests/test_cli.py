@@ -177,6 +177,14 @@ def test_verify_fourier_at_cap_edge_holds_no_square_table(tmp_path):
     assert all(v.size < q * q for v in cache.values() if isinstance(v, np.ndarray))
 
 
+def test_scan_slices_holds_no_kernel_table(tmp_path):
+    """Slice norms come from the Weil sums: q = 2187 scans without the q x q
+    quad-kernel table (76 MB) the dense route built."""
+    rc = main(["scan", "slices", "--q-list", "2187", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "quad_kernel_table" not in get_field(3, 7, DESK_CAP)._cache  # the CLI worker's key
+
+
 def test_bare_verify_passes(tmp_path):
     assert main(["verify", "--out", str(tmp_path)]) == 0
 

@@ -248,3 +248,12 @@ def test_cubic_min_poly_rejects_subfield_points():
     quad_emb = subfield_embed(get_field(3, 1), get_field(3, 2))
     with pytest.raises(ValueError):
         cubic_min_poly(quad_emb, 3)
+
+
+def test_add_table_matches_digitwise_on_f3_7():
+    """The table is filled in row blocks; every entry is the digitwise sum."""
+    ctx = build_field(3, 7)
+    codes = ctx.elements()
+    tab = ctx.add_table
+    assert tab.dtype == np.int16
+    assert np.array_equal(tab, ctx._add_digitwise(codes[:, None], codes[None, :]))

@@ -7,7 +7,7 @@ import pytest
 
 from qprog.field import get_field
 from qprog.characters import ComplexFn, additive_char_table, random_fn
-from qprog.kernels import quad_kernel, quad_kernel_table_brute
+from qprog.kernels import pair_kernel_grid_closed, quad_kernel, quad_kernel_table_brute
 from qprog.operators import (
     alternating_max_ratio,
     averaging_apply,
@@ -16,6 +16,7 @@ from qprog.operators import (
     density_threshold,
     deviation_norm,
     deviation_scan,
+    sliced_norm_scan,
     sliced_operator_apply,
     sliced_operator_matrix,
     sliced_operator_norm,
@@ -25,6 +26,7 @@ from qprog.operators import (
 
 from conftest import Q_FULL, field_for
 from progression_oracles import count_progressions_field_scan
+from slice_oracles import sliced_operator_norm_svd
 
 # the test ladder plus larger extension fields, for the two-route count test
 Q_COUNT = Q_FULL + [125, 243, 343]
@@ -220,6 +222,50 @@ def test_opnorm_matches_brute_svd(q):
         M[:, [0, ctx.neg(h)]] = 0.0
         expected = np.linalg.svd(M, compute_uv=False)[0]
         assert abs(sliced_operator_norm(ctx, h) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 127])
+def test_spectral_norms_match_svd_oracle(q):
+    """The spectral scan against the dense SVD of every slice matrix."""
+    ctx = field_for(q)
+    norms = np.array(sliced_norm_scan(ctx).norms)
+    dense = np.array([sliced_operator_norm_svd(ctx, h) for h in range(1, q)])
+    assert np.all(np.abs(norms - dense) <= 1e-12 * dense)
+    assert [sliced_operator_norm(ctx, h) for h in (1, q - 1)] == [norms[0], norms[-1]]
+
+
+def _pair_kernel_top(ctx, h):
+    return np.linalg.eigvalsh(pair_kernel_grid_closed(ctx, h)[1])[-1]
+
+
+@pytest.mark.parametrize("q", [25, 27, 49, 81, 121])
+def test_slice_norm_is_pair_kernel_top_at_quarter_h(q):
+    """q^2 ||T_h||^2 = lambda_max(B_{h/4}): the slice matrix carries the /4
+    that the pair kernel's rescaled phase absorbed."""
+    ctx = field_for(q)
+    quarter = ctx.inv(ctx.from_int(4))
+    for h in range(1, q):
+        top = _pair_kernel_top(ctx, ctx.mul(h, quarter))
+        assert abs(q * q * sliced_operator_norm_svd(ctx, h) ** 2 - top) <= 1e-10 * top, h
+
+
+@pytest.mark.parametrize("q", [49, 121])
+def test_pair_kernel_top_at_h_misses(q):
+    """With B_h in place of B_{h/4} the identity fails (4 is not 1 or -1 here)."""
+    ctx = field_for(q)
+    miss = max(
+        abs(q * q * sliced_operator_norm_svd(ctx, h) ** 2 / _pair_kernel_top(ctx, h) - 1)
+        for h in range(1, q)
+    )
+    assert miss > 1e-2
+
+
+@pytest.mark.parametrize("q", Q_FULL + [243, 343])
+def test_slice_norms_obey_weil_certificate(q):
+    """|S_t| <= 3 sqrt(q) for t != 0 and |S_0| <= sqrt(q) + 2 put every
+    eigenvalue of N_h at or below 4q, so ||T_h|| sqrt(q) <= 2 for every h."""
+    rep = sliced_norm_scan(field_for(q))
+    assert rep.max_norm_times_sqrt_q <= 2 + 1e-9
 
 
 def test_opnorm_bound_at_q9():

@@ -117,23 +117,38 @@ def test_ratio_char_sum_identity(q):
 
 def test_substitution_check_names_first_bad_cell(monkeypatch):
     """Corrupt the reindexed route: eta taken at -r(s) flips the sign of every
-    odd t (eta_t(-1) = (-1)^t), and the last lambda's weights are doubled.
+    odd t (eta_t(-1) = (-1)^t), and the last lambda's sums are doubled.
     In (t, lambda) loop order the first bad cell is (t=0, lambda=6), not the
     (t=1, lambda=1) a lambda-major order would name."""
     ctx = get_field(7, 1)
-    terms = weil._substituted_terms
+    terms = weil._reindexed_terms
+    transform = weil.fourier_inverse_rows
 
-    def corrupted(ctx, lams):
-        at, w = terms(ctx, lams)
-        w = w.copy()
-        w[-1] *= 2
-        return ctx.neg_vec(at), w
+    def corrupted_terms(ctx):
+        ss, r_of_s, c = terms(ctx)
+        return ss, ctx.neg_vec(r_of_s), c
 
-    monkeypatch.setattr(weil, "_substituted_terms", corrupted)
+    def corrupted_transform(ctx, rows):
+        out = transform(ctx, rows)
+        out[:, 6] *= 2
+        return out
+
+    monkeypatch.setattr(weil, "_reindexed_terms", corrupted_terms)
+    monkeypatch.setattr(weil, "fourier_inverse_rows", corrupted_transform)
     res = substitution_check(ctx)
     assert not res.passed and res.cases == 36
     assert res.first_failure.startswith("(t=0, lambda=6) ")
     assert abs(mixed_char_sum(ctx, 1, 1)) > 1e-9  # (t=1, lambda=1) is bad too
+
+
+def test_substitution_check_catches_a_summation_fault(monkeypatch):
+    """The two sides are summed by different transforms, so a fault in the
+    multiplicative FFT route (sums for eta_t read at -t) fails the check."""
+    ctx = get_field(7, 1)
+    sums = weil._char_sums
+    monkeypatch.setattr(weil, "_char_sums", lambda ctx, at, w: sums(ctx, at, w).conj())
+    res = substitution_check(ctx)
+    assert not res.passed and res.cases == 36
 
 
 def test_ratio_sum_check_names_first_bad_cell(monkeypatch):
@@ -223,13 +238,54 @@ def test_scan_argmax_is_lexicographically_first():
         assert rep.max_abs_sum == best
 
 
+def _substituted_terms(ctx, lams):
+    """The reindexed sum's weights per lambda row: eta at r(s) and
+    W[j, k] = c_k e(lambda_j s_k)."""
+    ss, r_of_s, c = weil._reindexed_terms(ctx)
+    return r_of_s, additive_char_table(ctx)[ctx.mul_vec(lams[:, None], ss[None, :])] * c
+
+
+TERMS = {
+    "_mixed_terms": weil._mixed_terms,
+    "_substituted_terms": _substituted_terms,
+    "_ratio_terms": weil._ratio_terms,
+}
+
+
+@pytest.mark.parametrize("q", [3, 5, 27, 49, 125])
+def test_blocked_scan_matches_single_block(q, monkeypatch):
+    """One lambda row per block, three rows per block and one block give the
+    same grid, maximum and first tied cell."""
+    ctx = field_for(q)
+    reports = []
+    for cells in (1, 3 * q, q * q):
+        monkeypatch.setattr(weil, "_BLOCK_CELLS", cells)
+        reports.append(weil_scan(ctx, keep_grid=True))
+        assert weil_scan(ctx).argmax_lambda == reports[-1].argmax_lambda
+    one = reports[-1]
+    for rep in reports[:-1]:
+        assert np.array_equal(rep.grid, one.grid)
+        assert (rep.max_abs_sum, rep.argmax_t, rep.argmax_lambda) == (
+            one.max_abs_sum, one.argmax_t, one.argmax_lambda)
+
+
+@pytest.mark.parametrize("q, cell", [(27, (13, 1)), (243, (121, 3)), (2187, (1093, 12))])
+def test_scan_argmax_across_blocks(q, cell, monkeypatch):
+    """The first tied cell survives blocking: at q = 2187 the default blocks
+    split the lambda rows; the small fields are split row by row."""
+    if q < 2187:
+        monkeypatch.setattr(weil, "_BLOCK_CELLS", 1)
+    rep = weil_scan(field_for(q))
+    assert (rep.argmax_t, rep.argmax_lambda) == cell
+
+
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
-@pytest.mark.parametrize("terms", ["_mixed_terms", "_substituted_terms", "_ratio_terms"])
+@pytest.mark.parametrize("terms", list(TERMS))
 def test_char_sums_match_dense_oracle(q, terms):
     """Every Weil grid (mixed, reindexed, ratio): the inverse FFT over the
     discrete log equals the eta-matrix product, for every t and every row."""
     ctx = field_for(q)
-    at, w = getattr(weil, terms)(ctx, ctx.units())
+    at, w = TERMS[terms](ctx, ctx.units())
     fft_route = weil._char_sums(ctx, at, w)
     assert fft_route.shape == (q - 1, q - 1)
     assert np.abs(fft_route - char_sums_dense(ctx, at, w)).max() <= 1e-10
