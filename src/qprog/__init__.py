@@ -12,8 +12,6 @@ from .field import (
     FieldCtx,
     SubfieldEmbedding,
     build_field,
-    cubic_min_poly,
-    field_from_descriptor,
     get_field,
     prime_power,
     subfield_embed,
@@ -37,7 +35,6 @@ from .kernels import (
     classify_quad,
     pair_kernel_brute,
     pair_kernel_closed,
-    pair_kernel_coeffs,
     quad_kernel,
     quad_kernel_brute,
     ratio_kernel,

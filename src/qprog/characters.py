@@ -72,17 +72,6 @@ def mult_char(ctx: FieldCtx, t: int, x: int) -> complex:
     return complex(unit_root_powers(ctx)[k])
 
 
-def mult_char_table(ctx: FieldCtx, t: int) -> np.ndarray:
-    """eta_t on every code, extended by zero at 0 (length-q vector)."""
-    if not 0 <= t <= ctx.q - 2:
-        raise ValueError(f"character index t={t} out of range 0..{ctx.q - 2}")
-    out = np.zeros(ctx.q, dtype=complex)
-    units = ctx.units()
-    k = (t * ctx.log_table[units]) % (ctx.q - 1)
-    out[units] = unit_root_powers(ctx)[k]
-    return out
-
-
 def quadratic_char(ctx: FieldCtx, x: int) -> int:
     """+1 on nonzero squares, -1 on nonsquares, 0 at 0."""
     x = ctx.check_element(x)
@@ -135,14 +124,6 @@ class ComplexFn:
 
     def norm_count(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum()))
-
-    def to_json(self) -> list[list[float]]:
-        return [[float(v.real), float(v.imag)] for v in self.values]
-
-    @classmethod
-    def from_json(cls, ctx: FieldCtx, data, domain: str = FULL) -> "ComplexFn":
-        vals = np.array([complex(re, im) for re, im in data])
-        return cls(ctx, vals, domain)
 
 
 def random_fn(ctx: FieldCtx, rng: np.random.Generator, kind: str = "gaussian") -> ComplexFn:

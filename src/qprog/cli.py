@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .characters import (
     random_fn,
     unit_root_powers,
 )
-from .field import build_field, check_field_params, get_field, prime_power, subfield_embed
+from .field import check_field_params, get_field, prime_power, subfield_embed
 from .reporting import (
     CheckResult,
     RunManifest,
@@ -148,40 +149,56 @@ def _suite_weil(ctx, args) -> list[CheckResult]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# constructions: one builder per kind, shared by verify and construct
+# ---------------------------------------------------------------------------
+
+
+def _build_greedy(ctx, cap: int):
+    eset = constructions.greedy_progression_free(ctx)
+    return eset, {"size": eset.size, "sqrt_q": math.sqrt(ctx.q)}
+
+
+def _build_line(ctx, cap: int):
+    emb = subfield_embed(ctx, get_field(ctx.p, 2 * ctx.s, cap))
+    eset = constructions.quadratic_extension_line(emb)
+    return eset, {"size": eset.size}
+
+
+def _build_plane(ctx, cap: int):
+    emb = subfield_embed(ctx, get_field(ctx.p, 3 * ctx.s, cap))
+    census = constructions.plane_census(emb)
+    eset = constructions.ElementSet(emb.big, census.good_example.mask)
+    return eset, {
+        "size": eset.size,
+        "census": {
+            "q": census.q,
+            "total": census.total_planes,
+            "containing_one": census.planes_containing_one,
+            "avoiding_one": census.planes_avoiding_one,
+            "bad": census.bad_count,
+            "good": census.good_count,
+            "min_bad_witnesses": census.min_bad_witnesses,
+        },
+        "basis": list(census.good_example.basis),
+    }
+
+
+# kind -> builder(small field, cap) -> (certified set, report fields); every
+# builder certifies its set before returning it
+_BUILDERS = {"greedy": _build_greedy, "line": _build_line, "plane": _build_plane}
+
+
 def _suite_constructions(ctx, args) -> list[CheckResult]:
-    out = []
-    greedy = constructions.greedy_progression_free(ctx)  # raises unless certified
-    out.append(
-        CheckResult(
-            "greedy-certified",
-            True,
-            greedy.size,
-            0.0,
-            data={"size": greedy.size, "sqrt_q": math.sqrt(ctx.q)},
-        )
-    )
+    greedy, extra = _build_greedy(ctx, args.cap)
+    out = [CheckResult("greedy-certified", True, greedy.size, 0.0, data=extra)]
     if ctx.q**2 <= args.cap:
-        emb = subfield_embed(ctx, get_field(ctx.p, 2 * ctx.s, args.cap))
-        line = constructions.quadratic_extension_line(emb)
+        line, _ = _build_line(ctx, args.cap)
         out.append(CheckResult("line-certified", line.size == ctx.q, line.size, 0.0))
     if ctx.q**3 <= args.cap:
-        emb = subfield_embed(ctx, get_field(ctx.p, 3 * ctx.s, args.cap))
-        census = constructions.plane_census(emb)
-        out.append(
-            CheckResult(
-                "plane-census",
-                True,
-                census.total_planes,
-                0.0,
-                data={
-                    "total": census.total_planes,
-                    "containing_one": census.planes_containing_one,
-                    "avoiding_one": census.planes_avoiding_one,
-                    "bad": census.bad_count,
-                    "good": census.good_count,
-                },
-            )
-        )
+        census = _build_plane(ctx, args.cap)[1]["census"]
+        data = {k: census[k] for k in ("total", "containing_one", "avoiding_one", "bad", "good")}
+        out.append(CheckResult("plane-census", True, census["total"], 0.0, data=data))
     return out
 
 
@@ -194,23 +211,18 @@ _SUITES = {
 }
 
 
-def _verify_one_field(payload: dict) -> dict:
-    """Worker: run the selected suites on one field (picklable for --jobs)."""
-    args = argparse.Namespace(**payload["args"])
-    ctx = get_field(payload["p"], payload["s"], args.cap)
+def _verify_one_field(args, targets: list[str], field: tuple[int, int]):
+    """Worker: run the selected suites on one field (picklable for --jobs);
+    returns the field descriptor, the check results and the timings."""
+    ctx = get_field(*field, args.cap)
     results = {}
     timings = {}
-    for target in payload["targets"]:
+    for target in targets:
         t0 = time.perf_counter()
         checks = _SUITES[target](ctx, args)
         timings[target] = time.perf_counter() - t0
         results[target] = [asdict(c) for c in checks]
-    return {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "results": results,
-        "timings": timings,
-    }
+    return ctx.descriptor(), results, timings
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +231,22 @@ def _verify_one_field(payload: dict) -> dict:
 
 
 def _parse_fields(args) -> list[tuple[int, int]]:
-    if args.q_list:
-        out = []
-        for q in args.q_list:
-            p, s = prime_power(q)
-            out.append((p, s))
-        return out
-    if args.p is not None:
-        return [(args.p, args.s)]
-    return [prime_power(q) for q in DEFAULT_Q_LIST]
+    """The (p, s) of every field the command runs on, each checked against
+    the cap before any work fans out."""
+    if args.p is not None and not args.q_list:
+        fields = [(args.p, args.s)]
+    else:
+        fields = [prime_power(q) for q in args.q_list or DEFAULT_Q_LIST]
+    for p, s in fields:
+        check_field_params(p, s, cap=args.cap)
+    return fields
 
 
-def _fan_out(worker, payloads: list[dict], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+def _fan_out(worker, fields: list[tuple[int, int]], jobs: int) -> list:
+    if jobs <= 1 or len(fields) <= 1:
+        return [worker(f) for f in fields]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
+        return list(pool.map(worker, fields))
 
 
 def cmd_verify(args) -> int:
@@ -243,127 +255,109 @@ def cmd_verify(args) -> int:
     if unknown:
         raise ValueError(f"unknown verify targets {unknown}; choose from {list(VERIFY_TARGETS)}")
     fields = _parse_fields(args)
-    for p, s in fields:
-        check_field_params(p, s, cap=args.cap)  # precondition gate before fan-out
-    payloads = [
-        {"p": p, "s": s, "targets": targets, "args": _plain_args(args)} for p, s in fields
-    ]
-    reports = _fan_out(_verify_one_field, payloads, args.jobs)
+    reports = _fan_out(partial(_verify_one_field, args, targets), fields, args.jobs)
 
     all_passed = True
-    for (p, s), rep in zip(fields, reports):
-        failures = [
-            c for target in rep["results"].values() for c in target if not c["passed"]
-        ]
+    for (p, s), (descriptor, results, timings) in zip(fields, reports):
+        checks = [c for target in results.values() for c in target]
+        failures = [c for c in checks if not c["passed"]]
         passed = not failures
         all_passed &= passed
-        manifest = _manifest(args, "verify", [rep["field"]], rep["timings"])
-        payload = {"manifest": manifest, "passed": passed, "suites": rep["results"]}
+        manifest = _manifest(args, "verify", [descriptor], timings)
+        payload = {"manifest": manifest, "passed": passed, "suites": results}
         if failures:
             payload["first_failure"] = failures[0]
         out = args.out / report_name("verify", p, s)
         write_json(out, payload)
         if args.format in ("csv", "both"):
-            rows = [
-                (rep["q"], c["name"], c["cases"], c["max_err"], c["passed"])
-                for target in rep["results"].values()
-                for c in target
-            ]
+            rows = [(p**s, c["name"], c["cases"], c["max_err"], c["passed"]) for c in checks]
             write_csv(args.out / report_name("verify", p, s, "csv"),
                       ["q", "check", "cases_checked", "max_abs_error", "passed"], rows)
         status = "pass" if passed else f"FAIL ({failures[0]['name']}: {failures[0]['first_failure']})"
-        print(f"verify p={p} s={s} q={rep['q']}: {status}")
+        print(f"verify p={p} s={s} q={p**s}: {status}")
     return 0 if all_passed else 1
 
 
-def _scan_one_field(payload: dict) -> dict:
-    args = argparse.Namespace(**payload["args"])
-    ctx = get_field(payload["p"], payload["s"], args.cap)
-    kind = payload["kind"]
-    t0 = time.perf_counter()
-    if kind == "delta":
-        rep = operators.deviation_scan(
-            ctx, trials=args.trials, seed=args.seed, include_alternating=args.alternating
-        )
-        summary = {
-            "q": ctx.q,
-            "max_ratio": rep.max_ratio,
-            "ratio_times_q_delta": rep.ratio_times_q_delta,
-            "witness": rep.witness,
-            "alternating_ratio": rep.alternating_ratio,
-        }
-        rows = [(ctx.q, k, i, r, r * ctx.q**0.25) for k, i, r in rep.per_trial]
-        header = ["q", "kind", "trial", "ratio", "ratio_times_q_delta"]
-        trend_value = rep.ratio_times_q_delta
-    elif kind == "slices":
-        rep = operators.sliced_norm_scan(ctx)
-        summary = {
-            "q": ctx.q,
-            "max_norm": rep.max_norm,
-            "max_norm_times_sqrt_q": rep.max_norm_times_sqrt_q,
-        }
-        rows = [(ctx.q, h + 1, n, n * math.sqrt(ctx.q)) for h, n in enumerate(rep.norms)]
-        header = ["q", "h", "norm", "norm_times_sqrt_q"]
-        trend_value = rep.max_norm_times_sqrt_q
-    elif kind == "weil":
-        rep = weil.weil_scan(ctx, keep_grid=args.format in ("csv", "both"))
-        summary = {
-            "q": ctx.q,
-            "max_abs_sum": rep.max_abs_sum,
-            "max_ratio": rep.max_ratio,
-            "argmax_t": rep.argmax_t,
-            "argmax_lambda": rep.argmax_lambda,
-            "below_sanity_floor": rep.below_sanity_floor,
-        }
-        rows = []
-        if rep.grid is not None:
-            lams = ctx.units()
-            for t in range(ctx.q - 1):
-                for j, lam in enumerate(lams):
-                    a = float(rep.grid[t, j])
-                    rows.append((ctx.q, t, int(lam), a, a / math.sqrt(ctx.q)))
-        header = ["q", "t", "lambda", "abs_sum", "ratio"]
-        trend_value = rep.max_ratio
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return {
-        "field": ctx.descriptor(),
+def _scan_delta(ctx, args):
+    rep = operators.deviation_scan(
+        ctx, trials=args.trials, seed=args.seed, include_alternating=args.alternating
+    )
+    summary = {
         "q": ctx.q,
-        "summary": summary,
-        "rows": rows,
-        "header": header,
-        "trend_value": trend_value,
-        "elapsed": time.perf_counter() - t0,
+        "max_ratio": rep.max_ratio,
+        "ratio_times_q_delta": rep.ratio_times_q_delta,
+        "witness": rep.witness,
+        "alternating_ratio": rep.alternating_ratio,
     }
+    rows = [(ctx.q, k, i, r, r * ctx.q**0.25) for k, i, r in rep.per_trial]
+    header = ["q", "kind", "trial", "ratio", "ratio_times_q_delta"]
+    return summary, header, rows, rep.ratio_times_q_delta
+
+
+def _scan_slices(ctx, args):
+    rep = operators.sliced_norm_scan(ctx)
+    summary = {
+        "q": ctx.q,
+        "max_norm": rep.max_norm,
+        "max_norm_times_sqrt_q": rep.max_norm_times_sqrt_q,
+    }
+    rows = [(ctx.q, h + 1, n, n * math.sqrt(ctx.q)) for h, n in enumerate(rep.norms)]
+    return summary, ["q", "h", "norm", "norm_times_sqrt_q"], rows, rep.max_norm_times_sqrt_q
+
+
+def _scan_weil(ctx, args):
+    rep = weil.weil_scan(ctx, keep_grid=args.format in ("csv", "both"))
+    summary = {
+        "q": ctx.q,
+        "max_abs_sum": rep.max_abs_sum,
+        "max_ratio": rep.max_ratio,
+        "argmax_t": rep.argmax_t,
+        "argmax_lambda": rep.argmax_lambda,
+        "below_sanity_floor": rep.below_sanity_floor,
+    }
+    lams = ctx.units().tolist()
+    rows = [] if rep.grid is None else [
+        (ctx.q, t, lam, a, a / math.sqrt(ctx.q))
+        for t, sums in enumerate(rep.grid) for lam, a in zip(lams, sums.tolist())
+    ]
+    return summary, ["q", "t", "lambda", "abs_sum", "ratio"], rows, rep.max_ratio
+
+
+# kind -> scan(ctx, args) -> (summary, CSV header, CSV rows, cross-q trend
+# value); every summary holds q
+_SCANS = {"delta": _scan_delta, "slices": _scan_slices, "weil": _scan_weil}
+
+
+def _scan_one_field(args, field: tuple[int, int]):
+    """Worker: the field descriptor, the wall time and the scan's results."""
+    ctx = get_field(*field, args.cap)
+    t0 = time.perf_counter()
+    results = _SCANS[args.kind](ctx, args)
+    return ctx.descriptor(), time.perf_counter() - t0, *results
 
 
 def cmd_scan(args) -> int:
     fields = _parse_fields(args)
-    for p, s in fields:
-        check_field_params(p, s, cap=args.cap)
-    payloads = [
-        {"p": p, "s": s, "kind": args.kind, "args": _plain_args(args)} for p, s in fields
-    ]
-    reports = _fan_out(_scan_one_field, payloads, args.jobs)
+    reports = _fan_out(partial(_scan_one_field, args), fields, args.jobs)
 
     qs, trend = [], []
-    for (p, s), rep in zip(fields, reports):
-        manifest = _manifest(args, f"scan-{args.kind}", [rep["field"]], {"scan": rep["elapsed"]})
+    for (p, s), (descriptor, elapsed, summary, header, rows, trend_value) in zip(fields, reports):
+        manifest = _manifest(args, f"scan-{args.kind}", [descriptor], {"scan": elapsed})
         write_json(args.out / report_name(f"scan-{args.kind}", p, s), {
             "manifest": manifest,
-            "summary": rep["summary"],
+            "summary": summary,
         })
-        if args.format in ("csv", "both") and rep["rows"]:
-            write_csv(args.out / report_name(f"scan-{args.kind}", p, s, "csv"), rep["header"], rep["rows"])
-        qs.append(rep["q"])
-        trend.append(rep["trend_value"])
-        print(f"scan {args.kind} p={p} s={s} q={rep['q']}: {rep['summary']}")
+        if args.format in ("csv", "both") and rows:
+            write_csv(args.out / report_name(f"scan-{args.kind}", p, s, "csv"), header, rows)
+        qs.append(summary["q"])
+        trend.append(trend_value)
+        print(f"scan {args.kind} p={p} s={s} q={summary['q']}: {summary}")
 
     cross = {
         "kind": args.kind,
         "q": qs,
         "values": trend,
-        "slope_vs_log_q": fit_slope_vs_logq(qs, trend) if len(qs) > 1 else 0.0,
+        "slope_vs_log_q": fit_slope_vs_logq(qs, trend),
     }
     if args.kind == "slices" and trend:
         cross["band_ratio"] = max(trend) / min(trend)
@@ -378,46 +372,10 @@ def cmd_scan(args) -> int:
 
 def cmd_construct(args) -> int:
     p, s = args.p, args.s
-    try:
-        small = build_field(p, s, cap=args.cap)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    small = get_field(p, s, args.cap)
     t0 = time.perf_counter()
-    if args.kind == "greedy":
-        eset = constructions.greedy_progression_free(small)
-        extra = {"size": eset.size, "sqrt_q": math.sqrt(small.q)}
-        field_desc = small.descriptor()
-    elif args.kind == "line":
-        big = build_field(p, 2 * s, cap=args.cap)
-        emb = subfield_embed(small, big)
-        eset = constructions.quadratic_extension_line(emb)
-        extra = {"size": eset.size}
-        field_desc = big.descriptor()
-    elif args.kind == "plane":
-        big = build_field(p, 3 * s, cap=args.cap)
-        emb = subfield_embed(small, big)
-        census = constructions.plane_census(emb)
-        eset = constructions.ElementSet(big, census.good_example.mask)
-        extra = {
-            "size": eset.size,
-            "census": {
-                "q": census.q,
-                "total": census.total_planes,
-                "containing_one": census.planes_containing_one,
-                "avoiding_one": census.planes_avoiding_one,
-                "bad": census.bad_count,
-                "good": census.good_count,
-                "min_bad_witnesses": census.min_bad_witnesses,
-            },
-            "basis": list(census.good_example.basis),
-        }
-        field_desc = big.descriptor()
-    else:  # pragma: no cover
-        raise ValueError(args.kind)
-
-    # every construction certifies its set before returning it
-    manifest = _manifest(args, f"construct-{args.kind}", [field_desc],
+    eset, extra = _BUILDERS[args.kind](small, args.cap)
+    manifest = _manifest(args, f"construct-{args.kind}", [eset.ctx.descriptor()],
                          {"construct": time.perf_counter() - t0})
     payload = {"manifest": manifest, "certified": True, "set": eset.to_json(), **extra}
     out = args.out / report_name(f"construct-{args.kind}", p, s)
@@ -440,11 +398,6 @@ def _manifest(args, command: str, fields: list[dict], timings: dict) -> dict:
         tolerance_rel=args.tolerance_rel,
         timings=timings,
     ).to_dict()
-
-
-def _plain_args(args) -> dict:
-    keep = ("seed", "trials", "tolerance_abs", "tolerance_rel", "cap", "alternating", "format")
-    return {k: getattr(args, k, None) for k in keep}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -473,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("scan", help="cross-q scans with trend summaries")
-    ps.add_argument("kind", choices=("delta", "slices", "weil"))
+    ps.add_argument("kind", choices=tuple(_SCANS))
     ps.add_argument("--alternating", action="store_true",
                     help="include alternating maximization in the delta scan")
     _add_common(ps)
     ps.set_defaults(func=cmd_scan)
 
     pc = sub.add_parser("construct", help="build and certify progression-free sets")
-    pc.add_argument("kind", choices=("greedy", "line", "plane"))
+    pc.add_argument("kind", choices=tuple(_BUILDERS))
     _add_common(pc)
     pc.set_defaults(func=cmd_construct)
 

@@ -4,10 +4,12 @@ Three constructions, in increasing size order:
 
 * a greedy set of order sqrt(q) in any field (deterministic ascending-code
   order by default; a seeded random order is available for exploration),
-* the line omega * F_q inside a quadratic extension, of size exactly q,
+* the line omega * F_q inside a quadratic extension, of size exactly q, for
+  the least omega outside the subfield whose square lies in it,
 * a plane inside a cubic extension avoiding 1 whose nonzero elements never
   square back into it, of size exactly q^2 -- found by full census of all
-  q^2 + q + 1 planes and certified by exhaustive progression search.
+  q^2 + q + 1 planes, which counts each bad plane's witnesses (nonzero y
+  with y^2 in the plane) in the same pass that classifies it.
 
 Every emitted set is certified once, by ``is_progression_free``, before
 being returned; a certification failure is a bug signal, not a data
@@ -145,16 +147,12 @@ def quadratic_extension_line(emb: SubfieldEmbedding) -> ElementSet:
     if emb.degree != 2:
         raise ValueError("quadratic extension required")
     big, small = emb.big, emb.small
-    omega = -1
-    for w in range(1, big.q):
-        if not emb.image_mask[w] and emb.image_mask[big.mul(w, w)]:
-            omega = w
-            break
-    if omega < 0:
+    directions = np.flatnonzero(~emb.image_mask & emb.image_mask[big.sq_vec(big.elements())])
+    if not directions.size:
         # cannot happen in odd characteristic: a square root of any nonsquare
         # of the subfield qualifies
         raise RuntimeError("no line direction found (hard invariant violated)")
-    members = big.mul_vec(omega, emb.map_)
+    members = big.mul_vec(int(directions[0]), emb.map_)
     eset = ElementSet.from_codes(big, members)
     if eset.size != small.q:
         raise RuntimeError("line has wrong cardinality")
@@ -181,9 +179,6 @@ class Plane:
     basis: tuple[int, int]
     elements: np.ndarray
     mask: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"basis": list(self.basis), "elements": self.elements.tolist()}
 
 
 def _coordinate_codes(emb: SubfieldEmbedding) -> tuple[np.ndarray, ...]:
@@ -260,12 +255,6 @@ def is_bad_plane(emb: SubfieldEmbedding, plane: Plane) -> tuple[bool, int | None
     return True, int(ys[hits][0])
 
 
-def _bad_witness_count(emb: SubfieldEmbedding, plane: Plane) -> int:
-    big = emb.big
-    ys = plane.elements[plane.elements != 0]
-    return int(plane.mask[big.sq_vec(ys)].sum())
-
-
 @dataclass
 class PlaneCensus:
     """Exact plane counts over a cubic extension, with one certified witness.
@@ -286,7 +275,8 @@ class PlaneCensus:
     good_example: Plane | None
 
 
-def plane_census(emb: SubfieldEmbedding, certify: bool = True) -> PlaneCensus:
+def plane_census(emb: SubfieldEmbedding) -> PlaneCensus:
+    """Classify every plane; certify the least-basis good plane."""
     if emb.degree != 3:
         raise ValueError("cubic extension required")
     q = emb.small.q
@@ -300,10 +290,10 @@ def plane_census(emb: SubfieldEmbedding, certify: bool = True) -> PlaneCensus:
         if plane.mask[1]:
             containing += 1
             continue
-        bad_flag, _ = is_bad_plane(emb, plane)
-        if bad_flag:
+        # witnesses: nonzero y in the plane with y^2 in it (see is_bad_plane)
+        w = int(plane.mask[big.sq_vec(plane.elements[plane.elements != 0])].sum())
+        if w:
             bad += 1
-            w = _bad_witness_count(emb, plane)
             min_witnesses = w if min_witnesses is None else min(min_witnesses, w)
         else:
             good_planes.append(plane)
@@ -328,8 +318,7 @@ def plane_census(emb: SubfieldEmbedding, certify: bool = True) -> PlaneCensus:
     good = good_planes[0]
     if len(good.elements) != q * q:
         raise RuntimeError("good plane has wrong cardinality")
-    if certify:
-        _certify(ElementSet(big, good.mask), "plane")
+    _certify(ElementSet(big, good.mask), "plane")
 
     return PlaneCensus(
         q=q,

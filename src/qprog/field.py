@@ -14,6 +14,11 @@ bit-for-bit across runs and machines:
 Multiplication and inversion run through discrete-log tables; addition is
 digitwise and is backed by a cached q x q table for small fields.  Vectorised
 variants (``add_vec`` etc.) accept numpy integer arrays and broadcast.
+
+``subfield_embed`` embeds F_q in a quadratic or cubic extension.  It finds
+the image of the generator by the defining property of a field embedding
+(a power map that commutes with x -> x + 1), not by solving for a minimal
+polynomial; that older route is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -45,19 +50,6 @@ _ADD_TABLE_MAX = 2500
 _ADD_TABLE_ROWS = 64
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale inputs only)."""
     out: dict[int, int] = {}
@@ -70,6 +62,10 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -220,16 +216,9 @@ class FieldCtx:
         self.modulus: tuple[int, ...] = tuple(_smallest_irreducible(p, s))
         self._pow_p = [p**i for i in range(s + 1)]
 
-        # negation is digitwise
-        codes = np.arange(q, dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for i in range(s):
-            digit = (codes // self._pow_p[i]) % p
-            neg += ((p - digit) % p) * self._pow_p[i]
-        self.neg_table = neg
-
         self.g = self._find_generator()
         self._build_log_exp()
+        self.neg_table = self.mul_vec(p - 1, self.elements())  # -1 has code p - 1
         self._build_trace()
 
     # -- construction helpers ------------------------------------------------
@@ -242,20 +231,13 @@ class FieldCtx:
         prod += [0] * (self.s - len(prod))
         return _code_of(prod, self.p)
 
-    def _pow_poly(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
-
     def _find_generator(self) -> int:
         n = self.q - 1
         prime_divisors = list(factorize(n))
+        m, p, s = list(self.modulus), self.p, self.s
         for c in range(2, self.q):
-            if all(self._pow_poly(c, n // r) != 1 for r in prime_divisors):
+            digits = _trim(_digits_int(c, p, s))
+            if all(_poly_powmod(digits, n // r, m, p) != [1] for r in prime_divisors):
                 return c
         raise RuntimeError("no generator found")  # unreachable for a field
 
@@ -274,15 +256,13 @@ class FieldCtx:
         self.log_table = log
 
     def _build_trace(self) -> None:
-        tr = np.zeros(self.q, dtype=np.int64)
-        for a in range(1, self.q):
-            acc, b = a, a
-            for _ in range(self.s - 1):
-                b = self.pow(b, self.p)
-                acc = self.add(acc, b)
-            if acc >= self.p:
-                raise RuntimeError("trace left the prime field")
-            tr[a] = acc
+        """Tr(a) = a + a^p + ... + a^{p^(s-1)} for every code at once."""
+        tr = conj = self.elements()
+        for _ in range(self.s - 1):
+            conj = self.pow_vec(conj, self.p)
+            tr = self._add_digitwise(tr, conj)
+        if np.any(tr >= self.p):
+            raise RuntimeError("trace left the prime field")
         self.trace_table = tr
 
     # -- scalar arithmetic ----------------------------------------------------
@@ -294,15 +274,10 @@ class FieldCtx:
         return a
 
     def add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
         tab = self._cache.get("add_table")
         if tab is not None:
             return int(tab[a, b])
-        out = 0
-        for pi in self._pow_p[: self.s]:
-            out += (((a // pi) + (b // pi)) % self.p) * pi
-        return out
+        return int(self._add_digitwise(a, b))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, int(self.neg_table[b]))
@@ -331,10 +306,6 @@ class FieldCtx:
                 raise ZeroDivisionError("negative power of zero")
             return 0
         return int(self.exp_table[(self.log_table[a] * k) % (self.q - 1)])
-
-    def mul_direct(self, a: int, b: int) -> int:
-        """Reference product bypassing the log/exp tables (testing oracle)."""
-        return self._mul_poly(a, b)
 
     def from_int(self, n: int) -> int:
         """Code of the constant n*1 (image of the integer in the prime field)."""
@@ -447,14 +418,6 @@ def get_field(p: int, s: int, cap: int = DESK_CAP) -> FieldCtx:
     return build_field(p, s, cap)
 
 
-def field_from_descriptor(d: dict) -> FieldCtx:
-    """Rebuild a field from its JSON descriptor, checking for drift."""
-    ctx = get_field(int(d["p"]), int(d["s"]))
-    if list(ctx.modulus) != list(d["modulus"]) or ctx.g != int(d["generator"]):
-        raise ValueError("field descriptor does not match deterministic construction")
-    return ctx
-
-
 def sqrt_pairs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """Square-root lookup: for each code d, the (up to two) codes y with y^2 = d.
 
@@ -463,14 +426,14 @@ def sqrt_pairs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """
     cached = ctx._cache.get("sqrt_pairs")
     if cached is None:
-        r1 = np.full(ctx.q, -1, dtype=np.int64)
+        codes = ctx.elements()
+        squares = ctx.sq_vec(codes)
+        r1 = np.full(ctx.q, ctx.q, dtype=np.int64)
         r2 = np.full(ctx.q, -1, dtype=np.int64)
-        for y in range(ctx.q):
-            d = ctx.mul(y, y)
-            if r1[d] < 0:
-                r1[d] = y
-            elif r2[d] < 0 and y != r1[d]:
-                r2[d] = y
+        np.minimum.at(r1, squares, codes)
+        np.maximum.at(r2, squares, codes)
+        r1[r1 == ctx.q] = -1
+        r2[r2 == r1] = -1  # d = 0 and the nonsquares
         cached = (r1, r2)
         ctx._cache["sqrt_pairs"] = cached
     return cached
@@ -492,98 +455,22 @@ class SubfieldEmbedding:
     small: FieldCtx
     big: FieldCtx
     map_: np.ndarray
-    inv_map: np.ndarray  # big code -> small code, -1 outside the image
     image_mask: np.ndarray  # bool, length big.q
 
     @property
     def degree(self) -> int:
         return self.big.s // self.small.s
 
-    def apply(self, a: int) -> int:
-        return int(self.map_[a])
-
-    def contains(self, x: int) -> bool:
-        return bool(self.image_mask[x])
-
-    def pull_back(self, x: int) -> int:
-        a = int(self.inv_map[x])
-        if a < 0:
-            raise ValueError(f"big-field code {x} is not in the embedded subfield")
-        return a
-
-
-def _min_poly_over_prime(ctx: FieldCtx, a: int) -> list[int]:
-    """Monic minimal polynomial of a over F_p, little-endian coefficients.
-
-    Solved by Gaussian elimination mod p on the digit vectors of the powers
-    of a; for a multiplicative generator the degree is exactly s.
-    """
-    p, s = ctx.p, ctx.s
-    powers = [1]
-    for _ in range(s):
-        powers.append(ctx.mul(powers[-1], a))
-    for deg in range(1, s + 1):
-        # try to express a^deg in the span of a^0 .. a^{deg-1}
-        rows = [_digits_int(powers[i], p, s) for i in range(deg)]
-        target = _digits_int(powers[deg], p, s)
-        sol = _solve_mod_p(rows, target, p)
-        if sol is not None:
-            coeffs = [(-c) % p for c in sol] + [1]
-            return coeffs
-    raise RuntimeError("no minimal polynomial found")  # unreachable
-
-
-def _solve_mod_p(rows: list[list[int]], target: list[int], p: int) -> list[int] | None:
-    """Solve sum_i x_i * rows[i] = target over F_p, or None if inconsistent."""
-    k, n = len(rows), len(target)
-    # augmented matrix of the transposed system: n equations, k unknowns
-    aug = [[rows[i][j] % p for i in range(k)] + [target[j] % p] for j in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, n) if aug[i][c] % p != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(vi - f * vr) % p for vi, vr in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][k] % p != 0:
-            return None
-    sol = [0] * k
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][k]
-    # verify (guards against free variables picked as 0)
-    for j in range(n):
-        if sum(sol[i] * rows[i][j] for i in range(k)) % p != target[j] % p:
-            return None
-    return sol
-
-
-def _eval_poly(ctx: FieldCtx, coeffs: list[int], x: int) -> int:
-    """Evaluate a polynomial with prime-field coefficients at a field element."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c % ctx.p)
-    return acc
-
 
 def subfield_embed(small: FieldCtx, big: FieldCtx) -> SubfieldEmbedding:
     """Build the embedding F_q -> F_{q^m} for m in {2, 3}.
 
-    The small generator is sent to the least-code root of its minimal
-    polynomial inside the big field (subgroup generated by
-    G^{(q^m-1)/(q-1)}), which makes the extension both additive and
-    multiplicative; matching generator powers alone would only be
-    multiplicative.
+    The small generator g goes to the least code r among the units of the
+    subfield (the codes G^{k(q^m-1)/(q-1)}) whose power map phi(g^k) = r^k,
+    phi(0) = 0, satisfies phi(x + 1) = phi(x) + 1 for every x.  A
+    multiplicative map with that property is additive, since
+    phi(a + b) = phi(b) (phi(a/b) + 1), so phi is a field embedding and r is
+    the least root in the big field of the minimal polynomial of g.
     """
     if small.p != big.p:
         raise ValueError("incompatible characteristics")
@@ -593,26 +480,20 @@ def subfield_embed(small: FieldCtx, big: FieldCtx) -> SubfieldEmbedding:
             f"big field must be a quadratic or cubic extension: got q={small.q}, Q={big.q}"
         )
 
-    step = (big.q - 1) // (small.q - 1)
-    sub_codes = [0] + [int(big.exp_table[(k * step) % (big.q - 1)]) for k in range(small.q - 1)]
-
-    minpoly = _min_poly_over_prime(small, small.g)
-    roots = sorted(x for x in sub_codes if x != 0 and _eval_poly(big, minpoly, x) == 0)
-    if not roots:
-        raise RuntimeError("minimal polynomial has no root in the subfield")  # unreachable
-    r = roots[0]
-
+    ks = np.arange(small.q - 1)
+    successor = small.add_vec(small.elements(), 1)
     map_ = np.zeros(small.q, dtype=np.int64)
-    lr = int(big.log_table[r])
-    for k in range(small.q - 1):
-        map_[small.exp_table[k]] = big.exp_table[(lr * k) % (big.q - 1)]
+    for r in np.sort(big.exp_table[ks * ((big.q - 1) // (small.q - 1))]):
+        map_[small.exp_table] = big.exp_table[(big.log_table[r] * ks) % (big.q - 1)]
+        if np.array_equal(map_[successor], big.add_vec(map_, 1)):
+            break
+    else:
+        raise RuntimeError("no unit of the subfield extends to an embedding")  # unreachable
 
-    inv_map = np.full(big.q, -1, dtype=np.int64)
-    inv_map[map_] = np.arange(small.q)
     image_mask = np.zeros(big.q, dtype=bool)
     image_mask[map_] = True
 
-    emb = SubfieldEmbedding(small, big, map_, inv_map, image_mask)
+    emb = SubfieldEmbedding(small, big, map_, image_mask)
     _check_embedding(emb)
     return emb
 
@@ -635,28 +516,3 @@ def _check_embedding(emb: SubfieldEmbedding) -> None:
         raise RuntimeError("embedding is not additive")
     if not np.array_equal(f[small.mul_vec(a, b)], big.mul_vec(f[a], f[b])):
         raise RuntimeError("embedding is not multiplicative")
-
-
-def cubic_min_poly(emb: SubfieldEmbedding, y: int) -> tuple[int, int, int]:
-    """Coefficients (A, B, C) over F_q with y^3 = A y^2 + B y + C in F_{q^3}.
-
-    Computed from the Frobenius conjugates y, y^q, y^{q^2} via elementary
-    symmetric functions.  Requires y outside the embedded subfield; then the
-    constant term C = Norm(y) is nonzero.
-    """
-    if emb.degree != 3:
-        raise ValueError("cubic extension required")
-    big, q = emb.big, emb.small.q
-    if emb.contains(y):
-        raise ValueError("y lies in the subfield; its minimal polynomial has degree < 3")
-    y1 = big.pow(y, q)
-    y2 = big.pow(y1, q)
-    e1 = big.add(big.add(y, y1), y2)
-    e2 = big.add(big.add(big.mul(y, y1), big.mul(y, y2)), big.mul(y1, y2))
-    e3 = big.mul(big.mul(y, y1), y2)
-    A = emb.pull_back(e1)
-    B = emb.pull_back(big.neg(e2))
-    C = emb.pull_back(e3)
-    if C == 0:
-        raise RuntimeError("constant coefficient vanished for y outside the subfield")
-    return A, B, C

@@ -85,11 +85,12 @@ def report_name(command: str, p: int, s: int, ext: str = "json") -> str:
 
 
 def fit_slope_vs_logq(qs, values) -> float:
-    """Least-squares slope of values against log q (trend diagnostics)."""
+    """Least-squares slope of values against log q (trend diagnostics); 0.0
+    when fewer than two distinct q leave the slope undetermined."""
+    if len(set(qs)) < 2:
+        return 0.0
     x = np.log(np.asarray(qs, dtype=float))
     y = np.asarray(values, dtype=float)
-    if len(x) < 2:
-        return 0.0
     return float(np.polyfit(x, y, 1)[0])
 
 

@@ -38,10 +38,11 @@ from .field import FieldCtx
 from .characters import (
     additive_char_table,
     fourier_inverse_rows,
+    gauss_sum,
     quadratic_char_table,
     unit_root_powers,
 )
-from .kernels import ratio_kernel_table, twisted_prefactor
+from .kernels import ratio_kernel_table
 from .reporting import CheckResult
 
 
@@ -106,11 +107,8 @@ def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, W) with W[j, k] = L_{h_j}(r_k), the ratio kernel, over every nonzero r."""
-    rs = ctx.units()
-    out = np.empty((len(hs), len(rs)), dtype=complex)
-    for i, h in enumerate(hs):
-        out[i] = ratio_kernel_table(ctx, int(h))[rs]
-    return rs, out
+    # columns 1..q-1 of the table are the units, a view rather than a copy
+    return ctx.units(), ratio_kernel_table(ctx, hs)[:, 1:]
 
 
 def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
@@ -129,9 +127,7 @@ def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
     Unwinding definitions, this equals sigma chi(h) times the mixed sum at
     lambda = h (the ratio kernel vanishes at +-1, which the mixed sum deletes).
     """
-    h = ctx.check_element(h)
-    if h == 0:
-        raise ValueError("h must be nonzero")
+    h = ctx.check_element(h)  # h = 0 is rejected by ratio_kernel_table
     if not 0 <= t <= ctx.q - 2:
         raise ValueError(f"character index t={t} out of range")
     return complex(_char_sums(ctx, *_ratio_terms(ctx, np.array([h])))[t, 0])
@@ -236,7 +232,7 @@ def ratio_sum_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
     hs = ctx.units()
     ratio = _char_sums(ctx, *_ratio_terms(ctx, hs))
     mixed = _char_sums(ctx, *_mixed_terms(ctx, hs))
-    prefactor = np.array([twisted_prefactor(ctx, int(h)) for h in hs])
+    prefactor = gauss_sum(ctx).sigma * quadratic_char_table(ctx)[hs]  # twisted_prefactor(h)
     err = np.abs(ratio - prefactor[None, :] * mixed).T  # rows h, columns t
     return _grid_result(
         "ratio-kernel-char-sum", err, tol, lambda j, t: f"(h={int(hs[j])}, t={t})"

@@ -15,7 +15,6 @@ from qprog.characters import (
     fourier_inverse,
     gauss_sum,
     mult_char,
-    mult_char_table,
     mult_fourier,
     mult_fourier_inverse,
     quadratic_char,
@@ -25,9 +24,12 @@ from qprog.characters import (
 
 from conftest import Q_FULL, field_for
 from transform_oracles import (
+    complexfn_from_json,
+    complexfn_to_json,
     fourier_dense,
     fourier_inverse_dense,
     mult_fourier_dense,
+    mult_char_table,
     mult_fourier_inverse_dense,
 )
 
@@ -266,7 +268,7 @@ def test_complexfn_validation():
     with pytest.raises(ValueError):
         ComplexFn(ctx, np.ones(5), "weird")
     f = ComplexFn(ctx, np.arange(5, dtype=float))
-    assert ComplexFn.from_json(ctx, f.to_json()).values.tolist() == f.values.tolist()
+    assert complexfn_from_json(ctx, complexfn_to_json(f)).values.tolist() == f.values.tolist()
 
 
 # ---------------------------------------------------------------------------

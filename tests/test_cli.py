@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qprog import constructions, weil
 from qprog.cli import main
 from qprog.field import DESK_CAP, get_field
+from qprog.reporting import fit_slope_vs_logq
 
 
 def _scrub(payload):
@@ -113,6 +115,18 @@ def test_scan_slices_band(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "scan-slices-summary.json").read_text())
     assert summary["cross_q"]["band_ratio"] < 2.0
+
+
+def test_scan_slope_is_zero_for_one_distinct_q(tmp_path):
+    """Two copies of one field leave the cross-q slope undetermined: it is
+    0.0, not the fit of a rank-deficient system (which warned and gave 0.35)."""
+    assert fit_slope_vs_logq([9, 9], [1.0, 2.0]) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["scan", "slices", "--q-list", "9,9", "--out", str(tmp_path)])
+    assert rc == 0
+    cross = json.loads((tmp_path / "scan-slices-summary.json").read_text())["cross_q"]
+    assert cross["slope_vs_log_q"] == 0.0 and cross["band_ratio"] == 1.0
 
 
 def test_construct_plane_report(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qprog.field import get_field, subfield_embed, cubic_min_poly
+from qprog.field import get_field, subfield_embed
 from qprog.constructions import (
     ElementSet,
     enumerate_planes,
@@ -15,6 +15,7 @@ from qprog.constructions import (
 )
 
 from conftest import Q_FULL, Q_SMALL, field_for
+from field_oracles import cubic_min_poly
 from progression_oracles import addition_blocked_field_scan, greedy_field_scan
 
 # frozen greedy calibration: min of size/sqrt(q) over the prime fields q <= 121
@@ -163,7 +164,7 @@ def test_plane_closed_under_linear_combinations():
     plane = next(enumerate_planes(emb))
     b1, b2 = plane.basis
     combos = {
-        big.add(big.mul(emb.apply(a), b1), big.mul(emb.apply(b), b2))
+        big.add(big.mul(emb.map_[a], b1), big.mul(emb.map_[b], b2))
         for a in range(5)
         for b in range(5)
     }
@@ -178,13 +179,13 @@ def test_bad_plane_from_squaring_pair():
     big, small = emb.big, emb.small
     found = 0
     for y in range(big.q):
-        if emb.contains(y):
+        if emb.image_mask[y]:
             continue
         y2 = big.mul(y, y)
         mask = np.zeros(big.q, dtype=bool)
         for a in range(small.q):
             for b in range(small.q):
-                mask[big.add(big.mul(emb.apply(a), y), big.mul(emb.apply(b), y2))] = True
+                mask[big.add(big.mul(emb.map_[a], y), big.mul(emb.map_[b], y2))] = True
         if mask[1]:
             continue
         plane = next(pl for pl in enumerate_planes(emb) if np.array_equal(pl.mask, mask))
@@ -192,11 +193,11 @@ def test_bad_plane_from_squaring_pair():
         assert bad and witness is not None
         A, _, _ = cubic_min_poly(emb, y)
         half_a = small.div(A, small.from_int(2))
-        z = big.sub(y2, big.mul(emb.apply(half_a), y))
+        z = big.sub(y2, big.mul(emb.map_[half_a], y))
         assert plane.mask[z]
         assert plane.mask[big.mul(z, z)]
         # z is not a scalar multiple of y
-        assert all(z != big.mul(emb.apply(a), y) for a in range(small.q))
+        assert all(z != big.mul(emb.map_[a], y) for a in range(small.q))
         found += 1
         if found >= 5:
             break

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qprog.field import (
+    DESK_CAP,
     build_field,
-    cubic_min_poly,
-    field_from_descriptor,
+    factorize,
     get_field,
     prime_power,
     sqrt_pairs,
@@ -15,6 +15,7 @@ from qprog.field import (
 )
 
 from conftest import Q_FULL, field_for
+from field_oracles import cubic_min_poly, field_from_descriptor, min_poly_embedding_map, mul_direct
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_pairwise_axioms_exhaustive(q):
     assert np.array_equal(ctx.add_vec(a, ctx.neg_vec(a)), np.zeros_like(a))
     units = ctx.units()
     assert np.array_equal(ctx.mul_vec(units, ctx.inv_vec(units)), np.ones_like(units))
-    assert [int(v) for v in ctx.sq_vec(codes)] == [ctx.mul_direct(int(c), int(c)) for c in codes]
+    assert [int(v) for v in ctx.sq_vec(codes)] == [mul_direct(ctx, int(c), int(c)) for c in codes]
     # log/exp round trip for every nonzero element
     assert np.array_equal(ctx.exp_table[ctx.log_table[units]], units)
     assert len(ctx.exp_table) == ctx.q - 1
@@ -123,7 +124,7 @@ def test_triple_axioms_random(q):
 @settings(max_examples=60, deadline=None)
 def test_table_mul_matches_polynomial_mul(a, b):
     ctx = get_field(7, 2)
-    assert ctx.mul(a, b) == ctx.mul_direct(a, b)
+    assert ctx.mul(a, b) == mul_direct(ctx, a, b)
 
 
 def test_frobenius_is_field_automorphism(ctx_medium):
@@ -165,6 +166,21 @@ def test_trace_linear_and_surjective(ctx_medium):
     assert set(tr.tolist()) == set(range(ctx.p))
 
 
+@pytest.mark.parametrize("q", Q_FULL + [3**7, 17**3])
+def test_trace_is_sum_of_conjugates(q):
+    """trace_table[a] = a + a^p + ... + a^{p^(s-1)}, summed with scalar ops.
+    Any F_p-linear surjection passes the linearity test above; this pins Tr."""
+    ctx = field_for(q)
+    expected = []
+    for a in range(q):
+        acc, conj = a, a
+        for _ in range(ctx.s - 1):
+            conj = ctx.pow(conj, ctx.p)
+            acc = ctx.add(acc, conj)
+        expected.append(acc)
+    assert ctx.trace_table.tolist() == expected
+
+
 def test_trace_orthogonality_f9():
     """Sum over F_9 of the cube-root character of the trace vanishes."""
     ctx = get_field(3, 2)
@@ -172,11 +188,12 @@ def test_trace_orthogonality_f9():
     assert abs(total) < 1e-12
 
 
-def test_sqrt_pairs():
-    ctx = get_field(7, 1)
+@pytest.mark.parametrize("q", Q_FULL + [243])
+def test_sqrt_pairs(q):
+    ctx = field_for(q)
     r1, r2 = sqrt_pairs(ctx)
-    for d in range(7):
-        roots = [y for y in range(7) if ctx.mul(y, y) == d]
+    for d in range(q):
+        roots = [y for y in range(q) if ctx.mul(y, y) == d]
         got = [r for r in (int(r1[d]), int(r2[d])) if r >= 0]
         assert sorted(got) == sorted(roots)
 
@@ -209,6 +226,24 @@ def test_subfield_embedding_is_field_hom(p, s, m):
     assert np.array_equal(np.sort(f), fixed)
 
 
+# every odd prime power q with q^m within the desk cap, for m = 2 and 3
+ORACLE_EMBED_CASES = [(q, m) for m in (2, 3) for q in range(3, 101, 2)
+                      if q**m <= DESK_CAP and len(factorize(q)) == 1]
+
+
+def test_oracle_embed_cases_cover_the_cap():
+    assert len(ORACLE_EMBED_CASES) == 37
+
+
+@pytest.mark.parametrize("q,m", ORACLE_EMBED_CASES)
+def test_subfield_embed_matches_min_poly_oracle(q, m):
+    """The power map found by phi(x + 1) = phi(x) + 1 sends the generator to
+    the least root of its minimal polynomial, as the old solver did."""
+    p, s = prime_power(q)
+    small, big = get_field(p, s), get_field(p, m * s)
+    assert np.array_equal(subfield_embed(small, big).map_, min_poly_embedding_map(small, big))
+
+
 def test_subfield_embed_rejections():
     with pytest.raises(ValueError):
         subfield_embed(get_field(3, 1), get_field(5, 2))  # wrong characteristic
@@ -235,8 +270,8 @@ def test_cubic_min_poly_random(p, s):
         assert C != 0
         lhs = big.pow(y, 3)
         rhs = big.add(
-            big.add(big.mul(emb.apply(A), big.mul(y, y)), big.mul(emb.apply(B), y)),
-            emb.apply(C),
+            big.add(big.mul(emb.map_[A], big.mul(y, y)), big.mul(emb.map_[B], y)),
+            emb.map_[C],
         )
         assert lhs == rhs
 

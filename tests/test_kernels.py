@@ -18,7 +18,6 @@ from qprog.kernels import (
     pair_kernel_brute,
     pair_kernel_check,
     pair_kernel_closed,
-    pair_kernel_coeffs,
     quad_kernel,
     quad_kernel_brute,
     quad_kernel_check,
@@ -30,6 +29,7 @@ from qprog.kernels import (
 )
 
 from conftest import Q_MEDIUM, field_for
+from kernel_oracles import pair_kernel_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_ratio_kernel_zeros_and_modulus(ctx_small):
     for h in (1, ctx.q - 1):
         assert ratio_kernel(ctx, h, 1) == 0
         assert ratio_kernel(ctx, h, ctx.neg(1)) == 0
-        tab = ratio_kernel_table(ctx, h)
+        tab = ratio_kernel_table(ctx, [h])[0]
         mods = np.abs(tab)
         for r in range(ctx.q):
             if r in (1, ctx.neg(1)):

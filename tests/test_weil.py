@@ -43,6 +43,8 @@ def test_mixed_sum_rejects_zero_lambda():
         mixed_char_sum(ctx, 1, 0)
     with pytest.raises(ValueError):
         mixed_char_sum(ctx, 7, 1)
+    with pytest.raises(ValueError, match="h must be nonzero"):
+        ratio_char_sum(ctx, 0, 1)
 
 
 def test_trivial_character_grouped_oracle(ctx_small):
@@ -158,9 +160,12 @@ def test_ratio_sum_check_names_first_bad_cell(monkeypatch):
     ctx = get_field(7, 1)
     table = weil.ratio_kernel_table
 
-    def corrupted(ctx, h):
-        out = table(ctx, h)
-        return out.conj() if h == 1 else 2 * out if h == 6 else out
+    def corrupted(ctx, hs):
+        out = table(ctx, hs)
+        hs = np.asarray(hs)
+        out[hs == 1] = out[hs == 1].conj()
+        out[hs == 6] *= 2
+        return out
 
     monkeypatch.setattr(weil, "ratio_kernel_table", corrupted)
 

@@ -4,14 +4,36 @@ Each builds the full character matrix, q x q for the additive transforms and
 (q-1) x (q-1) for the multiplicative ones and the Weil grids, and sums term
 by term: O(q^2) memory and O(q^2)-O(q^3) time.  The package computes the
 same objects by FFT; two-route tests compare the two on small fields.
+
+Also here: ``mult_char_table``, one multiplicative character on every code,
+and a JSON round trip for ``ComplexFn`` values; only tests use them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qprog.characters import MULTIPLICATIVE, ComplexFn, additive_char_table, unit_root_powers
+from qprog.characters import FULL, MULTIPLICATIVE, ComplexFn, additive_char_table, unit_root_powers
 from qprog.field import FieldCtx
+
+
+def mult_char_table(ctx: FieldCtx, t: int) -> np.ndarray:
+    """eta_t on every code, extended by zero at 0 (length-q vector)."""
+    if not 0 <= t <= ctx.q - 2:
+        raise ValueError(f"character index t={t} out of range 0..{ctx.q - 2}")
+    out = np.zeros(ctx.q, dtype=complex)
+    units = ctx.units()
+    k = (t * ctx.log_table[units]) % (ctx.q - 1)
+    out[units] = unit_root_powers(ctx)[k]
+    return out
+
+
+def complexfn_to_json(f: ComplexFn) -> list[list[float]]:
+    return [[float(v.real), float(v.imag)] for v in f.values]
+
+
+def complexfn_from_json(ctx: FieldCtx, data, domain: str = FULL) -> ComplexFn:
+    return ComplexFn(ctx, np.array([complex(re, im) for re, im in data]), domain)
 
 
 def char_matrix(ctx: FieldCtx) -> np.ndarray:
