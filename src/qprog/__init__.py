@@ -30,9 +30,6 @@ from .characters import (
     random_fn,
 )
 from .kernels import (
-    KernelCase,
-    classify_pair,
-    classify_quad,
     pair_kernel_brute,
     pair_kernel_closed,
     quad_kernel,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, per_field
 
 TAU = 2.0 * math.pi
 
@@ -38,13 +38,10 @@ MULTIPLICATIVE = "multiplicative"
 # ---------------------------------------------------------------------------
 
 
+@per_field("e_table")
 def additive_char_table(ctx: FieldCtx) -> np.ndarray:
     """e(x) for every code x, as a cached complex vector."""
-    tab = ctx._cache.get("e_table")
-    if tab is None:
-        tab = np.exp((TAU * 1j / ctx.p) * ctx.trace_table)
-        ctx._cache["e_table"] = tab
-    return tab
+    return np.exp((TAU * 1j / ctx.p) * ctx.trace_table)
 
 
 def additive_char(ctx: FieldCtx, x: int) -> complex:
@@ -52,13 +49,10 @@ def additive_char(ctx: FieldCtx, x: int) -> complex:
     return complex(additive_char_table(ctx)[ctx.check_element(x)])
 
 
+@per_field("root_powers")
 def unit_root_powers(ctx: FieldCtx) -> np.ndarray:
     """Powers of the primitive (q-1)-th root of unity, index k -> zeta^k."""
-    tab = ctx._cache.get("root_powers")
-    if tab is None:
-        tab = np.exp((TAU * 1j / (ctx.q - 1)) * np.arange(ctx.q - 1))
-        ctx._cache["root_powers"] = tab
-    return tab
+    return np.exp((TAU * 1j / (ctx.q - 1)) * np.arange(ctx.q - 1))
 
 
 def mult_char(ctx: FieldCtx, t: int, x: int) -> complex:
@@ -74,19 +68,14 @@ def mult_char(ctx: FieldCtx, t: int, x: int) -> complex:
 
 def quadratic_char(ctx: FieldCtx, x: int) -> int:
     """+1 on nonzero squares, -1 on nonsquares, 0 at 0."""
-    x = ctx.check_element(x)
-    if x == 0:
-        return 0
-    return -1 if int(ctx.log_table[x]) & 1 else 1
+    return int(quadratic_char_table(ctx)[ctx.check_element(x)])
 
 
+@per_field("chi_table")
 def quadratic_char_table(ctx: FieldCtx) -> np.ndarray:
-    tab = ctx._cache.get("chi_table")
-    if tab is None:
-        tab = np.zeros(ctx.q, dtype=np.int8)
-        units = ctx.units()
-        tab[units] = np.where(ctx.log_table[units] & 1, -1, 1)
-        ctx._cache["chi_table"] = tab
+    tab = np.zeros(ctx.q, dtype=np.int8)
+    units = ctx.units()
+    tab[units] = np.where(ctx.log_table[units] & 1, -1, 1)
     return tab
 
 
@@ -144,6 +133,7 @@ def random_fn(ctx: FieldCtx, rng: np.random.Generator, kind: str = "gaussian") -
 # ---------------------------------------------------------------------------
 
 
+@per_field("trace_index")
 def _trace_index(ctx: FieldCtx) -> np.ndarray:
     """k[xi] = sum_j Tr(X^j xi) p^j, cached per field.
 
@@ -152,12 +142,8 @@ def _trace_index(ctx: FieldCtx) -> np.ndarray:
     e(x xi) = exp(2 pi i d(x).d(k[xi])/p), and every additive transform is
     a length-p DFT along each of the s digit axes, read through k.
     """
-    k = ctx._cache.get("trace_index")
-    if k is None:
-        codes = ctx.elements()
-        k = sum(ctx.trace_table[ctx.mul_vec(ctx.p**j, codes)] * ctx.p**j for j in range(ctx.s))
-        ctx._cache["trace_index"] = k
-    return k
+    codes = ctx.elements()
+    return sum(ctx.trace_table[ctx.mul_vec(ctx.p**j, codes)] * ctx.p**j for j in range(ctx.s))
 
 
 def fourier(f: ComplexFn) -> ComplexFn:
@@ -223,15 +209,11 @@ class GaussSumInfo:
     sigma: complex
 
 
+@per_field("gauss_sum")
 def gauss_sum(ctx: FieldCtx) -> GaussSumInfo:
     """Brute-force sum of e(y^2) over the field; sigma is measured, not assumed."""
-    info = ctx._cache.get("gauss_sum")
-    if info is None:
-        codes = ctx.elements()
-        raw = complex(additive_char_table(ctx)[ctx.sq_vec(codes)].sum())
-        sigma = raw / math.sqrt(ctx.q)
-        if abs(abs(sigma) - 1.0) > 1e-9:
-            raise RuntimeError(f"gauss sum modulus check failed: |sigma| = {abs(sigma)}")
-        info = GaussSumInfo(raw_sum=raw, sigma=sigma)
-        ctx._cache["gauss_sum"] = info
-    return info
+    raw = complex(additive_char_table(ctx)[ctx.sq_vec(ctx.elements())].sum())
+    sigma = raw / math.sqrt(ctx.q)
+    if abs(abs(sigma) - 1.0) > 1e-9:
+        raise RuntimeError(f"gauss sum modulus check failed: |sigma| = {abs(sigma)}")
+    return GaussSumInfo(raw_sum=raw, sigma=sigma)

@@ -2,8 +2,7 @@
 
 Three constructions, in increasing size order:
 
-* a greedy set of order sqrt(q) in any field (deterministic ascending-code
-  order by default; a seeded random order is available for exploration),
+* a greedy set of order sqrt(q) in any field, built in ascending code order,
 * the line omega * F_q inside a quadratic extension, of size exactly q, for
   the least omega outside the subfield whose square lies in it,
 * a plane inside a cubic extension avoiding 1 whose nonzero elements never
@@ -110,26 +109,16 @@ def _addition_blocked(
         mask[e] = had
 
 
-def greedy_progression_free(
-    ctx: FieldCtx, order: str = "code", seed: int | None = None
-) -> ElementSet:
-    """Greedily add elements whose addition keeps the set progression-free.
-
-    ``order="code"`` scans ascending codes (deterministic, the default);
-    ``order="random"`` uses a seeded shuffle for exploration.  Each of the q
-    candidates is tested against the members only: O(q |A|) in all.
+def greedy_progression_free(ctx: FieldCtx) -> ElementSet:
+    """Greedily add elements, in ascending code order, whose addition keeps
+    the set progression-free.  Each of the q candidates is tested against the
+    members only: O(q |A|) in all.
     """
-    if order == "code":
-        scan = range(ctx.q)
-    elif order == "random":
-        scan = np.random.default_rng(seed).permutation(ctx.q).tolist()
-    else:
-        raise ValueError(f"unknown order {order!r}")
     mask = np.zeros(ctx.q, dtype=bool)
     members = np.empty(ctx.q, dtype=np.int64)
     size = 0
-    for e in scan:
-        if not _addition_blocked(ctx, mask, int(e), members[:size]):
+    for e in range(ctx.q):
+        if not _addition_blocked(ctx, mask, e, members[:size]):
             mask[e] = True
             members[size] = e
             size += 1

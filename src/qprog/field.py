@@ -12,8 +12,10 @@ bit-for-bit across runs and machines:
 * the generator is the smallest code of multiplicative order q-1.
 
 Multiplication and inversion run through discrete-log tables; addition is
-digitwise and is backed by a cached q x q table for small fields.  Vectorised
-variants (``add_vec`` etc.) accept numpy integer arrays and broadcast.
+digitwise and is backed by a cached q x q table for small fields.  The
+arithmetic is written once, in the vectorised methods (``add_vec`` etc.),
+which accept numpy integer arrays and broadcast; the scalar methods call them
+on single codes.  Per-field tables are built once, by ``per_field``.
 
 ``subfield_embed`` embeds F_q in a quadratic or cubic extension.  It finds
 the image of the generator by the defining property of a field embedding
@@ -24,7 +26,7 @@ polynomial; that older route is kept in the tests as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -180,6 +182,21 @@ def _code_of(coeffs: list[int], p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def per_field(key: str):
+    """Decorator: build ``f(ctx)`` once per field and keep it in ``ctx._cache[key]``."""
+
+    def decorate(build):
+        @wraps(build)
+        def cached(ctx):
+            if key not in ctx._cache:
+                ctx._cache[key] = build(ctx)
+            return ctx._cache[key]
+
+        return cached
+
+    return decorate
+
+
 def check_field_params(p: int, s: int, cap: int = DESK_CAP) -> int:
     """Validate (p, s) against odd characteristic and the cap; return q.
 
@@ -274,38 +291,25 @@ class FieldCtx:
         return a
 
     def add(self, a: int, b: int) -> int:
-        tab = self._cache.get("add_table")
-        if tab is not None:
-            return int(tab[a, b])
-        return int(self._add_digitwise(a, b))
+        return int(self.add_vec(a, b))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, int(self.neg_table[b]))
+        return int(self.sub_vec(a, b))
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)])
+        return int(self.mul_vec(a, b))
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return int(self.exp_table[(-self.log_table[a]) % (self.q - 1)])
+        return int(self.inv_vec(a))
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return int(self.div_vec(a, b))
 
     def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return int(self.exp_table[(self.log_table[a] * k) % (self.q - 1)])
+        return int(self.pow_vec(a, k))
 
     def from_int(self, n: int) -> int:
         """Code of the constant n*1 (image of the integer in the prime field)."""
@@ -324,17 +328,15 @@ class FieldCtx:
     # -- vectorised arithmetic -------------------------------------------------
 
     @property
+    @per_field("add_table")
     def add_table(self) -> np.ndarray | None:
         if self.q > _ADD_TABLE_MAX:
             return None
-        tab = self._cache.get("add_table")
-        if tab is None:
-            codes = np.arange(self.q, dtype=np.int64)
-            tab = np.empty((self.q, self.q), dtype=np.int32 if self.q > 2**15 else np.int16)
-            for a0 in range(0, self.q, _ADD_TABLE_ROWS):
-                rows = codes[a0 : a0 + _ADD_TABLE_ROWS, None]
-                tab[a0 : a0 + _ADD_TABLE_ROWS] = self._add_digitwise(rows, codes[None, :])
-            self._cache["add_table"] = tab
+        codes = self.elements()
+        tab = np.empty((self.q, self.q), dtype=np.int32 if self.q > 2**15 else np.int16)
+        for a0 in range(0, self.q, _ADD_TABLE_ROWS):
+            rows = codes[a0 : a0 + _ADD_TABLE_ROWS, None]
+            tab[a0 : a0 + _ADD_TABLE_ROWS] = self._add_digitwise(rows, codes[None, :])
         return tab
 
     def _add_digitwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,12 +370,13 @@ class FieldCtx:
         out = self.exp_table[k]
         return np.where((a == 0) | (b == 0), 0, out)
 
+    @per_field("sq_table")
+    def _squares(self) -> np.ndarray:
+        codes = self.elements()
+        return self.mul_vec(codes, codes)
+
     def sq_vec(self, a) -> np.ndarray:
-        tab = self._cache.get("sq_table")
-        if tab is None:
-            codes = np.arange(self.q, dtype=np.int64)
-            tab = self._cache["sq_table"] = self.mul_vec(codes, codes)
-        return tab[np.asarray(a, dtype=np.int64)]
+        return self._squares()[np.asarray(a, dtype=np.int64)]
 
     def inv_vec(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -418,25 +421,22 @@ def get_field(p: int, s: int, cap: int = DESK_CAP) -> FieldCtx:
     return build_field(p, s, cap)
 
 
+@per_field("sqrt_pairs")
 def sqrt_pairs(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """Square-root lookup: for each code d, the (up to two) codes y with y^2 = d.
 
     Returns arrays (r1, r2) of length q with -1 where no root exists; r1 < r2
     where both exist, and r2 = -1 when d = 0 (the only double root).
     """
-    cached = ctx._cache.get("sqrt_pairs")
-    if cached is None:
-        codes = ctx.elements()
-        squares = ctx.sq_vec(codes)
-        r1 = np.full(ctx.q, ctx.q, dtype=np.int64)
-        r2 = np.full(ctx.q, -1, dtype=np.int64)
-        np.minimum.at(r1, squares, codes)
-        np.maximum.at(r2, squares, codes)
-        r1[r1 == ctx.q] = -1
-        r2[r2 == r1] = -1  # d = 0 and the nonsquares
-        cached = (r1, r2)
-        ctx._cache["sqrt_pairs"] = cached
-    return cached
+    codes = ctx.elements()
+    squares = ctx.sq_vec(codes)
+    r1 = np.full(ctx.q, ctx.q, dtype=np.int64)
+    r2 = np.full(ctx.q, -1, dtype=np.int64)
+    np.minimum.at(r1, squares, codes)
+    np.maximum.at(r2, squares, codes)
+    r1[r1 == ctx.q] = -1
+    r2[r2 == r1] = -1  # d = 0 and the nonsquares
+    return r1, r2
 
 
 # ---------------------------------------------------------------------------

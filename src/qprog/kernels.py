@@ -22,11 +22,10 @@ serves every case.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, per_field
 from .characters import (
     additive_char_table,
     gauss_sum,
@@ -36,25 +35,9 @@ from .characters import (
 from .reporting import CheckResult
 
 
-class KernelCase(Enum):
-    """Disjoint input classes of the kernel case analyses."""
-
-    GENERIC = "generic"
-    B_ZERO_A_ZERO = "b-zero-a-zero"
-    B_ZERO_A_NONZERO = "b-zero-a-nonzero"
-    DIAGONAL = "diagonal"
-    ANTIDIAGONAL_ZERO = "antidiagonal-zero"
-
-
 # ---------------------------------------------------------------------------
 # quad kernel K: the Fourier multiplier of the averaging operator
 # ---------------------------------------------------------------------------
-
-
-def classify_quad(ctx: FieldCtx, a: int, b: int) -> KernelCase:
-    if b != 0:
-        return KernelCase.GENERIC
-    return KernelCase.B_ZERO_A_ZERO if a == 0 else KernelCase.B_ZERO_A_NONZERO
 
 
 def _quad_generic(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,11 +52,8 @@ def _quad_generic(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def quad_kernel(ctx: FieldCtx, a: int, b: int) -> complex:
     """Closed form: sigma q^{-1/2} chi(b) e(-a^2/(4b)) for b != 0; 1 at (0,0); else 0."""
     a, b = ctx.check_element(a), ctx.check_element(b)
-    case = classify_quad(ctx, a, b)
-    if case is KernelCase.B_ZERO_A_ZERO:
-        return 1.0 + 0.0j
-    if case is KernelCase.B_ZERO_A_NONZERO:
-        return 0.0 + 0.0j
+    if b == 0:
+        return complex(a == 0)
     return complex(_quad_generic(ctx, np.array(a), np.array(b)))
 
 
@@ -85,14 +65,12 @@ def quad_kernel_brute(ctx: FieldCtx, a: int, b: int) -> complex:
     return complex(additive_char_table(ctx)[codes].sum() / ctx.q)
 
 
+@per_field("quad_kernel_table")
 def quad_kernel_table(ctx: FieldCtx) -> np.ndarray:
     """Closed-form K on the whole q x q grid (cached; rows a, columns b)."""
-    tab = ctx._cache.get("quad_kernel_table")
-    if tab is None:
-        tab = np.zeros((ctx.q, ctx.q), dtype=complex)
-        tab[:, 1:] = _quad_generic(ctx, ctx.elements()[:, None], ctx.units()[None, :])
-        tab[0, 0] = 1.0
-        ctx._cache["quad_kernel_table"] = tab
+    tab = np.zeros((ctx.q, ctx.q), dtype=complex)
+    tab[:, 1:] = _quad_generic(ctx, ctx.elements()[:, None], ctx.units()[None, :])
+    tab[0, 0] = 1.0
     return tab
 
 
@@ -100,11 +78,12 @@ def quad_kernel_table_brute(ctx: FieldCtx) -> np.ndarray:
     """Brute-force K grid, accumulated one y at a time (testing oracle)."""
     q = ctx.q
     codes = ctx.elements()
+    squares = ctx.sq_vec(codes)
     e = additive_char_table(ctx)
     acc = np.zeros((q, q), dtype=complex)
     for y in range(q):
         ay = ctx.mul_vec(codes, y)
-        by2 = ctx.mul_vec(codes, ctx.mul(y, y))
+        by2 = ctx.mul_vec(codes, squares[y])
         acc += e[ctx.add_vec(ay[:, None], by2[None, :])]
     return acc / q
 
@@ -122,15 +101,6 @@ def _check_pair_args(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, i
     if y in (0, neg_h) or z in (0, neg_h):
         raise ValueError("pair kernel requires y, z outside {0, -h}")
     return h, y, z
-
-
-def classify_pair(ctx: FieldCtx, h: int, y: int, z: int) -> KernelCase:
-    h, y, z = _check_pair_args(ctx, h, y, z)
-    if y == z:
-        return KernelCase.DIAGONAL
-    if ctx.add(ctx.add(h, y), z) == 0:
-        return KernelCase.ANTIDIAGONAL_ZERO
-    return KernelCase.GENERIC
 
 
 def _slice_phase_columns(ctx: FieldCtx, h: int, ys: np.ndarray) -> np.ndarray:
@@ -184,10 +154,10 @@ def _pair_generic(ctx: FieldCtx, h: int, y: np.ndarray, z: np.ndarray) -> np.nda
 def pair_kernel_closed(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
     """Case evaluation: q on the diagonal, 0 on the vanishing antidiagonal,
     sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z)) otherwise."""
-    case = classify_pair(ctx, h, y, z)
-    if case is KernelCase.DIAGONAL:
+    h, y, z = _check_pair_args(ctx, h, y, z)
+    if y == z:
         return complex(ctx.q)
-    if case is KernelCase.ANTIDIAGONAL_ZERO:
+    if ctx.add(ctx.add(h, y), z) == 0:
         return 0.0 + 0.0j
     return complex(_pair_generic(ctx, h, np.array(y), np.array(z)))
 
@@ -211,12 +181,13 @@ def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def twisted_prefactor(ctx: FieldCtx, h: int) -> complex:
-    """The unimodular constant sigma * chi(h) carried by the twisted kernel."""
-    h = ctx.check_element(h)
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    return gauss_sum(ctx).sigma * quadratic_char(ctx, h)
+def twisted_prefactor(ctx: FieldCtx, h):
+    """The unimodular constant sigma * chi(h) carried by the twisted kernel,
+    at a nonzero code h or at each code of an array of them."""
+    h = np.asarray(h, dtype=np.int64)
+    if np.any((h <= 0) | (h >= ctx.q)):
+        raise ValueError(f"h must be nonzero, a code in 1..{ctx.q - 1}")
+    return gauss_sum(ctx).sigma * quadratic_char_table(ctx)[h]
 
 
 # rows of ``ratio_kernel_table`` computed at once: temporaries of a few MB; of
@@ -224,21 +195,22 @@ def twisted_prefactor(ctx: FieldCtx, h: int) -> complex:
 _RATIO_ROWS = 16
 
 
+def _ratio_parts(ctx: FieldCtx, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The h-free parts chi(1 - r^2) and (r-1)/(r+1) at codes r outside {+-1}."""
+    chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
+    return chi_part, ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
+
+
 def ratio_kernel_table(ctx: FieldCtx, hs) -> np.ndarray:
     """ratio_kernel for every h in ``hs`` (nonzero codes) and every code r:
     rows h, columns r, zeros at r = +-1.  The h-free parts chi(1 - r^2) and
     (r-1)/(r+1) are built once for all rows."""
     hs = np.asarray(hs, dtype=np.int64)
-    if np.any(hs == 0):
-        raise ValueError("h must be nonzero")
+    prefactor = twisted_prefactor(ctx, hs)  # rejects h = 0 and codes out of range
     rs = ctx.elements()
     ok = (rs != 1) & (rs != ctx.neg(1))
-    rr = rs[ok]
-    chi = quadratic_char_table(ctx)
+    chi_part, u = _ratio_parts(ctx, rs[ok])
     e = additive_char_table(ctx)
-    chi_part = chi[ctx.sub_vec(1, ctx.sq_vec(rr))]
-    u = ctx.div_vec(ctx.sub_vec(rr, 1), ctx.add_vec(rr, 1))
-    prefactor = gauss_sum(ctx).sigma * chi[hs]  # twisted_prefactor at each h
     out = np.zeros((len(hs), ctx.q), dtype=complex)
     for i in range(0, len(hs), _RATIO_ROWS):
         rows = slice(i, i + _RATIO_ROWS)

@@ -45,27 +45,32 @@ from .weil import _blocked_char_sums, _ratio_terms
 # ---------------------------------------------------------------------------
 
 
+def _common_field(f1: ComplexFn, f2: ComplexFn) -> FieldCtx:
+    if f2.ctx is not f1.ctx:
+        raise ValueError("functions live on different fields")
+    return f1.ctx
+
+
 def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Direct route: (1/q) sum_y f1(x+y) f2(x+y^2) for every x (q^2 work)."""
-    ctx = f1.ctx
-    if f2.ctx is not ctx:
-        raise ValueError("functions live on different fields")
+    ctx = _common_field(f1, f2)
     codes = ctx.elements()
+    squares = ctx.sq_vec(codes)
     v1, v2 = f1.values, f2.values
     acc = np.zeros(ctx.q, dtype=complex)
     for y in range(ctx.q):
-        acc += v1[ctx.add_vec(codes, y)] * v2[ctx.add_vec(codes, ctx.mul(y, y))]
+        acc += v1[ctx.add_vec(codes, y)] * v2[ctx.add_vec(codes, squares[y])]
     return ComplexFn(ctx, acc / ctx.q)
 
 
-def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn, n_start: int) -> np.ndarray:
-    """sum over n >= n_start of fhat1(m-n) fhat2(n) K(m-n, n), for every m."""
-    ctx = f1.ctx
+def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """sum_n fhat1(m-n) fhat2(n) K(m-n, n), for every m."""
+    ctx = _common_field(f1, f2)
     fh1, fh2 = fourier(f1).values, fourier(f2).values
     Kt = quad_kernel_table(ctx)
     codes = ctx.elements()
     coeffs = np.zeros(ctx.q, dtype=complex)
-    for n in range(n_start, ctx.q):
+    for n in range(ctx.q):
         mn = ctx.sub_vec(codes, n)
         coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
     return coeffs
@@ -73,10 +78,7 @@ def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn, n_start: int) -> np.ndarray:
 
 def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n)."""
-    ctx = f1.ctx
-    if f2.ctx is not ctx:
-        raise ValueError("functions live on different fields")
-    return fourier_inverse(ComplexFn(ctx, _kernel_coeffs(f1, f2, 0)))
+    return fourier_inverse(ComplexFn(f1.ctx, _kernel_coeffs(f1, f2)))
 
 
 class DeviationNorms(NamedTuple):
@@ -84,22 +86,26 @@ class DeviationNorms(NamedTuple):
     fourier_side: float
 
 
-def deviation_norm(f1: ComplexFn, f2: ComplexFn, tol: float = 1e-8) -> DeviationNorms:
+def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
     """Averaged 2-norm of the mean-corrected average, by both routes.
 
     direct      = || A(f1,f2) - E[f1] E[f2] ||_2      (averaged, physical side)
     fourier_side = counting l2 norm over m of sum_{n != 0} fhat1(m-n) fhat2(n) K(m-n, n)
 
-    The two agree identically in exact arithmetic; a mismatch beyond ``tol``
+    The n = 0 column of K is the point mass at m = 0, so the n != 0 sum is
+    the full one with E[f1] E[f2] taken off coefficient 0.  The two routes
+    agree identically in exact arithmetic; a relative mismatch beyond 1e-8
     raises (internal-consistency failure, not an input error).
     """
-    dev = averaging_apply(f1, f2).values - f1.mean() * f2.mean()
+    mean = f1.mean() * f2.mean()
+    dev = averaging_apply(f1, f2).values - mean
     direct = float(np.sqrt((np.abs(dev) ** 2).mean()))
 
-    coeffs = _kernel_coeffs(f1, f2, 1)
+    coeffs = _kernel_coeffs(f1, f2)
+    coeffs[0] -= mean
     fourier_side = float(np.sqrt((np.abs(coeffs) ** 2).sum()))
 
-    if abs(direct - fourier_side) > tol * max(1.0, direct, fourier_side):
+    if abs(direct - fourier_side) > 1e-8 * max(1.0, direct, fourier_side):
         raise RuntimeError(
             f"deviation-norm routes disagree: direct={direct!r} fourier={fourier_side!r}"
         )

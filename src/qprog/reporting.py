@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,6 @@ class RunManifest:
     schema_version: int = SCHEMA_VERSION
     timings: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _jsonable(obj):
     if isinstance(obj, complex):
@@ -63,13 +60,9 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def json_dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n"
-
-
 def write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_dumps(payload))
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:

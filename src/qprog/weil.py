@@ -38,11 +38,10 @@ from .field import FieldCtx
 from .characters import (
     additive_char_table,
     fourier_inverse_rows,
-    gauss_sum,
     quadratic_char_table,
     unit_root_powers,
 )
-from .kernels import ratio_kernel_table
+from .kernels import _ratio_parts, ratio_kernel_table, twisted_prefactor
 from .reporting import CheckResult
 
 
@@ -86,11 +85,9 @@ def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray):
 def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, W) with W[j, k] = chi(1 - r_k^2) e(lambda_j (r_k - 1)/(r_k + 1)), r outside {0, +-1}."""
     rs = _scan_codes(ctx)
-    chi = quadratic_char_table(ctx)
-    e = additive_char_table(ctx)
-    chi_part = chi[ctx.sub_vec(1, ctx.sq_vec(rs))].astype(complex)
-    u = ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
-    return rs, e[ctx.mul_vec(lams[:, None], u[None, :])] * chi_part[None, :]
+    chi_part, u = _ratio_parts(ctx, rs)
+    phases = additive_char_table(ctx)[ctx.mul_vec(lams[:, None], u[None, :])]
+    return rs, phases * chi_part.astype(complex)[None, :]
 
 
 def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,7 +201,7 @@ def _grid_result(name: str, err: np.ndarray, tol: float, cell) -> CheckResult:
     return CheckResult(name, max_err < tol, err.size, max_err, first)
 
 
-def substitution_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
+def substitution_check(ctx: FieldCtx) -> CheckResult:
     """Reindexing identity on the full (t, lambda) grid, by two summations.
 
     The mixed sum over r is the multiplicative FFT grid.  The reindexed sum
@@ -222,20 +219,19 @@ def substitution_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
     reindexed = fourier_inverse_rows(ctx, g)[:, lams]
     err = np.abs(mixed - reindexed)
     return _grid_result(
-        "substitution-identity", err, tol, lambda t, j: f"(t={t}, lambda={int(lams[j])})"
+        "substitution-identity", err, 1e-9, lambda t, j: f"(t={t}, lambda={int(lams[j])})"
     )
 
 
-def ratio_sum_check(ctx: FieldCtx, tol: float = 1e-9) -> CheckResult:
+def ratio_sum_check(ctx: FieldCtx) -> CheckResult:
     """ratio_char_sum(h, t) == twisted_prefactor(h) * mixed_char_sum(t, h) on
     the full (h, t) grid."""
     hs = ctx.units()
     ratio = _char_sums(ctx, *_ratio_terms(ctx, hs))
     mixed = _char_sums(ctx, *_mixed_terms(ctx, hs))
-    prefactor = gauss_sum(ctx).sigma * quadratic_char_table(ctx)[hs]  # twisted_prefactor(h)
-    err = np.abs(ratio - prefactor[None, :] * mixed).T  # rows h, columns t
+    err = np.abs(ratio - twisted_prefactor(ctx, hs)[None, :] * mixed).T  # rows h, columns t
     return _grid_result(
-        "ratio-kernel-char-sum", err, tol, lambda j, t: f"(h={int(hs[j])}, t={t})"
+        "ratio-kernel-char-sum", err, 1e-9, lambda j, t: f"(h={int(hs[j])}, t={t})"
     )
 
 

@@ -56,14 +56,11 @@ def addition_blocked_field_scan(ctx: FieldCtx, mask: np.ndarray, e: int) -> bool
     return False
 
 
-def greedy_field_scan(ctx: FieldCtx, order: str = "code", seed: int | None = None) -> np.ndarray:
-    """The greedy set's mask, each candidate tested by the field scan."""
-    if order == "code":
-        scan = range(ctx.q)
-    else:
-        scan = np.random.default_rng(seed).permutation(ctx.q).tolist()
+def greedy_field_scan(ctx: FieldCtx) -> np.ndarray:
+    """The greedy set's mask, in ascending code order, each candidate tested
+    by the field scan."""
     mask = np.zeros(ctx.q, dtype=bool)
-    for e in scan:
-        if not addition_blocked_field_scan(ctx, mask, int(e)):
+    for e in range(ctx.q):
+        if not addition_blocked_field_scan(ctx, mask, e):
             mask[e] = True
     return mask

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qprog import constructions, weil
+from qprog import constructions, operators, weil
+from qprog.characters import ComplexFn
 from qprog.cli import main
 from qprog.field import DESK_CAP, get_field
 from qprog.reporting import fit_slope_vs_logq
@@ -159,6 +160,34 @@ def test_construct_requires_p(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "fourier", "--p", "5", "--trials", "-3"],
+    ["verify", "fourier", "--p", "5", "--trials", "0"],
+    ["scan", "delta", "--q-list", "5", "--trials", "-2"],
+])
+def test_trials_below_one_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "weil", "--p", "5", "--q-list", "7"],
+    ["scan", "weil", "--p", "5", "--q-list", "7"],
+    ["construct", "greedy", "--p", "5", "--q-list", "7"],
+    ["construct", "greedy", "--q-list", "7"],
+])
+def test_conflicting_field_flags_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--p" in err and "--q-list" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_parallel_jobs_matches_serial(tmp_path):
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     for d, jobs in ((serial, "1"), (parallel, "2")):
@@ -178,6 +207,30 @@ def test_verify_operators_at_q3(tmp_path):
     assert list(names) == ["averaging-two-routes", "slice-expansion-identity",
                            "slice-point-mass-modulus"]
     assert names["slice-point-mass-modulus"]["cases"] == 3
+
+
+def _verify_operators_failure(tmp_path):
+    rc = main(["verify", "operators", "--p", "7", "--trials", "3", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "verify-7-1.json").read_text())
+    passed = {c["name"]: c["passed"] for c in report["suites"]["operators"]}
+    return rc, report["first_failure"]["name"], passed
+
+
+def test_verify_operators_catches_a_wrong_slice_expansion(tmp_path, monkeypatch):
+    form = operators.sliced_square_form
+    monkeypatch.setattr(operators, "sliced_square_form", lambda f1, f2: form(f1, f2) * (1 + 1e-6))
+    rc, first, passed = _verify_operators_failure(tmp_path)
+    assert (rc, first) == (1, "slice-expansion-identity")
+    assert passed["averaging-two-routes"]
+
+
+def test_verify_operators_catches_a_wrong_averaging_route(tmp_path, monkeypatch):
+    via = operators.averaging_apply_fourier
+    monkeypatch.setattr(operators, "averaging_apply_fourier",
+                        lambda f1, f2: ComplexFn(f1.ctx, via(f1, f2).values * (1 + 1e-6)))
+    rc, first, passed = _verify_operators_failure(tmp_path)
+    assert (rc, first) == (1, "averaging-two-routes")
+    assert passed["slice-expansion-identity"]
 
 
 def test_verify_fourier_at_cap_edge_holds_no_square_table(tmp_path):

@@ -62,16 +62,6 @@ def test_greedy_certified_and_calibrated(p):
     assert out.size >= GREEDY_MIN_RATIO * np.sqrt(p)
 
 
-def test_greedy_random_order_mode():
-    ctx = get_field(13, 1)
-    out = greedy_progression_free(ctx, order="random", seed=5)
-    assert is_progression_free(out)[0]
-    again = greedy_progression_free(ctx, order="random", seed=5)
-    assert out.codes().tolist() == again.codes().tolist()
-    with pytest.raises(ValueError):
-        greedy_progression_free(ctx, order="sideways")
-
-
 def test_greedy_maximality():
     """No element outside the greedy set can be added back (local maximality)."""
     from qprog.constructions import _addition_blocked
@@ -86,11 +76,10 @@ def test_greedy_maximality():
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
 def test_greedy_matches_field_scan(q):
     """Member enumeration builds the same greedy set as the O(q) field scan
-    per candidate, in both orders."""
+    per candidate."""
     ctx = field_for(q)
-    for order, seed in (("code", None), ("random", q)):
-        out = greedy_progression_free(ctx, order=order, seed=seed)
-        assert out.codes().tolist() == np.flatnonzero(greedy_field_scan(ctx, order, seed)).tolist()
+    out = greedy_progression_free(ctx)
+    assert out.codes().tolist() == np.flatnonzero(greedy_field_scan(ctx)).tolist()
 
 
 @pytest.mark.parametrize("q", [9, 11, 25, 27])

@@ -198,6 +198,37 @@ def test_sqrt_pairs(q):
         assert sorted(got) == sorted(roots)
 
 
+def test_per_field_tables_are_built_once():
+    """Each cached table is built on the first call and stored under its key;
+    later calls return that same object."""
+    from qprog.characters import (
+        _trace_index,
+        additive_char_table,
+        gauss_sum,
+        quadratic_char_table,
+        unit_root_powers,
+    )
+    from qprog.kernels import quad_kernel_table
+
+    ctx = build_field(5, 2)  # a fresh field: no table built yet
+    tables = {
+        "add_table": lambda c: c.add_table,
+        "sq_table": lambda c: c._squares(),
+        "sqrt_pairs": sqrt_pairs,
+        "e_table": additive_char_table,
+        "root_powers": unit_root_powers,
+        "chi_table": quadratic_char_table,
+        "trace_index": _trace_index,
+        "gauss_sum": gauss_sum,
+        "quad_kernel_table": quad_kernel_table,
+    }
+    for key, table in tables.items():
+        first = table(ctx)
+        assert ctx._cache[key] is first, key
+        assert table(ctx) is first, key
+    assert all(ctx._cache[key] is not None for key in tables)
+
+
 # ---------------------------------------------------------------------------
 # embeddings and minimal polynomials
 # ---------------------------------------------------------------------------

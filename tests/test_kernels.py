@@ -9,10 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qprog.field import get_field
 from qprog.characters import additive_char, gauss_sum, quadratic_char
 from qprog.kernels import (
-    KernelCase,
     admissible_codes,
-    classify_pair,
-    classify_quad,
     decomposition_check,
     half_shift,
     pair_kernel_brute,
@@ -64,13 +61,6 @@ def test_quad_kernel_modulus_on_generic(ctx_small):
     assert np.abs(generic - 1 / math.sqrt(ctx.q)).max() < 1e-12
 
 
-def test_classify_quad():
-    ctx = get_field(5, 1)
-    assert classify_quad(ctx, 0, 0) is KernelCase.B_ZERO_A_ZERO
-    assert classify_quad(ctx, 3, 0) is KernelCase.B_ZERO_A_NONZERO
-    assert classify_quad(ctx, 0, 2) is KernelCase.GENERIC
-
-
 # ---------------------------------------------------------------------------
 # pair kernel
 # ---------------------------------------------------------------------------
@@ -114,11 +104,10 @@ def test_pair_kernel_case_partition():
     for h in range(1, 5):
         for y in admissible_codes(ctx, h):
             for z in admissible_codes(ctx, h):
-                case = classify_pair(ctx, h, int(y), int(z))
                 v = pair_kernel_closed(ctx, h, int(y), int(z))
-                if case is KernelCase.DIAGONAL:
+                if y == z:
                     assert v == 5
-                elif case is KernelCase.ANTIDIAGONAL_ZERO:
+                elif (h + y + z) % 5 == 0:
                     assert v == 0
                 else:
                     assert abs(abs(v) - math.sqrt(5)) < 1e-12
@@ -223,6 +212,11 @@ def test_twisted_prefactor_unimodular(ctx_small):
     ctx = ctx_small
     for h in range(1, ctx.q):
         assert abs(abs(twisted_prefactor(ctx, h)) - 1.0) < 1e-12
+    batch = twisted_prefactor(ctx, ctx.units())
+    assert batch.tolist() == [twisted_prefactor(ctx, h) for h in range(1, ctx.q)]
+    for bad in (0, ctx.q, -1):
+        with pytest.raises(ValueError, match="h must be nonzero"):
+            twisted_prefactor(ctx, bad)
 
 
 @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 12))
