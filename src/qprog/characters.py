@@ -15,7 +15,8 @@ by repeated multiplication, so q-term sums carry no accumulated phase error.
 
 Both transforms are FFTs, O(q log q) with no q x q table: the additive one
 runs along the s base-p digit axes of the code (see ``_trace_index``), the
-multiplicative one along the discrete log.
+multiplicative one along the discrete log.  ``fourier_checks`` verifies both
+orthogonality relations, Parseval, both round trips and the Gauss unit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldCtx, per_field
+from .reporting import TOLERANCE_ABS, TOLERANCE_REL, CheckResult, error_check, relative_error
 
 TAU = 2.0 * math.pi
 
@@ -217,3 +219,47 @@ def gauss_sum(ctx: FieldCtx) -> GaussSumInfo:
     if abs(abs(sigma) - 1.0) > 1e-9:
         raise RuntimeError(f"gauss sum modulus check failed: |sigma| = {abs(sigma)}")
     return GaussSumInfo(raw_sum=raw, sigma=sigma)
+
+
+# ---------------------------------------------------------------------------
+# checks
+# ---------------------------------------------------------------------------
+
+
+def fourier_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
+    """Orthogonality exhaustive in a and in t; Parseval and round trips on
+    ``trials`` seeded random functions per transform; the Gauss unit."""
+    q, n = ctx.q, ctx.q - 1
+    e = additive_char_table(ctx)
+    codes = ctx.elements()
+    additive = [abs(e[ctx.mul_vec(a, codes)].sum() - (q if a == 0 else 0.0)) for a in range(q)]
+    roots = unit_root_powers(ctx)
+    logs = ctx.log_table[ctx.units()]
+    multiplicative = [abs(roots[(t * logs) % n].sum() - (n if t == 0 else 0.0)) for t in range(n)]
+    rng = np.random.default_rng(seed)
+    parseval = np.empty((trials, 2))
+    round_trip = np.empty((trials, 2))
+    for i in range(trials):
+        f = random_fn(ctx, rng)
+        fh = fourier(f)
+        parseval[i, 0] = relative_error(f.norm_avg(2.0), fh.norm_count())
+        round_trip[i, 0] = np.abs(fourier_inverse(fh).values - f.values).max()
+        g = random_fn(ctx, rng).values
+        g[0] = 0.0
+        coeffs = mult_fourier(ComplexFn(ctx, g))
+        lhs = float((np.abs(coeffs) ** 2).sum() / n)
+        parseval[i, 1] = relative_error(lhs, float((np.abs(g) ** 2).sum()))
+        round_trip[i, 1] = np.abs(mult_fourier_inverse(ctx, coeffs).values - g).max()
+
+    def sampled(i, j):
+        return f"(trial={i}, {('additive', 'multiplicative')[j]})"
+
+    return [
+        error_check("additive-orthogonality", additive, TOLERANCE_ABS, lambda a: f"(a={a})"),
+        error_check("multiplicative-orthogonality", multiplicative, TOLERANCE_ABS,
+                    lambda t: f"(t={t})"),
+        error_check("parseval-both-conventions", parseval, TOLERANCE_REL, sampled),
+        error_check("transform-round-trip", round_trip, 1e-9, sampled),
+        error_check("gauss-unit-modulus", abs(abs(gauss_sum(ctx).sigma) - 1.0),
+                    10 * TOLERANCE_REL, lambda: "(sigma)"),
+    ]

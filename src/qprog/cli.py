@@ -20,32 +20,17 @@ from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import constructions, kernels, operators, weil
-from .characters import (
-    ComplexFn,
-    additive_char_table,
-    fourier,
-    fourier_inverse,
-    gauss_sum,
-    mult_fourier,
-    mult_fourier_inverse,
-    random_fn,
-    unit_root_powers,
-)
+from . import characters, constructions, kernels, operators, weil
 from .field import check_field_params, get_field, prime_power, subfield_embed
 from .reporting import (
     CheckResult,
     RunManifest,
     fit_slope_vs_logq,
-    relative_error,
     report_name,
     write_csv,
     write_json,
 )
 
-VERIFY_TARGETS = ("kernels", "fourier", "operators", "weil", "constructions")
 DEFAULT_Q_LIST = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 
 
@@ -54,98 +39,13 @@ DEFAULT_Q_LIST = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 # ---------------------------------------------------------------------------
 
 
-def _suite_kernels(ctx, args) -> list[CheckResult]:
-    return [
-        kernels.quad_kernel_check(ctx, args.tolerance_abs),
-        kernels.pair_kernel_check(ctx, args.tolerance_abs),
-        kernels.decomposition_check(ctx, args.tolerance_abs),
-    ]
-
-
-def _suite_fourier(ctx, args) -> list[CheckResult]:
-    out = []
-    e = additive_char_table(ctx)
-    codes = ctx.elements()
-    # additive orthogonality, exhaustive in a
-    max_err = 0.0
-    for a in range(ctx.q):
-        total = e[ctx.mul_vec(a, codes)].sum()
-        expected = ctx.q if a == 0 else 0.0
-        max_err = max(max_err, abs(total - expected))
-    out.append(CheckResult("additive-orthogonality", max_err < args.tolerance_abs, ctx.q, max_err))
-    # multiplicative orthogonality, exhaustive in t
-    max_err = 0.0
-    roots = unit_root_powers(ctx)
-    logs = ctx.log_table[ctx.units()]
-    for t in range(ctx.q - 1):
-        total = roots[(t * logs) % (ctx.q - 1)].sum()
-        expected = ctx.q - 1 if t == 0 else 0.0
-        max_err = max(max_err, abs(total - expected))
-    out.append(
-        CheckResult("multiplicative-orthogonality", max_err < args.tolerance_abs, ctx.q - 1, max_err)
-    )
-    # Parseval, both conventions, on random functions
-    rng = np.random.default_rng(args.seed)
-    max_rel = 0.0
-    max_round = 0.0
-    for _ in range(args.trials):
-        f = random_fn(ctx, rng)
-        fh = fourier(f)
-        max_rel = max(max_rel, relative_error(f.norm_avg(2.0), fh.norm_count()))
-        max_round = max(max_round, float(np.abs(fourier_inverse(fh).values - f.values).max()))
-        g = random_fn(ctx, rng)
-        gv = g.values.copy()
-        gv[0] = 0.0
-        g = ComplexFn(ctx, gv)
-        coeffs = mult_fourier(g)
-        lhs = float((np.abs(coeffs) ** 2).sum() / (ctx.q - 1))
-        rhs = float((np.abs(gv) ** 2).sum())
-        max_rel = max(max_rel, relative_error(lhs, rhs))
-        back = mult_fourier_inverse(ctx, coeffs)
-        max_round = max(max_round, float(np.abs(back.values - gv).max()))
-    out.append(CheckResult("parseval-both-conventions", max_rel < args.tolerance_rel, 2 * args.trials, max_rel))
-    out.append(CheckResult("transform-round-trip", max_round < 1e-9, 2 * args.trials, max_round))
-    # measured gauss unit
-    info = gauss_sum(ctx)
-    err = abs(abs(info.sigma) - 1.0)
-    out.append(CheckResult("gauss-unit-modulus", err < args.tolerance_rel * 10, 1, err))
-    return out
-
-
-def _suite_operators(ctx, args) -> list[CheckResult]:
-    out = []
-    rng = np.random.default_rng(args.seed)
-    max_err = 0.0
-    max_form = 0.0
-    for _ in range(args.trials):
-        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-        direct = operators.averaging_apply(f1, f2).values
-        via = operators.averaging_apply_fourier(f1, f2).values
-        max_err = max(max_err, float(np.abs(direct - via).max()))
-        # the slices expand the averaged square of A(f1, f2) - E f1 E f2
-        square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
-        max_form = max(max_form, abs(operators.sliced_square_form(f1, f2) - square))
-    out.append(CheckResult("averaging-two-routes", max_err < 1e-8, args.trials, max_err))
-    out.append(CheckResult("slice-expansion-identity", max_form < 1e-8, args.trials, max_form))
-    # sliced operator on a point mass: product of multipliers, modulus 1/q
-    h = 1
-    # the first v >= 2 outside {0, -h}; F_3 has none, and v = 1 serves there
-    v0 = next((v for v in range(2, ctx.q) if v not in (0, ctx.neg(h))), 1)
-    g = np.zeros(ctx.q, dtype=complex)
-    g[v0] = 1.0
-    applied = operators.sliced_operator_apply(ctx, h, ComplexFn(ctx, g))
-    err = float(np.abs(np.abs(applied.values) - 1.0 / ctx.q).max())
-    out.append(CheckResult("slice-point-mass-modulus", err < 1e-9, ctx.q, err))
-    return out
-
-
 def _suite_weil(ctx, args) -> list[CheckResult]:
     out = [weil.envelope_check(ctx)]
     if ctx.q <= 49:
         out.append(weil.substitution_check(ctx))
         out.append(weil.ratio_sum_check(ctx))
     rs = ctx.q - 3  # scanned terms per sum
-    out.append(CheckResult("scan-term-count", True, max(rs, 0), 0.0, data={"terms": max(rs, 0)}))
+    out.append(CheckResult("scan-term-count", True, rs, 0.0, data={"terms": rs}))
     return out
 
 
@@ -202,10 +102,15 @@ def _suite_constructions(ctx, args) -> list[CheckResult]:
     return out
 
 
+# suite -> checks(ctx, args); each check is stated in the module it checks
 _SUITES = {
-    "kernels": _suite_kernels,
-    "fourier": _suite_fourier,
-    "operators": _suite_operators,
+    "kernels": lambda ctx, args: [
+        kernels.quad_kernel_check(ctx),
+        kernels.pair_kernel_check(ctx),
+        kernels.decomposition_check(ctx),
+    ],
+    "fourier": lambda ctx, args: characters.fourier_checks(ctx, args.seed, args.trials),
+    "operators": lambda ctx, args: operators.averaging_checks(ctx, args.seed, args.trials),
     "weil": _suite_weil,
     "constructions": _suite_constructions,
 }
@@ -250,10 +155,10 @@ def _fan_out(worker, fields: list[tuple[int, int]], jobs: int) -> list:
 
 
 def cmd_verify(args) -> int:
-    targets = args.targets or list(VERIFY_TARGETS)
-    unknown = [t for t in targets if t not in VERIFY_TARGETS]
+    targets = args.targets or list(_SUITES)
+    unknown = [t for t in targets if t not in _SUITES]
     if unknown:
-        raise ValueError(f"unknown verify targets {unknown}; choose from {list(VERIFY_TARGETS)}")
+        raise ValueError(f"unknown verify targets {unknown}; choose from {list(_SUITES)}")
     fields = _parse_fields(args)
     reports = _fan_out(partial(_verify_one_field, args, targets), fields, args.jobs)
 
@@ -394,8 +299,6 @@ def _manifest(args, command: str, fields: list[dict], timings: dict) -> dict:
         command=command,
         fields=fields,
         seed=getattr(args, "seed", None),
-        tolerance_abs=args.tolerance_abs,
-        tolerance_rel=args.tolerance_rel,
         timings=timings,
     ))
 
@@ -410,7 +313,7 @@ def _positive_int(value: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     field = parser.add_mutually_exclusive_group()
     field.add_argument("--p", type=int, help="field characteristic")
-    parser.add_argument("--s", type=int, default=1, help="extension degree")
+    parser.add_argument("--s", type=int, help="extension degree of --p (default 1)")
     field.add_argument("--q-list", type=lambda v: [int(x) for x in v.split(",")],
                        help="comma-separated prime powers (verify and scan; not with --p)")
     parser.add_argument("--seed", type=int, default=1, help="RNG seed recorded in reports")
@@ -419,9 +322,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="parallel field workers")
     parser.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
     parser.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    read = "; only the kernels and fourier suites read it (operators and weil use fixed ones)"
-    parser.add_argument("--tolerance-abs", type=float, default=1e-6, help="absolute tolerance" + read)
-    parser.add_argument("--tolerance-rel", type=float, default=1e-9, help="relative tolerance" + read)
     parser.add_argument("--cap", type=int, default=10_000, help="desk-scale field size cap")
 
 
@@ -431,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run exhaustive identity suites")
     pv.add_argument("targets", nargs="*", metavar="TARGET",
-                    help=f"suites to run, from {', '.join(VERIFY_TARGETS)} (default: all)")
+                    help=f"suites to run, from {', '.join(_SUITES)} (default: all)")
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -455,6 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "construct" and (args.p is None or args.q_list is not None):
         parser.error("construct builds on one field: it requires --p and does not take --q-list")
+    if args.s is not None and args.p is None:
+        parser.error("--s is the extension degree of --p: it needs --p, not --q-list")
+    if getattr(args, "alternating", False) and args.kind != "delta":
+        parser.error(f"--alternating applies to scan delta only, not scan {args.kind}")
+    args.s = 1 if args.s is None else args.s
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

@@ -291,10 +291,10 @@ class FieldCtx:
         return a
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_vec(a, b))
+        return int(self._add_digitwise(a, b))  # O(s): builds no add table
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.sub_vec(a, b))
+        return self.add(a, int(self.neg_table[b]))
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
@@ -324,6 +324,11 @@ class FieldCtx:
 
     def units(self) -> np.ndarray:
         return np.arange(1, self.q, dtype=np.int64)
+
+    def codes_outside(self, *excluded: int) -> np.ndarray:
+        """Every code not in ``excluded``, ascending."""
+        codes = self.elements()
+        return codes[~np.isin(codes, excluded)]
 
     # -- vectorised arithmetic -------------------------------------------------
 

@@ -32,7 +32,7 @@ from .characters import (
     quadratic_char,
     quadratic_char_table,
 )
-from .reporting import CheckResult
+from .reporting import TOLERANCE_ABS, CheckResult, error_check
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +119,7 @@ def _slice_phase_columns(ctx: FieldCtx, h: int, ys: np.ndarray) -> np.ndarray:
 
 def admissible_codes(ctx: FieldCtx, h: int) -> np.ndarray:
     """Codes outside {0, -h}, ascending."""
-    out = ctx.elements()
-    return out[(out != 0) & (out != ctx.neg(h))]
+    return ctx.codes_outside(0, ctx.neg(h))
 
 
 def pair_kernel_brute(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
@@ -253,73 +252,49 @@ def twisted_pair_kernel(ctx: FieldCtx, h: int, Y: int, Z: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def quad_kernel_check(ctx: FieldCtx, tol: float = 1e-6) -> CheckResult:
+def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal average on every (a, b) pair."""
-    closed = quad_kernel_table(ctx)
-    brute = quad_kernel_table_brute(ctx)
-    err = np.abs(closed - brute)
-    max_err = float(err.max())
-    passed = max_err < tol
-    first = None
-    if not passed:
-        a, b = np.unravel_index(int(err.argmax()), err.shape)
-        first = f"(a={a}, b={b}) err={max_err:.3e}"
-    return CheckResult("quad-kernel-equivalence", passed, ctx.q * ctx.q, max_err, first)
+    err = np.abs(quad_kernel_table(ctx) - quad_kernel_table_brute(ctx))
+    return error_check("quad-kernel-equivalence", err, TOLERANCE_ABS,
+                       lambda a, b: f"(a={a}, b={b})")
 
 
-def pair_kernel_check(ctx: FieldCtx, tol: float = 1e-6) -> CheckResult:
+def pair_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal sum on every admissible (h, y, z) triple."""
-    max_err = 0.0
-    cases = 0
-    first = None
+    err = np.empty((ctx.q - 1, ctx.q - 2, ctx.q - 2))  # 8 q^3 bytes, 0.9 MB at q = 49
     for h in range(1, ctx.q):
-        ys, brute = pair_kernel_grid_brute(ctx, h)
-        _, closed = pair_kernel_grid_closed(ctx, h)
-        err = np.abs(closed - brute)
-        cases += err.size
-        m = float(err.max())
-        if m > max_err:
-            max_err = m
-            if m >= tol and first is None:
-                i, j = np.unravel_index(int(err.argmax()), err.shape)
-                first = f"(h={h}, y={int(ys[i])}, z={int(ys[j])}) err={m:.3e}"
-    return CheckResult("pair-kernel-equivalence", max_err < tol, cases, max_err, first)
+        err[h - 1] = np.abs(pair_kernel_grid_closed(ctx, h)[1] - pair_kernel_grid_brute(ctx, h)[1])
+
+    def cell(i, j, k):
+        ys = admissible_codes(ctx, i + 1)
+        return f"(h={i + 1}, y={int(ys[j])}, z={int(ys[k])})"
+
+    return error_check("pair-kernel-equivalence", err, TOLERANCE_ABS, cell)
 
 
-def decomposition_check(ctx: FieldCtx, tol: float = 1e-6) -> CheckResult:
+def decomposition_check(ctx: FieldCtx) -> CheckResult:
     """Twisted kernel (built on the brute pair kernel) against the rank-one
     profile: B_{h,0}(Y,Z) = q 1_{Y=Z} + sqrt(q) L_h(Z/Y) for Y, Z outside
     {0, c, -c}."""
     q = ctx.q
     chi = quadratic_char_table(ctx)
     ratio_tables = ratio_kernel_table(ctx, ctx.units())  # row h - 1 is L_h
-    max_err = 0.0
-    cases = 0
-    first = None
+    err = np.empty((q - 1, q - 3, q - 3))
     for h in range(1, q):
         c = half_shift(ctx, h)
-        neg_c = ctx.neg(c)
-        Ys = ctx.elements()
-        Ys = Ys[(Ys != 0) & (Ys != c) & (Ys != neg_c)]
-        if Ys.size == 0:  # q = 3 leaves no admissible points
-            continue
-        ys_shifted = ctx.sub_vec(Ys, c)  # admissible for the pair kernel
-        cols = _slice_phase_columns(ctx, h, ys_shifted)
-        brute = cols.T @ cols.conj()
+        Ys = ctx.codes_outside(0, c, ctx.neg(c))  # none at q = 3
+        cols = _slice_phase_columns(ctx, h, ctx.sub_vec(Ys, c))  # admissible for B_h
         d = chi[ctx.sub_vec(ctx.sq_vec(Ys), ctx.mul(c, c))].astype(float)
-        twisted = d[:, None] * brute * d[None, :]
+        twisted = d[:, None] * (cols.T @ cols.conj()) * d[None, :]
 
-        lh = ratio_tables[h - 1]
         ratios = ctx.div_vec(Ys[None, :], Ys[:, None])  # r = Z/Y at [i, j] = (Y, Z)
-        predicted = math.sqrt(q) * lh[ratios]
+        predicted = math.sqrt(q) * ratio_tables[h - 1][ratios]
         predicted[Ys[:, None] == Ys[None, :]] += q
+        err[h - 1] = np.abs(twisted - predicted)
 
-        err = np.abs(twisted - predicted)
-        cases += err.size
-        m = float(err.max())
-        if m > max_err:
-            max_err = m
-            if m >= tol and first is None:
-                i, j = np.unravel_index(int(err.argmax()), err.shape)
-                first = f"(h={h}, Y={int(Ys[i])}, Z={int(Ys[j])}) err={m:.3e}"
-    return CheckResult("twisted-decomposition", max_err < tol, cases, max_err, first)
+    def cell(i, j, k):
+        c = half_shift(ctx, i + 1)
+        Ys = ctx.codes_outside(0, c, ctx.neg(c))
+        return f"(h={i + 1}, Y={int(Ys[j])}, Z={int(Ys[k])})"
+
+    return error_check("twisted-decomposition", err, TOLERANCE_ABS, cell)

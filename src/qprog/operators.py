@@ -10,6 +10,8 @@ conventions explicitly):
   frequency-side norm, which is exactly what the transform conventions give.
 * the sliced operator acts on frequency-side vectors, so its operator norm is
   a plain spectral norm in the counting l2 on both sides.
+* ``averaging_checks`` compares the two averaging routes, and the slice
+  expansion with the direct route, on seeded random pairs.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
@@ -37,6 +39,7 @@ import numpy as np
 from .field import FieldCtx, sqrt_pairs
 from .characters import ComplexFn, fourier, fourier_inverse, random_fn
 from .kernels import quad_kernel_table
+from .reporting import CheckResult, error_check
 from .weil import _blocked_char_sums, _ratio_terms
 
 
@@ -160,6 +163,31 @@ def sliced_operator_apply(ctx: FieldCtx, h: int, G: ComplexFn) -> ComplexFn:
     if h == 0:
         raise ValueError("the h = 0 slice is handled inside sliced_square_form")
     return ComplexFn(ctx, sliced_operator_matrix(ctx, h) @ G.values)
+
+
+def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
+    """Per seeded random pair: both averaging routes pointwise, and
+    ``sliced_square_form`` against the mean of |direct - E f1 E f2|^2.  Then
+    T_1 on a point mass, whose image has modulus 1/q everywhere."""
+    rng = np.random.default_rng(seed)
+    routes = np.empty(trials)
+    form = np.empty(trials)
+    for i in range(trials):
+        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+        direct = averaging_apply(f1, f2).values
+        routes[i] = np.abs(direct - averaging_apply_fourier(f1, f2).values).max()
+        square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
+        form[i] = abs(sliced_square_form(f1, f2) - square)
+    # the point mass sits at the first v >= 2 other than -1; F_3 has none,
+    # and v = 1 serves there
+    v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
+    image = sliced_operator_matrix(ctx, 1)[:, v0]
+    return [
+        error_check("averaging-two-routes", routes, 1e-8, lambda i: f"(trial={i})"),
+        error_check("slice-expansion-identity", form, 1e-8, lambda i: f"(trial={i})"),
+        error_check("slice-point-mass-modulus", np.abs(np.abs(image) - 1.0 / ctx.q), 1e-9,
+                    lambda u: f"(u={u})"),
+    ]
 
 
 def _top_secular_root(lam: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Report plumbing: check results, run manifests, JSON/CSV output, trend fits.
 
+Every two-route comparison builds its ``CheckResult`` through ``error_check``,
+which names the first failing entry in index order.  Tolerances are constants,
+recorded in every manifest.
+
 JSON payloads are dumped with sorted keys so that re-running a command with
 the same inputs and seed reproduces byte-identical files (wall-time fields in
 the manifest are the only sanctioned difference).
@@ -17,6 +21,10 @@ import numpy as np
 SCHEMA_VERSION = 1
 VERSION = "0.1.0"
 
+# kernel and orthogonality checks (absolute); Parseval (relative; Gauss unit 10x)
+TOLERANCE_ABS = 1e-6
+TOLERANCE_REL = 1e-9
+
 
 @dataclass
 class CheckResult:
@@ -30,6 +38,23 @@ class CheckResult:
     data: dict = field(default_factory=dict)
 
 
+def error_check(name: str, err, tol: float, cell) -> CheckResult:
+    """Pass when every entry of the error array ``err`` is below ``tol``.
+
+    Cases are its entries (an empty array passes with max_err 0.0).  The
+    first failure is the first entry not below ``tol`` in index order, named
+    by ``cell(*index)``.
+    """
+    err = np.asarray(err, dtype=float)
+    max_err = float(err.max(initial=0.0))
+    bad = np.flatnonzero(~(err < tol))
+    first = None
+    if bad.size:
+        index = np.unravel_index(int(bad[0]), err.shape)
+        first = f"{cell(*map(int, index))} err={err[index]:.3e}"
+    return CheckResult(name, max_err < tol, err.size, max_err, first)
+
+
 @dataclass
 class RunManifest:
     """Provenance header embedded in every report."""
@@ -37,8 +62,8 @@ class RunManifest:
     command: str
     fields: list[dict]
     seed: int | None
-    tolerance_abs: float
-    tolerance_rel: float
+    tolerance_abs: float = TOLERANCE_ABS
+    tolerance_rel: float = TOLERANCE_REL
     version: str = VERSION
     schema_version: int = SCHEMA_VERSION
     timings: dict = field(default_factory=dict)

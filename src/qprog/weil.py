@@ -42,13 +42,7 @@ from .characters import (
     unit_root_powers,
 )
 from .kernels import _ratio_parts, ratio_kernel_table, twisted_prefactor
-from .reporting import CheckResult
-
-
-def _scan_codes(ctx: FieldCtx) -> np.ndarray:
-    """Summation index: every code outside {0, 1, -1}, ascending."""
-    rs = ctx.elements()
-    return rs[(rs != 0) & (rs != 1) & (rs != ctx.neg(1))]
+from .reporting import CheckResult, error_check
 
 
 def envelope(q: int) -> float:
@@ -84,7 +78,7 @@ def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray):
 
 def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(r, W) with W[j, k] = chi(1 - r_k^2) e(lambda_j (r_k - 1)/(r_k + 1)), r outside {0, +-1}."""
-    rs = _scan_codes(ctx)
+    rs = ctx.codes_outside(0, 1, ctx.neg(1))  # the summation index
     chi_part, u = _ratio_parts(ctx, rs)
     phases = additive_char_table(ctx)[ctx.mul_vec(lams[:, None], u[None, :])]
     return rs, phases * chi_part.astype(complex)[None, :]
@@ -94,7 +88,7 @@ def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(s, r, c): the mixed sum after the reindexing s = (r-1)/(r+1) is
     sum over s outside {-1, 0, 1} of eta(r_k) c_k e(lambda s_k), with
     r = (1+s)/(1-s) and c = chi(-4s/(1-s)^2)."""
-    ss = _scan_codes(ctx)
+    ss = ctx.codes_outside(0, 1, ctx.neg(1))
     chi = quadratic_char_table(ctx)
     r_of_s = ctx.div_vec(ctx.add_vec(1, ss), ctx.sub_vec(1, ss))
     neg4 = ctx.neg(ctx.from_int(4))
@@ -189,18 +183,6 @@ def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
 # ---------------------------------------------------------------------------
 
 
-def _grid_result(name: str, err: np.ndarray, tol: float, cell) -> CheckResult:
-    """Pass when every error is below ``tol``; the first failure is the first
-    bad cell in row-major order, named by ``cell(i, j)``."""
-    bad = np.flatnonzero(err >= tol)
-    first = None
-    if bad.size:
-        i, j = divmod(int(bad[0]), err.shape[1])
-        first = f"{cell(i, j)} err={err[i, j]:.3e}"
-    max_err = float(err.max())
-    return CheckResult(name, max_err < tol, err.size, max_err, first)
-
-
 def substitution_check(ctx: FieldCtx) -> CheckResult:
     """Reindexing identity on the full (t, lambda) grid, by two summations.
 
@@ -218,9 +200,8 @@ def substitution_check(ctx: FieldCtx) -> CheckResult:
     g[:, ss] = unit_root_powers(ctx)[np.outer(np.arange(n), ctx.log_table[r_of_s]) % n] * c
     reindexed = fourier_inverse_rows(ctx, g)[:, lams]
     err = np.abs(mixed - reindexed)
-    return _grid_result(
-        "substitution-identity", err, 1e-9, lambda t, j: f"(t={t}, lambda={int(lams[j])})"
-    )
+    return error_check("substitution-identity", err, 1e-9,
+                       lambda t, j: f"(t={t}, lambda={int(lams[j])})")
 
 
 def ratio_sum_check(ctx: FieldCtx) -> CheckResult:
@@ -230,9 +211,8 @@ def ratio_sum_check(ctx: FieldCtx) -> CheckResult:
     ratio = _char_sums(ctx, *_ratio_terms(ctx, hs))
     mixed = _char_sums(ctx, *_mixed_terms(ctx, hs))
     err = np.abs(ratio - twisted_prefactor(ctx, hs)[None, :] * mixed).T  # rows h, columns t
-    return _grid_result(
-        "ratio-kernel-char-sum", err, 1e-9, lambda j, t: f"(h={int(hs[j])}, t={t})"
-    )
+    return error_check("ratio-kernel-char-sum", err, 1e-9,
+                       lambda j, t: f"(h={int(hs[j])}, t={t})")
 
 
 def envelope_check(ctx: FieldCtx) -> CheckResult:

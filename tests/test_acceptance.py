@@ -77,7 +77,7 @@ def test_criterion_01_quad_kernel_exactness():
     t0 = time.perf_counter()
     worst = 0.0
     for q in Q_ALL:
-        res = quad_kernel_check(_field(q), tol=1e-6)
+        res = quad_kernel_check(_field(q))
         assert res.cases == q * q
         worst = max(worst, res.max_err)
     elapsed = time.perf_counter() - t0
@@ -90,7 +90,7 @@ def test_criterion_02_pair_kernel_exactness():
     worst = 0.0
     cases = 0
     for q in Q_UPTO_49:
-        res = pair_kernel_check(_field(q), tol=1e-6)
+        res = pair_kernel_check(_field(q))
         worst = max(worst, res.max_err)
         cases += res.cases
     elapsed = time.perf_counter() - t0
@@ -102,7 +102,7 @@ def test_criterion_03_decomposition_identity():
     worst = 0.0
     cases = 0
     for q in Q_UPTO_49:
-        res = decomposition_check(_field(q), tol=1e-6)
+        res = decomposition_check(_field(q))
         worst = max(worst, res.max_err)
         cases += res.cases
     ok = worst < 1e-6

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qprog import constructions, operators, weil
+from qprog import characters, constructions, operators, weil
 from qprog.characters import ComplexFn
 from qprog.cli import main
 from qprog.field import DESK_CAP, get_field
@@ -188,6 +188,34 @@ def test_conflicting_field_flags_are_rejected(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "weil", "--q-list", "7", "--s", "2"],
+    ["scan", "weil", "--q-list", "7", "--s", "2"],
+    ["verify", "weil", "--s", "2"],  # the default q list
+])
+def test_extension_degree_requires_p(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--s" in err and "--q-list" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_extension_degree_zero_is_rejected(tmp_path, capsys):
+    assert main(["verify", "weil", "--p", "7", "--s", "0", "--out", str(tmp_path)]) == 2
+    assert "extension degree must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["weil", "slices"])
+def test_alternating_applies_to_scan_delta_only(tmp_path, capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", kind, "--q-list", "7", "--alternating", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--alternating" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_parallel_jobs_matches_serial(tmp_path):
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     for d, jobs in ((serial, "1"), (parallel, "2")):
@@ -231,6 +259,18 @@ def test_verify_operators_catches_a_wrong_averaging_route(tmp_path, monkeypatch)
     rc, first, passed = _verify_operators_failure(tmp_path)
     assert (rc, first) == (1, "averaging-two-routes")
     assert passed["slice-expansion-identity"]
+
+
+def test_verify_fourier_names_the_first_bad_trial(tmp_path, monkeypatch):
+    inverse = characters.fourier_inverse
+    monkeypatch.setattr(characters, "fourier_inverse",
+                        lambda fh: ComplexFn(fh.ctx, inverse(fh).values * (1 + 1e-6)))
+    rc = main(["verify", "fourier", "--p", "7", "--trials", "3", "--out", str(tmp_path)])
+    assert rc == 1
+    report = json.loads((tmp_path / "verify-7-1.json").read_text())
+    assert report["first_failure"]["name"] == "transform-round-trip"
+    assert report["first_failure"]["first_failure"].startswith("(trial=0, additive) err=")
+    assert [c["passed"] for c in report["suites"]["fourier"]] == [True, True, True, False, True]
 
 
 def test_verify_fourier_at_cap_edge_holds_no_square_table(tmp_path):

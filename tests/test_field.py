@@ -198,6 +198,17 @@ def test_sqrt_pairs(q):
         assert sorted(got) == sorted(roots)
 
 
+@pytest.mark.parametrize("p, s", [(7, 1), (3, 4)])
+def test_scalar_add_and_sub_build_no_add_table(p, s):
+    ctx = build_field(p, s)  # a fresh field: no add table yet
+    pairs = [(a, b) for a in (0, 1, 5, ctx.q - 1) for b in (0, 2, ctx.q - 2)]
+    sums = [ctx.add(a, b) for a, b in pairs]
+    diffs = [ctx.sub(a, b) for a, b in pairs]
+    assert "add_table" not in ctx._cache
+    assert sums == [int(ctx.add_vec(a, b)) for a, b in pairs]
+    assert diffs == [int(ctx.sub_vec(a, b)) for a, b in pairs]
+
+
 def test_per_field_tables_are_built_once():
     """Each cached table is built on the first call and stored under its key;
     later calls return that same object."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qprog import kernels
 from qprog.field import get_field
 from qprog.characters import additive_char, gauss_sum, quadratic_char
 from qprog.kernels import (
@@ -49,9 +50,27 @@ def test_quad_kernel_f3_value():
 
 
 def test_quad_kernel_closed_equals_brute(ctx_medium):
-    res = quad_kernel_check(ctx_medium, tol=1e-9)
+    res = quad_kernel_check(ctx_medium)
     assert res.passed, res
+    assert res.max_err < 1e-9, res
     assert res.cases == ctx_medium.q**2
+
+
+def test_quad_kernel_check_names_the_first_bad_cell(monkeypatch):
+    """The first failing cell in (a, b) order, not the worst one."""
+    brute = kernels.quad_kernel_table_brute
+
+    def perturbed(ctx):
+        tab = brute(ctx)
+        tab[0, 2] += 1e-3
+        tab[1, 1] += 1.0
+        return tab
+
+    monkeypatch.setattr(kernels, "quad_kernel_table_brute", perturbed)
+    res = quad_kernel_check(get_field(5, 1))
+    assert not res.passed
+    assert res.first_failure.startswith("(a=0, b=2) err=1.000e-03")
+    assert res.max_err == pytest.approx(1.0)
 
 
 def test_quad_kernel_modulus_on_generic(ctx_small):
@@ -93,7 +112,7 @@ def test_pair_kernel_rejections():
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
 def test_pair_kernel_closed_equals_brute_exhaustive(q):
-    res = pair_kernel_check(field_for(q), tol=1e-6)
+    res = pair_kernel_check(field_for(q))
     assert res.passed, res
     n_adm = q - 2
     assert res.cases == (q - 1) * n_adm * n_adm
@@ -204,7 +223,7 @@ def test_twisted_kernel_diagonal_and_antidiagonal():
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
 def test_decomposition_identity_exhaustive(q):
-    res = decomposition_check(field_for(q), tol=1e-6)
+    res = decomposition_check(field_for(q))
     assert res.passed, res
 
 
