@@ -42,8 +42,7 @@ DEFAULT_Q_LIST = [3, 5, 7, 9, 11, 13, 25, 27, 49]
 def _suite_weil(ctx, args) -> list[CheckResult]:
     out = [weil.envelope_check(ctx)]
     if ctx.q <= 49:
-        out.append(weil.substitution_check(ctx))
-        out.append(weil.ratio_sum_check(ctx))
+        out += [weil.substitution_check(ctx), weil.ratio_sum_check(ctx)]
     rs = ctx.q - 3  # scanned terms per sum
     out.append(CheckResult("scan-term-count", True, rs, 0.0, data={"terms": rs}))
     return out

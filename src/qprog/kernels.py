@@ -32,7 +32,7 @@ from .characters import (
     quadratic_char,
     quadratic_char_table,
 )
-from .reporting import TOLERANCE_ABS, CheckResult, error_check
+from .reporting import TOLERANCE_ABS, CheckResult, error_check, stacked_error_check
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +261,14 @@ def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
 
 def pair_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal sum on every admissible (h, y, z) triple."""
-    err = np.empty((ctx.q - 1, ctx.q - 2, ctx.q - 2))  # 8 q^3 bytes, 0.9 MB at q = 49
-    for h in range(1, ctx.q):
-        err[h - 1] = np.abs(pair_kernel_grid_closed(ctx, h)[1] - pair_kernel_grid_brute(ctx, h)[1])
 
-    def cell(i, j, k):
-        ys = admissible_codes(ctx, i + 1)
-        return f"(h={i + 1}, y={int(ys[j])}, z={int(ys[k])})"
+    def blocks():  # one (q-2)^2 grid per h
+        for h in range(1, ctx.q):
+            ys, brute = pair_kernel_grid_brute(ctx, h)
+            err = np.abs(pair_kernel_grid_closed(ctx, h)[1] - brute)
+            yield err, lambda j, k, h=h, ys=ys: f"(h={h}, y={int(ys[j])}, z={int(ys[k])})"
 
-    return error_check("pair-kernel-equivalence", err, TOLERANCE_ABS, cell)
+    return stacked_error_check("pair-kernel-equivalence", blocks(), TOLERANCE_ABS)
 
 
 def decomposition_check(ctx: FieldCtx) -> CheckResult:
@@ -279,22 +278,19 @@ def decomposition_check(ctx: FieldCtx) -> CheckResult:
     q = ctx.q
     chi = quadratic_char_table(ctx)
     ratio_tables = ratio_kernel_table(ctx, ctx.units())  # row h - 1 is L_h
-    err = np.empty((q - 1, q - 3, q - 3))
-    for h in range(1, q):
-        c = half_shift(ctx, h)
-        Ys = ctx.codes_outside(0, c, ctx.neg(c))  # none at q = 3
-        cols = _slice_phase_columns(ctx, h, ctx.sub_vec(Ys, c))  # admissible for B_h
-        d = chi[ctx.sub_vec(ctx.sq_vec(Ys), ctx.mul(c, c))].astype(float)
-        twisted = d[:, None] * (cols.T @ cols.conj()) * d[None, :]
 
-        ratios = ctx.div_vec(Ys[None, :], Ys[:, None])  # r = Z/Y at [i, j] = (Y, Z)
-        predicted = math.sqrt(q) * ratio_tables[h - 1][ratios]
-        predicted[Ys[:, None] == Ys[None, :]] += q
-        err[h - 1] = np.abs(twisted - predicted)
+    def blocks():  # one (q-3)^2 grid per h
+        for h in range(1, q):
+            c = half_shift(ctx, h)
+            Ys = ctx.codes_outside(0, c, ctx.neg(c))  # none at q = 3
+            cols = _slice_phase_columns(ctx, h, ctx.sub_vec(Ys, c))  # admissible for B_h
+            d = chi[ctx.sub_vec(ctx.sq_vec(Ys), ctx.mul(c, c))].astype(float)
+            twisted = d[:, None] * (cols.T @ cols.conj()) * d[None, :]
 
-    def cell(i, j, k):
-        c = half_shift(ctx, i + 1)
-        Ys = ctx.codes_outside(0, c, ctx.neg(c))
-        return f"(h={i + 1}, Y={int(Ys[j])}, Z={int(Ys[k])})"
+            ratios = ctx.div_vec(Ys[None, :], Ys[:, None])  # r = Z/Y at [i, j] = (Y, Z)
+            predicted = math.sqrt(q) * ratio_tables[h - 1][ratios]
+            predicted[Ys[:, None] == Ys[None, :]] += q
+            err = np.abs(twisted - predicted)
+            yield err, lambda j, k, h=h, Ys=Ys: f"(h={h}, Y={int(Ys[j])}, Z={int(Ys[k])})"
 
-    return error_check("twisted-decomposition", err, TOLERANCE_ABS, cell)
+    return stacked_error_check("twisted-decomposition", blocks(), TOLERANCE_ABS)

@@ -1,7 +1,8 @@
 """Report plumbing: check results, run manifests, JSON/CSV output, trend fits.
 
-Every two-route comparison builds its ``CheckResult`` through ``error_check``,
-which names the first failing entry in index order.  Tolerances are constants,
+Every two-route comparison builds its ``CheckResult`` through ``error_check``
+(or ``stacked_error_check`` for one error grid per h), which names the first
+failing entry in index order.  Tolerances are constants,
 recorded in every manifest.
 
 JSON payloads are dumped with sorted keys so that re-running a command with
@@ -45,14 +46,23 @@ def error_check(name: str, err, tol: float, cell) -> CheckResult:
     first failure is the first entry not below ``tol`` in index order, named
     by ``cell(*index)``.
     """
-    err = np.asarray(err, dtype=float)
-    max_err = float(err.max(initial=0.0))
-    bad = np.flatnonzero(~(err < tol))
-    first = None
-    if bad.size:
-        index = np.unravel_index(int(bad[0]), err.shape)
-        first = f"{cell(*map(int, index))} err={err[index]:.3e}"
-    return CheckResult(name, max_err < tol, err.size, max_err, first)
+    return stacked_error_check(name, [(err, cell)], tol)
+
+
+def stacked_error_check(name: str, blocks, tol: float) -> CheckResult:
+    """``error_check`` on error arrays stacked along a new leading axis, read
+    one at a time so that only one is held: ``blocks`` yields ``(err, cell)``
+    pairs, each ``cell`` naming an index of its own ``err``."""
+    cases, max_err, first = 0, 0.0, None
+    for err, cell in blocks:
+        err = np.asarray(err, dtype=float)
+        cases += err.size
+        max_err = float(np.max([max_err, err.max(initial=0.0)]))  # a NaN stays NaN
+        bad = np.flatnonzero(~(err < tol))
+        if first is None and bad.size:
+            index = np.unravel_index(int(bad[0]), err.shape)
+            first = f"{cell(*map(int, index))} err={err[index]:.3e}"
+    return CheckResult(name, max_err < tol, cases, max_err, first)
 
 
 @dataclass

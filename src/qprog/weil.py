@@ -199,8 +199,7 @@ def substitution_check(ctx: FieldCtx) -> CheckResult:
     g = np.zeros((n, ctx.q), dtype=complex)
     g[:, ss] = unit_root_powers(ctx)[np.outer(np.arange(n), ctx.log_table[r_of_s]) % n] * c
     reindexed = fourier_inverse_rows(ctx, g)[:, lams]
-    err = np.abs(mixed - reindexed)
-    return error_check("substitution-identity", err, 1e-9,
+    return error_check("substitution-identity", np.abs(mixed - reindexed), 1e-9,
                        lambda t, j: f"(t={t}, lambda={int(lams[j])})")
 
 

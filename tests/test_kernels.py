@@ -1,6 +1,7 @@
 """Kernel closed forms vs brute force, case analysis, the decomposition identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,42 @@ def test_quad_kernel_check_names_the_first_bad_cell(monkeypatch):
     assert res.first_failure.startswith("(a=0, b=2) err=1.000e-03")
     assert res.max_err == pytest.approx(1.0)
 
+
+
+def test_pair_kernel_check_names_the_first_bad_cell_across_h(monkeypatch):
+    """The first failing (h, y, z) in h-major order, not the worst one."""
+    brute = kernels.pair_kernel_grid_brute
+
+    def perturbed(ctx, h):
+        ys, grid = brute(ctx, h)
+        grid = grid.copy()
+        if h == 2:
+            grid[0, 1] += 1e-3
+        if h == 3:
+            grid[0, 0] += 1.0
+        return ys, grid
+
+    monkeypatch.setattr(kernels, "pair_kernel_grid_brute", perturbed)
+    res = pair_kernel_check(get_field(5, 1))
+    assert not res.passed
+    assert res.cases == 4 * 3 * 3
+    assert res.first_failure.startswith("(h=2, y=1, z=2) err=1.000e-03")
+    assert res.max_err == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("check", [pair_kernel_check, decomposition_check])
+def test_per_h_checks_hold_one_error_grid_at_a_time(check):
+    """At q = 81 the q - 1 stacked error grids would take 8 (q-1) (q-2)^2
+    bytes, about 4 MB; reduced grid by grid the check stays well below."""
+    ctx = get_field(3, 4)
+    check(ctx)  # warm the per-field tables
+    tracemalloc.start()
+    try:
+        check(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 def test_quad_kernel_modulus_on_generic(ctx_small):
     ctx = ctx_small
