@@ -50,7 +50,6 @@ from .operators import (
     deviation_norm,
     deviation_scan,
     sliced_norm_scan,
-    sliced_operator_apply,
     sliced_operator_norm,
     sliced_square_form,
     triple_average_chain,

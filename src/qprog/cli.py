@@ -1,7 +1,8 @@
 """Command-line front end: verify / scan / construct with reproducible reports.
 
 Exit codes: 0 = all assertions passed, 1 = an assertion failed,
-2 = usage or precondition error (bad field parameters, cap exceeded, ...).
+2 = usage or precondition error (bad field parameters, cap exceeded, out of
+memory, ...).
 
 Reports are JSON (always) plus per-point CSV when --format is csv or both,
 written under --out with stable names {command}-{p}-{s}.json.  Identical
@@ -363,6 +364,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        what = args.kind if args.command != "verify" else " ".join(args.targets or _SUITES)
+        print(f"error: out of memory in {args.command} {what}: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

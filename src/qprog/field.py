@@ -32,9 +32,10 @@ import numpy as np
 
 # Largest field materialised by default.  It bounds q, not the work: in
 # q = |F|, the exhaustive routes cost
-#   dense q x q tables (add table, quad_kernel_table)               q^2 memory
+#   dense q x q add table (q <= _ADD_TABLE_MAX)                     q^2 memory
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm                                 q^2
+#   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
 #   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
 #   sliced_norm_scan (ratio-sum grid, ~55 O(q) bisection steps/h)   q^2 log q
 #   pair_kernel_check, decomposition_check                          q^4

@@ -13,6 +13,15 @@ conventions explicitly):
 * ``averaging_checks`` compares the two averaging routes, and the slice
   expansion with the direct route, on seeded random pairs.
 
+The Fourier route and the slice expansion read one builder, the deviation's
+coefficient rows c(m, n) = fhat1(m-n) fhat2(n) K(m-n, n) with column n = 0
+zeroed, built from the closed form of K in blocks of m (O(q) memory per
+row).  Since K(a, 0) is the point mass at a = 0, the row sums are the
+coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation square is
+the rows' additive autocorrelation at lag h: with C_m the inverse transform
+of row m, every slice is the inverse transform of sum_m |C_m|^2 over q, so
+all q slices cost O(q^2 log q).
+
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
 B_{h'} (``kernels.pair_kernel_grid_closed``).  Twisted by a +-1 diagonal, B_{h'}
@@ -37,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import FieldCtx, sqrt_pairs
-from .characters import ComplexFn, fourier, fourier_inverse, random_fn
-from .kernels import quad_kernel_table
+from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
+from .kernels import ROW_BLOCK_CELLS, _quad_generic
 from .reporting import CheckResult, error_check
 from .weil import _blocked_char_sums, _ratio_terms
 
@@ -66,16 +75,30 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     return ComplexFn(ctx, acc / ctx.q)
 
 
-def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
-    """sum_n fhat1(m-n) fhat2(n) K(m-n, n), for every m."""
+def _coefficient_rows(f1: ComplexFn, f2: ComplexFn):
+    """Yield the deviation's coefficient rows c(m, n) = fhat1(m-n) fhat2(n)
+    K(m-n, n), column n = 0 zeroed, in blocks of consecutive m from m = 0."""
     ctx = _common_field(f1, f2)
     fh1, fh2 = fourier(f1).values, fourier(f2).values
-    Kt = quad_kernel_table(ctx)
-    codes = ctx.elements()
-    coeffs = np.zeros(ctx.q, dtype=complex)
-    for n in range(ctx.q):
-        mn = ctx.sub_vec(codes, n)
-        coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
+    ns = ctx.units()
+    step = max(1, ROW_BLOCK_CELLS // ctx.q)
+    for m0 in range(0, ctx.q, step):
+        a = ctx.sub_vec(np.arange(m0, min(m0 + step, ctx.q))[:, None], ns)  # m - n
+        rows = np.zeros((len(a), ctx.q), dtype=complex)
+        rows[:, 1:] = fh1[a] * fh2[1:] * _quad_generic(ctx, a, ns)
+        yield rows
+
+
+def _deviation_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """The coefficients of A(f1,f2) - E[f1] E[f2]: the row sums over n != 0."""
+    return np.concatenate([rows.sum(axis=1) for rows in _coefficient_rows(f1, f2)])
+
+
+def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """sum_n fhat1(m-n) fhat2(n) K(m-n, n), for every m: the deviation's, plus the
+    n = 0 column, fhat1(0) fhat2(0) = E[f1] E[f2] at m = 0 (K(., 0) is a point mass)."""
+    coeffs = _deviation_coeffs(f1, f2)
+    coeffs[0] += f1.mean() * f2.mean()
     return coeffs
 
 
@@ -95,18 +118,13 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
     direct      = || A(f1,f2) - E[f1] E[f2] ||_2      (averaged, physical side)
     fourier_side = counting l2 norm over m of sum_{n != 0} fhat1(m-n) fhat2(n) K(m-n, n)
 
-    The n = 0 column of K is the point mass at m = 0, so the n != 0 sum is
-    the full one with E[f1] E[f2] taken off coefficient 0.  The two routes
-    agree identically in exact arithmetic; a relative mismatch beyond 1e-8
-    raises (internal-consistency failure, not an input error).
+    The two routes agree identically in exact arithmetic; a relative
+    mismatch beyond 1e-8 raises (internal-consistency failure, not an input
+    error).
     """
-    mean = f1.mean() * f2.mean()
-    dev = averaging_apply(f1, f2).values - mean
+    dev = averaging_apply(f1, f2).values - f1.mean() * f2.mean()
     direct = float(np.sqrt((np.abs(dev) ** 2).mean()))
-
-    coeffs = _kernel_coeffs(f1, f2)
-    coeffs[0] -= mean
-    fourier_side = float(np.sqrt((np.abs(coeffs) ** 2).sum()))
+    fourier_side = float(np.sqrt((np.abs(_deviation_coeffs(f1, f2)) ** 2).sum()))
 
     if abs(direct - fourier_side) > 1e-8 * max(1.0, direct, fourier_side):
         raise RuntimeError(
@@ -120,49 +138,22 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
 # ---------------------------------------------------------------------------
 
 
-def sliced_operator_matrix(ctx: FieldCtx, h: int) -> np.ndarray:
-    """Matrix of K(u, v) conj(K(u-h, v+h)) with columns v in {0, -h} zeroed."""
-    h = ctx.check_element(h)
-    Kt = quad_kernel_table(ctx)
-    codes = ctx.elements()
-    rows = ctx.sub_vec(codes, h)
-    cols = ctx.add_vec(codes, h)
-    M = Kt * Kt[np.ix_(rows, cols)].conj()
-    M[:, 0] = 0.0
-    M[:, ctx.neg(h)] = 0.0
-    return M
+def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """The deviation square expanded over difference slices h: entry h is
 
+    sum_{u; v outside {0,-h}} fhat1(u) conj(fhat1(u-h)) fhat2(v)
+    conj(fhat2(v+h)) K(u,v) conj(K(u-h, v+h)),
 
-def sliced_square_form(f1: ComplexFn, f2: ComplexFn, collect_slices: bool = False):
-    """The deviation square expanded over difference slices h:
-
-    sum_h sum_{u; v outside {0,-h}} fhat1(u) conj(fhat1(u-h)) fhat2(v)
-    conj(fhat2(v+h)) K(u,v) conj(K(u-h, v+h)).
-
-    Equals || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged norm squared,
-    which matches the counting-norm square of the deviation's coefficients).
+    the coefficient rows' autocorrelation sum_m sum_n c(m, n) conj(c(m, n+h)).
+    The slices sum to || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged
+    norm squared, which matches the counting-norm square of the deviation's
+    coefficients).
     """
     ctx = f1.ctx
-    fh1, fh2 = fourier(f1).values, fourier(f2).values
-    codes = ctx.elements()
-    slices = np.zeros(ctx.q, dtype=complex)
-    for h in range(ctx.q):
-        Fh = fh1 * fh1[ctx.sub_vec(codes, h)].conj()
-        Gh = fh2 * fh2[ctx.add_vec(codes, h)].conj()
-        M = sliced_operator_matrix(ctx, h)
-        slices[h] = Fh @ (M @ Gh)
-    total = complex(slices.sum())
-    if collect_slices:
-        return total, slices
-    return total
-
-
-def sliced_operator_apply(ctx: FieldCtx, h: int, G: ComplexFn) -> ComplexFn:
-    """T_h G at u: sum over v outside {0, -h} of G(v) K(u,v) conj(K(u-h, v+h))."""
-    h = ctx.check_element(h)
-    if h == 0:
-        raise ValueError("the h = 0 slice is handled inside sliced_square_form")
-    return ComplexFn(ctx, sliced_operator_matrix(ctx, h) @ G.values)
+    power = np.zeros(ctx.q)
+    for rows in _coefficient_rows(f1, f2):
+        power += (np.abs(fourier_inverse_rows(ctx, rows)) ** 2).sum(axis=0)
+    return fourier_inverse_rows(ctx, power) / ctx.q
 
 
 def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
@@ -177,11 +168,13 @@ def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]
         direct = averaging_apply(f1, f2).values
         routes[i] = np.abs(direct - averaging_apply_fourier(f1, f2).values).max()
         square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
-        form[i] = abs(sliced_square_form(f1, f2) - square)
+        form[i] = abs(sliced_square_form(f1, f2).sum() - square)
     # the point mass sits at the first v >= 2 other than -1; F_3 has none,
-    # and v = 1 serves there
+    # and v = 1 serves there.  Its image under T_1 is K(u, v0) conj(K(u-1, v0+1))
     v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
-    image = sliced_operator_matrix(ctx, 1)[:, v0]
+    codes = ctx.elements()
+    image = _quad_generic(ctx, codes, v0) * np.conj(
+        _quad_generic(ctx, ctx.sub_vec(codes, 1), ctx.add(v0, 1)))
     return [
         error_check("averaging-two-routes", routes, 1e-8, lambda i: f"(trial={i})"),
         error_check("slice-expansion-identity", form, 1e-8, lambda i: f"(trial={i})"),

@@ -3,12 +3,21 @@
 ``pair_kernel_coeffs`` writes the pair kernel's summand phase as a quadratic
 A x^2 + B x + C in x; resumming that quadratic phase is an oracle for the
 pair kernel independent of both package routes.
+
+``quad_kernel_table`` is the closed-form K on the whole q x q grid and
+``quad_kernel_table_brute`` the literal average accumulated one y at a time;
+``kernel_coeffs_table`` is the Fourier route's coefficients read from that
+table, one column n at a time.  The package builds K in blocks of rows and
+never holds the grid.
 """
 
 from __future__ import annotations
 
-from qprog.field import FieldCtx
-from qprog.kernels import _check_pair_args
+import numpy as np
+
+from qprog.characters import ComplexFn, additive_char_table, fourier
+from qprog.field import FieldCtx, per_field
+from qprog.kernels import _check_pair_args, _quad_generic
 
 
 def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, int]:
@@ -21,3 +30,39 @@ def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int,
     b = ctx.div(ctx.mul(ctx.from_int(2), ctx.mul(h, ymz)), denom)
     c = ctx.div(ctx.mul(ctx.mul(h, h), ctx.neg(ymz)), denom)
     return a, b, c
+
+
+@per_field("quad_kernel_table")
+def quad_kernel_table(ctx: FieldCtx) -> np.ndarray:
+    """Closed-form K on the whole q x q grid (cached; rows a, columns b)."""
+    tab = np.zeros((ctx.q, ctx.q), dtype=complex)
+    tab[:, 1:] = _quad_generic(ctx, ctx.elements()[:, None], ctx.units()[None, :])
+    tab[0, 0] = 1.0
+    return tab
+
+
+def quad_kernel_table_brute(ctx: FieldCtx) -> np.ndarray:
+    """Brute-force K grid, accumulated one y at a time (testing oracle)."""
+    q = ctx.q
+    codes = ctx.elements()
+    squares = ctx.sq_vec(codes)
+    e = additive_char_table(ctx)
+    acc = np.zeros((q, q), dtype=complex)
+    for y in range(q):
+        ay = ctx.mul_vec(codes, y)
+        by2 = ctx.mul_vec(codes, squares[y])
+        acc += e[ctx.add_vec(ay[:, None], by2[None, :])]
+    return acc / q
+
+
+def kernel_coeffs_table(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """sum_n fhat1(m-n) fhat2(n) K(m-n, n), for every m, from the table."""
+    ctx = f1.ctx
+    fh1, fh2 = fourier(f1).values, fourier(f2).values
+    Kt = quad_kernel_table(ctx)
+    codes = ctx.elements()
+    coeffs = np.zeros(ctx.q, dtype=complex)
+    for n in range(ctx.q):
+        mn = ctx.sub_vec(codes, n)
+        coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
+    return coeffs

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qprog import characters, constructions, operators, weil
+from qprog import characters, constructions, kernels, operators, weil
 from qprog.characters import ComplexFn
 from qprog.cli import main
 from qprog.field import DESK_CAP, get_field
@@ -284,12 +284,31 @@ def test_verify_fourier_at_cap_edge_holds_no_square_table(tmp_path):
     assert all(v.size < q * q for v in cache.values() if isinstance(v, np.ndarray))
 
 
-def test_scan_slices_holds_no_kernel_table(tmp_path):
-    """Slice norms come from the Weil sums: q = 2187 scans without the q x q
-    quad-kernel table (76 MB) the dense route built."""
-    rc = main(["scan", "slices", "--q-list", "2187", "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["scan", "slices", "--q-list", "2187"],
+    ["scan", "delta", "--q-list", "2187", "--trials", "1"],
+    ["verify", "operators", "--p", "3", "--s", "7", "--trials", "1"],
+], ids=["scan-slices", "scan-delta", "verify-operators"])
+def test_scan_slices_holds_no_kernel_table(tmp_path, argv):
+    """Slice norms come from the Weil sums, and the deviation's coefficients
+    and slices from blocks of kernel rows: at q = 2187 no cached array but
+    the int16 addition table reaches q^2 entries (the q x q complex
+    quad-kernel table the dense routes built was 76 MB)."""
+    rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 0
-    assert "quad_kernel_table" not in get_field(3, 7, DESK_CAP)._cache  # the CLI worker's key
+    q = 3**7
+    cache = get_field(3, 7, DESK_CAP)._cache  # same cache key as the CLI worker
+    assert all(v.size < q * q for k, v in cache.items()
+               if k != "add_table" and isinstance(v, np.ndarray))
+
+
+def test_out_of_memory_exits_cleanly(tmp_path, monkeypatch, capsys):
+    def exhausted(ctx, h):
+        raise MemoryError("pair grid")
+
+    monkeypatch.setattr(kernels, "pair_kernel_grid_brute", exhausted)
+    assert main(["verify", "kernels", "--p", "5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: out of memory in verify kernels: pair grid\n"
 
 
 def test_bare_verify_passes(tmp_path):

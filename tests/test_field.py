@@ -219,7 +219,6 @@ def test_per_field_tables_are_built_once():
         quadratic_char_table,
         unit_root_powers,
     )
-    from qprog.kernels import quad_kernel_table
 
     ctx = build_field(5, 2)  # a fresh field: no table built yet
     tables = {
@@ -231,7 +230,6 @@ def test_per_field_tables_are_built_once():
         "chi_table": quadratic_char_table,
         "trace_index": _trace_index,
         "gauss_sum": gauss_sum,
-        "quad_kernel_table": quad_kernel_table,
     }
     for key, table in tables.items():
         first = table(ctx)

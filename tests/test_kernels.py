@@ -20,15 +20,15 @@ from qprog.kernels import (
     quad_kernel,
     quad_kernel_brute,
     quad_kernel_check,
-    quad_kernel_table,
+    quad_kernel_rows_brute,
     ratio_kernel,
     ratio_kernel_table,
     twisted_pair_kernel,
     twisted_prefactor,
 )
 
-from conftest import Q_MEDIUM, field_for
-from kernel_oracles import pair_kernel_coeffs
+from conftest import Q_FULL, Q_MEDIUM, field_for
+from kernel_oracles import pair_kernel_coeffs, quad_kernel_table, quad_kernel_table_brute
 
 
 # ---------------------------------------------------------------------------
@@ -58,20 +58,32 @@ def test_quad_kernel_closed_equals_brute(ctx_medium):
 
 
 def test_quad_kernel_check_names_the_first_bad_cell(monkeypatch):
-    """The first failing cell in (a, b) order, not the worst one."""
-    brute = kernels.quad_kernel_table_brute
+    """The first failing cell in (b, a) order, not the worst one (nor the
+    first in (a, b) order), named across blocks of two rows b."""
+    brute = kernels.quad_kernel_rows_brute
 
-    def perturbed(ctx):
-        tab = brute(ctx)
-        tab[0, 2] += 1e-3
-        tab[1, 1] += 1.0
-        return tab
+    def perturbed(ctx, bs):
+        rows = brute(ctx, bs)
+        rows[bs == 3, 2] += 1e-3
+        rows[bs == 4, 1] += 1.0
+        return rows
 
-    monkeypatch.setattr(kernels, "quad_kernel_table_brute", perturbed)
+    monkeypatch.setattr(kernels, "quad_kernel_rows_brute", perturbed)
+    monkeypatch.setattr(kernels, "ROW_BLOCK_CELLS", 10)  # rows b in {0, 1}, {2, 3}, {4}
     res = quad_kernel_check(get_field(5, 1))
     assert not res.passed
-    assert res.first_failure.startswith("(a=0, b=2) err=1.000e-03")
+    assert res.cases == 25
+    assert res.first_failure.startswith("(a=2, b=3) err=1.000e-03")
     assert res.max_err == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243])
+def test_quad_kernel_rows_brute_match_loop_oracle(q):
+    """The literal K by one inverse transform per row b against the sum
+    accumulated one y at a time."""
+    ctx = field_for(q)
+    rows = quad_kernel_rows_brute(ctx, ctx.elements())  # rows b, columns a
+    assert np.abs(rows.T - quad_kernel_table_brute(ctx)).max() <= 1e-12
 
 
 

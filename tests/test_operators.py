@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qprog.field import get_field
+from qprog.field import build_field, get_field
 from qprog.characters import ComplexFn, additive_char_table, random_fn
-from qprog.kernels import pair_kernel_grid_closed, quad_kernel, quad_kernel_table_brute
+from qprog.kernels import pair_kernel_grid_closed, quad_kernel
 from qprog.operators import (
+    _kernel_coeffs,
     alternating_max_ratio,
     averaging_apply,
     averaging_apply_fourier,
@@ -17,19 +18,25 @@ from qprog.operators import (
     deviation_norm,
     deviation_scan,
     sliced_norm_scan,
-    sliced_operator_apply,
-    sliced_operator_matrix,
     sliced_operator_norm,
     sliced_square_form,
     triple_average_chain,
 )
 
 from conftest import Q_FULL, field_for
+from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
 from progression_oracles import count_progressions_field_scan
-from slice_oracles import sliced_operator_norm_svd
+from slice_oracles import (
+    sliced_operator_apply,
+    sliced_operator_matrix,
+    sliced_operator_norm_svd,
+    sliced_square_form_dense,
+)
 
 # the test ladder plus larger extension fields, for the two-route count test
 Q_COUNT = Q_FULL + [125, 243, 343]
+# the test ladder plus two extension fields, for the coefficient-row routes
+Q_ROWS = Q_FULL + [125, 243]
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +68,16 @@ def test_averaging_two_routes_random(ctx_medium):
         d = averaging_apply(f1, f2).values
         v = averaging_apply_fourier(f1, f2).values
         assert np.abs(d - v).max() < 1e-9
+
+
+@pytest.mark.parametrize("q", Q_ROWS)
+def test_kernel_coeffs_match_table_oracle(q):
+    """Coefficients built in blocks of rows against the q x q table route."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    for _ in range(2):
+        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+        assert np.abs(_kernel_coeffs(f1, f2) - kernel_coeffs_table(f1, f2)).max() <= 1e-12
 
 
 def test_averaging_on_origin_indicators():
@@ -148,7 +165,7 @@ def test_sliced_square_form_equals_deviation_square(ctx_medium):
     for _ in range(5):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
         norms = deviation_norm(f1, f2)
-        form = sliced_square_form(f1, f2)
+        form = sliced_square_form(f1, f2).sum()
         assert abs(form.imag) < 1e-9
         target = norms.fourier_side**2
         assert abs(form.real - target) <= 1e-8 * max(1.0, target)
@@ -160,7 +177,7 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
     from qprog.characters import fourier
 
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    _, slices = sliced_square_form(f1, f2, collect_slices=True)
+    slices = sliced_square_form(f1, f2)
     l1 = (np.abs(fourier(f1).values) ** 2).sum()
     l2 = (np.abs(fourier(f2).values) ** 2).sum()
     assert slices[0].real <= l1 * l2 / ctx.q + 1e-12
@@ -170,7 +187,20 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
 def test_sliced_square_form_of_zero():
     ctx = get_field(5, 1)
     zero = ComplexFn(ctx, np.zeros(5))
-    assert abs(sliced_square_form(zero, zero)) == 0
+    assert np.abs(sliced_square_form(zero, zero)).max() == 0
+    other = ComplexFn(build_field(5, 1), np.zeros(5))  # the same q, another context
+    with pytest.raises(ValueError, match="different fields"):
+        sliced_square_form(zero, other)
+
+
+@pytest.mark.parametrize("q", Q_ROWS)
+def test_slices_match_dense_loop_oracle(q):
+    """Every slice, by autocorrelation of the coefficient rows, against one
+    bilinear form with the dense slice matrix per h."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+    assert np.abs(sliced_square_form(f1, f2) - sliced_square_form_dense(f1, f2)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
