@@ -11,8 +11,11 @@ bit-for-bit across runs and machines:
   non-leading coefficient code is smallest (for s=1 this degenerates to X),
 * the generator is the smallest code of multiplicative order q-1.
 
-Multiplication and inversion run through discrete-log tables; addition is
-digitwise and is backed by a cached q x q table for small fields.  The
+Multiplication is one gather, exp_ext[log0[a] + log0[b]], from discrete-log
+tables padded so that neither a reduction mod q-1 nor a test for zero is
+needed; inversion and powers run through the plain log/exp tables.  Addition
+is digitwise and is backed, for small fields, by a cached q x q table built
+from the p x p table of one digit.  The
 arithmetic is written once, in the vectorised methods (``add_vec`` etc.),
 which accept numpy integer arrays and broadcast; the scalar methods call them
 on single codes.  Per-field tables are built once, by ``per_field``.
@@ -32,7 +35,8 @@ import numpy as np
 
 # Largest field materialised by default.  It bounds q, not the work: in
 # q = |F|, the exhaustive routes cost
-#   dense q x q add table (q <= _ADD_TABLE_MAX)                     q^2 memory
+#   mul_vec, one gather per product (tables of 5q words)            1 per product
+#   dense q x q add table (q <= _ADD_TABLE_MAX), s int16 passes     q^2 memory
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm                                 q^2
 #   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
@@ -47,10 +51,6 @@ DESK_CAP = 10_000
 # Fields up to this size get a dense q x q addition table (2187^2 int16 is
 # ~9.6 MB); larger fields fall back to digitwise addition.
 _ADD_TABLE_MAX = 2500
-
-# rows of the addition table computed at once: the int64 digit arithmetic
-# stays a few MB instead of q^2 words
-_ADD_TABLE_ROWS = 64
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -336,13 +336,17 @@ class FieldCtx:
     @property
     @per_field("add_table")
     def add_table(self) -> np.ndarray | None:
+        """The q x q table a + b, int16, built digit by digit: the p x p table
+        digit = (i + k) % p, then for each higher digit j the broadcast term
+        digit[:, None, :, None] p^j + tab[None, :, None, :], reshaped."""
         if self.q > _ADD_TABLE_MAX:
             return None
-        codes = self.elements()
-        tab = np.empty((self.q, self.q), dtype=np.int32 if self.q > 2**15 else np.int16)
-        for a0 in range(0, self.q, _ADD_TABLE_ROWS):
-            rows = codes[a0 : a0 + _ADD_TABLE_ROWS, None]
-            tab[a0 : a0 + _ADD_TABLE_ROWS] = self._add_digitwise(rows, codes[None, :])
+        i = np.arange(self.p, dtype=np.int16)
+        digit = (i[:, None] + i[None, :]) % self.p
+        tab = digit
+        for pj in self._pow_p[1 : self.s]:
+            tab = (digit[:, None, :, None] * pj + tab[None, :, None, :]).reshape(
+                self.p * pj, self.p * pj)
         return tab
 
     def _add_digitwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,8 +361,8 @@ class FieldCtx:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         tab = self.add_table
-        if tab is not None:
-            return tab[a, b].astype(np.int64)
+        if tab is not None:  # one flat gather: half the time of tab[a, b]
+            return tab.ravel()[a * self.q + b].astype(np.int64)
         return self._add_digitwise(a, b)
 
     def neg_vec(self, a) -> np.ndarray:
@@ -367,14 +371,20 @@ class FieldCtx:
     def sub_vec(self, a, b) -> np.ndarray:
         return self.add_vec(a, self.neg_vec(b))
 
+    @per_field("mul_tables")
+    def _mul_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log0, exp_ext) with mul(a, b) = exp_ext[log0[a] + log0[b]]: log0 is
+        the log table with log0[0] = 2(q-1), exp_ext the exp table twice over
+        and then zeros up to index 4(q-1), where any product with 0 lands."""
+        n = self.q - 1
+        log0 = self.log_table.copy()
+        log0[0] = 2 * n
+        exp_ext = np.concatenate([self.exp_table, self.exp_table, np.zeros(2 * n + 1, np.int64)])
+        return log0, exp_ext
+
     def mul_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        la = self.log_table[a]
-        lb = self.log_table[b]
-        k = (la + lb) % (self.q - 1)
-        out = self.exp_table[k]
-        return np.where((a == 0) | (b == 0), 0, out)
+        log0, exp_ext = self._mul_tables()
+        return exp_ext[log0[np.asarray(a, dtype=np.int64)] + log0[np.asarray(b, dtype=np.int64)]]
 
     @per_field("sq_table")
     def _squares(self) -> np.ndarray:

@@ -41,19 +41,30 @@ from .reporting import TOLERANCE_ABS, CheckResult, stacked_error_check
 # quad kernel K: the Fourier multiplier of the averaging operator
 # ---------------------------------------------------------------------------
 
-# cells in one block of kernel rows, here and in the deviation's coefficient
-# rows: int64 temporaries under 128 KiB are reused, not fresh pages; at q = 2187
-# (2 vCPU) a coefficient call took 0.26 s in such blocks, 0.45 s in 2^16 cells
+# cells in one block of rows, for the kernel rows here, the deviation's
+# coefficient rows and the direct averaging route's rows of y: int64
+# temporaries under 128 KiB are reused, not fresh pages; at q = 2187 (2 vCPU)
+# a coefficient call took 0.26 s in such blocks, 0.45 s in 2^16 cells
 ROW_BLOCK_CELLS = 1 << 14
+
+
+def _quad_columns(ctx: FieldCtx, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of K(a, b) that depend on b alone (b != 0): the prefactor
+    sigma q^{-1/2} chi(b) and the code -1/(4b)."""
+    sigma = gauss_sum(ctx).sigma
+    prefactor = (sigma / math.sqrt(ctx.q)) * quadratic_char_table(ctx)[b]
+    return prefactor, ctx.neg_vec(ctx.inv_vec(ctx.mul_vec(ctx.from_int(4), b)))
+
+
+def _quad_rows(ctx: FieldCtx, a: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """K(a, b) from the column parts of b: prefactor(b) e(a^2 (-1/(4b)))."""
+    prefactor, neg_inv4b = columns
+    return prefactor * additive_char_table(ctx)[ctx.mul_vec(ctx.sq_vec(a), neg_inv4b)]
 
 
 def _quad_generic(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sigma q^{-1/2} chi(b) e(-a^2/(4b)), broadcast over code arrays a and b (b != 0)."""
-    sigma = gauss_sum(ctx).sigma
-    inv4b = ctx.inv_vec(ctx.mul_vec(ctx.from_int(4), b))
-    phase = ctx.neg_vec(ctx.mul_vec(ctx.sq_vec(a), inv4b))
-    chi = quadratic_char_table(ctx)
-    return (sigma / math.sqrt(ctx.q)) * chi[b] * additive_char_table(ctx)[phase]
+    return _quad_rows(ctx, a, _quad_columns(ctx, b))
 
 
 def quad_kernel(ctx: FieldCtx, a: int, b: int) -> complex:
@@ -247,12 +258,14 @@ def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal average on every (a, b) pair, in blocks of rows b."""
     codes = ctx.elements()
     step = max(1, ROW_BLOCK_CELLS // ctx.q)
+    prefactor, neg_inv4b = _quad_columns(ctx, codes[1:, None])  # row b at b - 1
 
     def blocks():
         for b0 in range(0, ctx.q, step):
             bs = codes[b0 : b0 + step]
+            units = bs[bs != 0] - 1
             closed = np.zeros((len(bs), ctx.q), dtype=complex)
-            closed[bs != 0] = _quad_generic(ctx, codes, bs[bs != 0, None])
+            closed[bs != 0] = _quad_rows(ctx, codes, (prefactor[units], neg_inv4b[units]))
             closed[bs == 0, 0] = 1.0  # K(., 0) is the point mass at a = 0
             err = np.abs(closed - quad_kernel_rows_brute(ctx, bs))
             yield err, lambda i, a, b0=b0: f"(a={a}, b={b0 + i})"

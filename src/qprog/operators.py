@@ -4,7 +4,9 @@ Normalization bookkeeping (every cross-route comparison below states its
 conventions explicitly):
 
 * ``averaging_apply`` returns the physical-side average
-  (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.
+  (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It
+  gathers the rows in blocks of y and adds them in y order, so it stays on
+  the physical side, independent of the Fourier route.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -16,11 +18,12 @@ conventions explicitly):
 The Fourier route and the slice expansion read one builder, the deviation's
 coefficient rows c(m, n) = fhat1(m-n) fhat2(n) K(m-n, n) with column n = 0
 zeroed, built from the closed form of K in blocks of m (O(q) memory per
-row).  Since K(a, 0) is the point mass at a = 0, the row sums are the
-coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation square is
-the rows' additive autocorrelation at lag h: with C_m the inverse transform
-of row m, every slice is the inverse transform of sum_m |C_m|^2 over q, so
-all q slices cost O(q^2 log q).
+row); the parts of K that depend on n alone are built once per call.  Since
+K(a, 0) is the point mass at a = 0, the row sums are the coefficients of
+A(f1,f2) - E[f1] E[f2].  Slice h of the deviation square is the rows'
+additive autocorrelation at lag h: with C_m the inverse transform of row m,
+every slice is the inverse transform of sum_m |C_m|^2 over q, so all q
+slices cost O(q^2 log q); consecutive blocks of rows share one FFT call.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
@@ -41,13 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .field import FieldCtx, sqrt_pairs
 from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
-from .kernels import ROW_BLOCK_CELLS, _quad_generic
+from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_generic, _quad_rows
 from .reporting import CheckResult, error_check
 from .weil import _blocked_char_sums, _ratio_terms
 
@@ -70,8 +74,12 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     squares = ctx.sq_vec(codes)
     v1, v2 = f1.values, f2.values
     acc = np.zeros(ctx.q, dtype=complex)
-    for y in range(ctx.q):
-        acc += v1[ctx.add_vec(codes, y)] * v2[ctx.add_vec(codes, squares[y])]
+    step = max(1, ROW_BLOCK_CELLS // ctx.q)
+    for y0 in range(0, ctx.q, step):
+        ys = codes[y0 : y0 + step, None]
+        rows = v1[ctx.add_vec(ys, codes)] * v2[ctx.add_vec(squares[ys], codes)]
+        for row in rows:  # one y at a time, in order: the sum is the per-y loop's
+            acc += row
     return ComplexFn(ctx, acc / ctx.q)
 
 
@@ -81,11 +89,13 @@ def _coefficient_rows(f1: ComplexFn, f2: ComplexFn):
     ctx = _common_field(f1, f2)
     fh1, fh2 = fourier(f1).values, fourier(f2).values
     ns = ctx.units()
+    neg_ns = ctx.neg_vec(ns)
+    columns = _quad_columns(ctx, ns)
     step = max(1, ROW_BLOCK_CELLS // ctx.q)
     for m0 in range(0, ctx.q, step):
-        a = ctx.sub_vec(np.arange(m0, min(m0 + step, ctx.q))[:, None], ns)  # m - n
+        a = ctx.add_vec(np.arange(m0, min(m0 + step, ctx.q))[:, None], neg_ns)  # m - n
         rows = np.zeros((len(a), ctx.q), dtype=complex)
-        rows[:, 1:] = fh1[a] * fh2[1:] * _quad_generic(ctx, a, ns)
+        rows[:, 1:] = fh1[a] * fh2[1:] * _quad_rows(ctx, a, columns)
         yield rows
 
 
@@ -138,6 +148,13 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
 # ---------------------------------------------------------------------------
 
 
+# coefficient blocks joined into one FFT call of ``sliced_square_form`` (at
+# most 2^17 cells): above q = 2^13 a block is one row, and one prime-length
+# FFT call per row was its largest cost; at q = 9973 (2 vCPU) one call took
+# 16.5-18.5 s with 8, 13 or 26 rows per FFT call, 27.7 s with one
+_SLICE_FFT_BLOCKS = 8
+
+
 def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
     """The deviation square expanded over difference slices h: entry h is
 
@@ -151,8 +168,11 @@ def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
     """
     ctx = f1.ctx
     power = np.zeros(ctx.q)
-    for rows in _coefficient_rows(f1, f2):
-        power += (np.abs(fourier_inverse_rows(ctx, rows)) ** 2).sum(axis=0)
+    blocks = _coefficient_rows(f1, f2)
+    while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
+        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate(batch))) ** 2
+        for part in np.split(sq, np.cumsum([len(rows) for rows in batch[:-1]])):
+            power += part.sum(axis=0)  # block by block, as unbatched
     return fourier_inverse_rows(ctx, power) / ctx.q
 
 

@@ -220,8 +220,9 @@ def test_per_field_tables_are_built_once():
         unit_root_powers,
     )
 
-    ctx = build_field(5, 2)  # a fresh field: no table built yet
+    ctx = build_field(5, 2)  # a fresh field: only the mul tables are built
     tables = {
+        "mul_tables": lambda c: c._mul_tables(),
         "add_table": lambda c: c.add_table,
         "sq_table": lambda c: c._squares(),
         "sqrt_pairs": sqrt_pairs,
@@ -323,6 +324,32 @@ def test_cubic_min_poly_rejects_subfield_points():
     quad_emb = subfield_embed(get_field(3, 1), get_field(3, 2))
     with pytest.raises(ValueError):
         cubic_min_poly(quad_emb, 3)
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (3, 7), (5, 4), (7, 4), (13, 3), (2477, 1)])
+def test_add_table_is_built_from_digits(p, s):
+    """The digit-built table is int16 and equals the digitwise sum, compared
+    in blocks of rows, up to the largest fields that keep a table."""
+    ctx = build_field(p, s)
+    codes = ctx.elements()
+    tab = ctx.add_table
+    assert tab.dtype == np.int16 and tab.shape == (ctx.q, ctx.q)
+    for a0 in range(0, ctx.q, 256):
+        rows = codes[a0 : a0 + 256, None]
+        assert np.array_equal(tab[a0 : a0 + 256], ctx._add_digitwise(rows, codes[None, :]))
+
+
+@pytest.mark.parametrize("q", Q_FULL)
+def test_mul_vec_matches_polynomial_product_on_every_pair(q):
+    """The padded-log gather against polynomial products, zeros included, as
+    a (k,1) x (1,n) broadcast and as scalar x array; log_table[0] stays -1."""
+    ctx = field_for(q)
+    codes = ctx.elements()
+    expected = np.array([[mul_direct(ctx, a, b) for b in range(q)] for a in range(q)])
+    assert np.array_equal(ctx.mul_vec(codes[:, None], codes[None, :]), expected)
+    for a in range(q):
+        assert np.array_equal(ctx.mul_vec(a, codes), expected[a])
+    assert ctx.log_table[0] == -1
 
 
 def test_add_table_matches_digitwise_on_f3_7():

@@ -1,12 +1,14 @@
 """Averaging operator identities, sliced norms, progression counting, thresholds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qprog.field import build_field, get_field
 from qprog.characters import ComplexFn, additive_char_table, random_fn
+from qprog import operators
 from qprog.kernels import pair_kernel_grid_closed, quad_kernel
 from qprog.operators import (
     _kernel_coeffs,
@@ -23,6 +25,7 @@ from qprog.operators import (
     triple_average_chain,
 )
 
+from averaging_oracles import averaging_apply_per_y
 from conftest import Q_FULL, field_for
 from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
 from progression_oracles import count_progressions_field_scan
@@ -68,6 +71,32 @@ def test_averaging_two_routes_random(ctx_medium):
         d = averaging_apply(f1, f2).values
         v = averaging_apply_fourier(f1, f2).values
         assert np.abs(d - v).max() < 1e-9
+
+
+@pytest.mark.parametrize("q", Q_ROWS)
+def test_averaging_apply_matches_per_y_oracle(q):
+    """Rows gathered in blocks of y and added in y order: the per-y sum exactly."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    for _ in range(2):
+        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+        assert np.array_equal(averaging_apply(f1, f2).values, averaging_apply_per_y(f1, f2).values)
+
+
+def test_averaging_apply_holds_no_square_array():
+    """At q = 2187 a q x q complex array takes 76 MB; the blocks of y stay far
+    below (the field and its add table are built before tracing starts)."""
+    ctx = get_field(3, 7)
+    rng = np.random.default_rng(7)
+    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+    averaging_apply(f1, f2)  # warm the per-field tables
+    tracemalloc.start()
+    try:
+        averaging_apply(f1, f2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
@@ -201,6 +230,18 @@ def test_slices_match_dense_loop_oracle(q):
     rng = np.random.default_rng(q)
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
     assert np.abs(sliced_square_form(f1, f2) - sliced_square_form_dense(f1, f2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q", [243, 729])
+def test_sliced_square_form_is_exact_under_fft_batching(q, monkeypatch):
+    """Several coefficient blocks per FFT call give the one-block-per-call
+    slices bit for bit: the power is still added block by block."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+    batched = sliced_square_form(f1, f2)
+    monkeypatch.setattr(operators, "_SLICE_FFT_BLOCKS", 1)
+    assert np.array_equal(batched, sliced_square_form(f1, f2))
 
 
 # ---------------------------------------------------------------------------
