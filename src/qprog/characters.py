@@ -110,8 +110,8 @@ class ComplexFn:
     def mean(self) -> complex:
         return complex(self.values.sum() / self.ctx.q)
 
-    def norm_avg(self, r: float = 2.0) -> float:
-        return float((np.abs(self.values) ** r).mean() ** (1.0 / r))
+    def norm_avg(self) -> float:
+        return float((np.abs(self.values) ** 2).mean() ** 0.5)
 
     def norm_count(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum()))
@@ -242,7 +242,7 @@ def fourier_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     for i in range(trials):
         f = random_fn(ctx, rng)
         fh = fourier(f)
-        parseval[i, 0] = relative_error(f.norm_avg(2.0), fh.norm_count())
+        parseval[i, 0] = relative_error(f.norm_avg(), fh.norm_count())
         round_trip[i, 0] = np.abs(fourier_inverse(fh).values - f.values).max()
         g = random_fn(ctx, rng).values
         g[0] = 0.0

@@ -319,7 +319,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="RNG seed recorded in reports")
     parser.add_argument("--trials", type=_positive_int, default=50,
                         help="random trials per field (at least 1)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel field workers")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel field workers")
     parser.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
     parser.add_argument("--format", choices=("json", "csv", "both"), default="json")
     parser.add_argument("--cap", type=int, default=10_000, help="desk-scale field size cap")

@@ -39,6 +39,7 @@ import numpy as np
 #   dense q x q add table (q <= _ADD_TABLE_MAX), s int16 passes     q^2 memory
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm                                 q^2
+#   alternating_max_ratio (4 x starts x rounds steps)               q^2 per step
 #   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
 #   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
 #   sliced_norm_scan (ratio-sum grid, ~55 O(q) bisection steps/h)   q^2 log q

@@ -4,9 +4,9 @@ Normalization bookkeeping (every cross-route comparison below states its
 conventions explicitly):
 
 * ``averaging_apply`` returns the physical-side average
-  (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It
-  gathers the rows in blocks of y and adds them in y order, so it stays on
-  the physical side, independent of the Fourier route.
+  (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It and
+  the deviation's two adjoints are one blocked gather, independent of the
+  Fourier route, so ``alternating_max_ratio`` steps in q^2 work, O(q) memory.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import FieldCtx, sqrt_pairs
+from .field import FieldCtx
 from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
 from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_generic, _quad_rows
 from .reporting import CheckResult, error_check
@@ -67,19 +67,25 @@ def _common_field(f1: ComplexFn, f2: ComplexFn) -> FieldCtx:
     return f1.ctx
 
 
+def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
+    """sum_y v1[x + s1[y]] v2[x + s2[y]] for every x (q^2 work): the rows are
+    gathered in blocks of y and added one y at a time, in y order."""
+    codes = ctx.elements()
+    acc = np.zeros(ctx.q, dtype=complex)
+    step = max(1, ROW_BLOCK_CELLS // ctx.q)
+    for y0 in range(0, ctx.q, step):
+        ys = slice(y0, y0 + step)
+        rows = v1[ctx.add_vec(s1[ys, None], codes)] * v2[ctx.add_vec(s2[ys, None], codes)]
+        for row in rows:  # one y at a time, in order: the sum is the per-y loop's
+            acc += row
+    return acc
+
+
 def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Direct route: (1/q) sum_y f1(x+y) f2(x+y^2) for every x (q^2 work)."""
     ctx = _common_field(f1, f2)
     codes = ctx.elements()
-    squares = ctx.sq_vec(codes)
-    v1, v2 = f1.values, f2.values
-    acc = np.zeros(ctx.q, dtype=complex)
-    step = max(1, ROW_BLOCK_CELLS // ctx.q)
-    for y0 in range(0, ctx.q, step):
-        ys = codes[y0 : y0 + step, None]
-        rows = v1[ctx.add_vec(ys, codes)] * v2[ctx.add_vec(squares[ys], codes)]
-        for row in rows:  # one y at a time, in order: the sum is the per-y loop's
-            acc += row
+    acc = _shifted_products(ctx, f1.values, codes, f2.values, ctx.sq_vec(codes))
     return ComplexFn(ctx, acc / ctx.q)
 
 
@@ -402,7 +408,7 @@ def triple_average_chain(ctx: FieldCtx, members) -> ChainReport:
     triple_average = (count_nonzero + size) / (ctx.q * ctx.q)
     f = ComplexFn(ctx, mask.astype(complex))
     dev = deviation_norm(f, f).direct
-    lower = alpha**3 - f.norm_avg(2.0) * dev
+    lower = alpha**3 - f.norm_avg() * dev
     return ChainReport(
         ctx.q, size, alpha, triple_average, dev, lower, triple_average >= lower - 1e-9
     )
@@ -432,54 +438,40 @@ class DeviationReport:
     alternating_ratio: float | None = None
 
 
-def _f1_side_matrix(ctx: FieldCtx, f2_vals: np.ndarray) -> np.ndarray:
-    """N with (A(f1,f2) - E f1 E f2)(x) = sum_a N[x,a] f1(a), f2 fixed."""
-    codes = ctx.elements()
-    mean2 = f2_vals.mean()
-    d = ctx.sub_vec(codes[None, :], codes[:, None])  # a - x at [x, a]
-    idx = ctx.add_vec(codes[:, None], ctx.sq_vec(d))
-    return (f2_vals[idx] - mean2) / ctx.q
-
-
-def _f2_side_matrix(ctx: FieldCtx, f1_vals: np.ndarray) -> np.ndarray:
-    """N with (A(f1,f2) - E f1 E f2)(x) = sum_b N[x,b] f2(b), f1 fixed."""
-    codes = ctx.elements()
-    mean1 = f1_vals.mean()
-    r1, r2 = sqrt_pairs(ctx)
-    d = ctx.sub_vec(codes[None, :], codes[:, None])  # b - x at [x, b]
-    out = np.zeros((ctx.q, ctx.q), dtype=complex)
-    for roots in (r1, r2):
-        rv = roots[d]
-        safe = np.where(rv < 0, 0, rv)
-        vals = f1_vals[ctx.add_vec(codes[:, None], safe)]
-        out += np.where(rv < 0, 0.0, vals)
-    return (out - mean1) / ctx.q
-
-
-def _top_right_singular(N: np.ndarray) -> tuple[float, np.ndarray]:
-    _, s, vh = np.linalg.svd(N)
-    return float(s[0]), vh[0].conj()
-
-
 # random starts of the alternating maximization in ``deviation_scan``
 ALTERNATING_STARTS = 32
 
 
+def _side_image(ctx: FieldCtx, g: np.ndarray, pair: list[ComplexFn], side: int) -> np.ndarray:
+    """u with sum_x conj(g(x)) D(x) = sum_a u(a) pair[side](a), D the pair's deviation:
+    (1/q) sum_y conj(g)(a-y) f2(a-y+y^2) - E f2 sum conj(g)/q for f1, and
+    (1/q) sum_y conj(g)(a-y^2) f1(a-y^2+y) - E f1 sum conj(g)/q for f2."""
+    codes = ctx.elements()  # f1 sits at x + y and f2 at x + y^2 in A(f1,f2)(x)
+    own, their = (codes, ctx.sq_vec(codes)) if side == 0 else (ctx.sq_vec(codes), codes)
+    g_bar, other = np.conj(g), pair[1 - side]
+    sums = _shifted_products(ctx, g_bar, ctx.neg_vec(own), other.values, ctx.sub_vec(their, own))
+    return (sums - other.mean() * g_bar.sum()) / ctx.q
+
+
 def alternating_max_ratio(
-    ctx: FieldCtx, rng: np.random.Generator, starts: int = ALTERNATING_STARTS, rounds: int = 20
+    ctx: FieldCtx, rng: np.random.Generator, starts: int = ALTERNATING_STARTS, rounds: int = 80
 ) -> float:
     """Lower bound for the bilinear deviation sup by alternating exact
-    one-sided maximization (each half-step is a singular-value problem)."""
+    one-sided maximization of |sum_x conj(g(x)) D(x)|, D = A(f1,f2) - E f1 E f2
+    (the higher-order power method).  Each start draws f1, then f2; each round,
+    for f1 and then f2, g becomes D, whose ratio is recorded, and that side the
+    normalized conjugate of its image.  No step lowers the ratio; D = 0 ends a start."""
     best = 0.0
     for _ in range(starts):
-        f2 = rng.standard_normal(ctx.q) + 1j * rng.standard_normal(ctx.q)
-        for _ in range(rounds):
-            s1, f1 = _top_right_singular(_f1_side_matrix(ctx, f2))
-            n2 = float(np.sqrt((np.abs(f2) ** 2).mean()))
-            best = max(best, s1 / n2)
-            s2, f2 = _top_right_singular(_f2_side_matrix(ctx, f1))
-            n1 = float(np.sqrt((np.abs(f1) ** 2).mean()))
-            best = max(best, s2 / n1)
+        pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
+        for step in range(2 * rounds):  # the f1 side, the f2 side, the f1 side, ...
+            f1, f2 = pair
+            dev = ComplexFn(ctx, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
+            best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
+            if not dev.values.any():
+                break
+            u = _side_image(ctx, dev.values, pair, step % 2)
+            pair[step % 2] = ComplexFn(ctx, np.conj(u) / np.linalg.norm(u))
     return best
 
 
@@ -496,7 +488,7 @@ def deviation_scan(
         for kind in ("pm1", "indicator"):
             f1 = random_fn(ctx, rng, kind)
             f2 = random_fn(ctx, rng, kind)
-            denom = f1.norm_avg(2.0) * f2.norm_avg(2.0)
+            denom = f1.norm_avg() * f2.norm_avg()
             if denom == 0.0:
                 continue
             ratio = deviation_norm(f1, f2).direct / denom

@@ -1,9 +1,15 @@
-"""The direct averaging route one y at a time, kept as a test oracle.
+"""Slow averaging routes kept as test oracles.
 
 ``averaging_apply_per_y`` adds the row y -> f1(x+y) f2(x+y^2) for one y per
 step, with two scalar-offset additions of length q each.  The package
 gathers the same rows in blocks of y and adds them in the same y order, so
 the two agree bit for bit.
+
+``alternating_max_ratio_svd`` is the alternating maximization by dense
+q x q side matrices: with one argument fixed, the deviation is linear in
+the other, and each half-step takes that matrix's top singular pair.  The
+package runs the same alternation matrix-free, through the adjoint of the
+trilinear form.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from qprog.characters import ComplexFn
+from qprog.field import FieldCtx, sqrt_pairs
 
 
 def averaging_apply_per_y(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
@@ -23,3 +30,50 @@ def averaging_apply_per_y(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     for y in range(ctx.q):
         acc += v1[ctx.add_vec(codes, y)] * v2[ctx.add_vec(codes, squares[y])]
     return ComplexFn(ctx, acc / ctx.q)
+
+
+def f1_side_matrix(ctx: FieldCtx, f2_vals: np.ndarray) -> np.ndarray:
+    """N with (A(f1,f2) - E f1 E f2)(x) = sum_a N[x,a] f1(a), f2 fixed."""
+    codes = ctx.elements()
+    mean2 = f2_vals.mean()
+    d = ctx.sub_vec(codes[None, :], codes[:, None])  # a - x at [x, a]
+    idx = ctx.add_vec(codes[:, None], ctx.sq_vec(d))
+    return (f2_vals[idx] - mean2) / ctx.q
+
+
+def f2_side_matrix(ctx: FieldCtx, f1_vals: np.ndarray) -> np.ndarray:
+    """N with (A(f1,f2) - E f1 E f2)(x) = sum_b N[x,b] f2(b), f1 fixed."""
+    codes = ctx.elements()
+    mean1 = f1_vals.mean()
+    r1, r2 = sqrt_pairs(ctx)
+    d = ctx.sub_vec(codes[None, :], codes[:, None])  # b - x at [x, b]
+    out = np.zeros((ctx.q, ctx.q), dtype=complex)
+    for roots in (r1, r2):
+        rv = roots[d]
+        safe = np.where(rv < 0, 0, rv)
+        vals = f1_vals[ctx.add_vec(codes[:, None], safe)]
+        out += np.where(rv < 0, 0.0, vals)
+    return (out - mean1) / ctx.q
+
+
+def _top_right_singular(N: np.ndarray) -> tuple[float, np.ndarray]:
+    _, s, vh = np.linalg.svd(N)
+    return float(s[0]), vh[0].conj()
+
+
+def alternating_max_ratio_svd(
+    ctx: FieldCtx, rng: np.random.Generator, starts: int = 32, rounds: int = 20
+) -> float:
+    """Lower bound for the bilinear deviation sup: per start a random f2,
+    then each half-step the top singular pair of one side matrix."""
+    best = 0.0
+    for _ in range(starts):
+        f2 = rng.standard_normal(ctx.q) + 1j * rng.standard_normal(ctx.q)
+        for _ in range(rounds):
+            s1, f1 = _top_right_singular(f1_side_matrix(ctx, f2))
+            n2 = float(np.sqrt((np.abs(f2) ** 2).mean()))
+            best = max(best, s1 / n2)
+            s2, f2 = _top_right_singular(f2_side_matrix(ctx, f1))
+            n1 = float(np.sqrt((np.abs(f1) ** 2).mean()))
+            best = max(best, s2 / n1)
+    return best

@@ -130,7 +130,7 @@ def test_criterion_05_parseval_both_conventions():
         rng = np.random.default_rng(q + 1)
         for _ in range(100):
             f = random_fn(ctx, rng)
-            worst = max(worst, relative_error(f.norm_avg(2.0), fourier(f).norm_count()))
+            worst = max(worst, relative_error(f.norm_avg(), fourier(f).norm_count()))
             v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
             v[0] = 0.0
             coeffs = mult_fourier(ComplexFn(ctx, v))

@@ -168,7 +168,7 @@ def test_fourier_round_trip_and_parseval(ctx_medium):
         fhat = fourier(f)
         back = fourier_inverse(fhat)
         assert np.abs(back.values - f.values).max() < 1e-9
-        a, b = f.norm_avg(2.0), fhat.norm_count()
+        a, b = f.norm_avg(), fhat.norm_count()
         assert abs(a - b) / max(a, b) < 1e-9
 
 

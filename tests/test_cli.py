@@ -174,6 +174,19 @@ def test_trials_below_one_are_rejected(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "kernels", "--p", "3", "--jobs", "0"],
+    ["verify", "kernels", "--q-list", "3,5", "--jobs", "-2"],
+    ["scan", "delta", "--q-list", "5", "--jobs", "0"],
+])
+def test_jobs_below_one_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "weil", "--p", "5", "--q-list", "7"],
     ["scan", "weil", "--p", "5", "--q-list", "7"],
     ["construct", "greedy", "--p", "5", "--q-list", "7"],

@@ -12,6 +12,7 @@ from qprog import operators
 from qprog.kernels import pair_kernel_grid_closed, quad_kernel
 from qprog.operators import (
     _kernel_coeffs,
+    _side_image,
     alternating_max_ratio,
     averaging_apply,
     averaging_apply_fourier,
@@ -25,7 +26,7 @@ from qprog.operators import (
     triple_average_chain,
 )
 
-from averaging_oracles import averaging_apply_per_y
+from averaging_oracles import alternating_max_ratio_svd, averaging_apply_per_y
 from conftest import Q_FULL, field_for
 from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
 from progression_oracles import count_progressions_field_scan
@@ -178,7 +179,7 @@ def test_deviation_ratio_order_at_q49():
     ctx = get_field(7, 2)
     rng = np.random.default_rng(9)
     f1, f2 = random_fn(ctx, rng, "pm1"), random_fn(ctx, rng, "pm1")
-    ratio = deviation_norm(f1, f2).direct / (f1.norm_avg(2) * f2.norm_avg(2))
+    ratio = deviation_norm(f1, f2).direct / (f1.norm_avg() * f2.norm_avg())
     # scan statistic, no fixed ground truth; order q^{-1/4} ~ 0.38
     assert 0.0 < ratio < 1.0
 
@@ -505,3 +506,76 @@ def test_alternating_exceeds_random_lower_bound():
     alt = alternating_max_ratio(ctx, rng, starts=4, rounds=8)
     scan = deviation_scan(ctx, trials=8, seed=3)
     assert alt >= scan.max_ratio * 0.9  # a certified lower envelope, usually larger
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243])
+def test_side_images_are_the_adjoints(q):
+    """sum conj(g) D(f1,f2) = sum u1 f1 = sum u2 f2, D the deviation and u the
+    two side images of g, for an arbitrary g."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
+    g = random_fn(ctx, rng).values
+    f1, f2 = pair
+    form = np.vdot(g, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
+    for side in (0, 1):
+        image = _side_image(ctx, g, pair, side)
+        assert abs(np.sum(image * pair[side].values) - form) <= 1e-12 * abs(form)
+
+
+def test_alternating_is_monotone_in_rounds(monkeypatch):
+    """Each exact one-sided step cannot lower the form: along one start every
+    pair's ratio is at least the one before it, so the last is the best, and
+    with a fixed seed more rounds never give less."""
+    ctx = get_field(3, 3)
+    ratios = []
+
+    def recording_apply(f1, f2):
+        out = averaging_apply(f1, f2)
+        dev = ComplexFn(ctx, out.values - f1.mean() * f2.mean())
+        ratios.append(dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
+        return out
+
+    monkeypatch.setattr(operators, "averaging_apply", recording_apply)
+    values = [alternating_max_ratio(ctx, np.random.default_rng(5), starts=1, rounds=r)
+              for r in (1, 2, 4, 8, 16)]
+    assert values == sorted(values), values
+    steps = ratios[-32:]  # the 16-round start, one pair per half-round
+    assert all(b >= a * (1 - 1e-12) for a, b in zip(steps, steps[1:])), steps
+    assert values[-1] == pytest.approx(steps[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25])
+def test_alternating_reaches_svd_oracle(q):
+    """At the default budget and seed 1 the matrix-free alternation ends no
+    lower than the dense side-matrix SVD route, and the ratio stays <= 1."""
+    ctx = field_for(q)
+    alt = alternating_max_ratio(ctx, np.random.default_rng(1))
+    oracle = alternating_max_ratio_svd(ctx, np.random.default_rng(1))
+    assert oracle * (1 - 1e-9) <= alt <= 1.0, (alt, oracle)
+
+
+def test_alternating_stops_on_vanishing_deviation():
+    """Constant f2 gives A(f1,f2) = E f1 E f2, so the deviation is 0: the start
+    records 0 and stops without dividing by the zero image."""
+
+    class ConstantRng:
+        def standard_normal(self, n):
+            return np.ones(n)
+
+    with np.errstate(all="raise"):
+        assert alternating_max_ratio(get_field(7, 1), ConstantRng(), starts=2) == 0.0
+
+
+def test_alternating_holds_no_square_array():
+    """At q = 729 a q x q complex array takes 8.1 MB; every step gathers in
+    blocks of y (the first call fills the per-field tables)."""
+    ctx = get_field(3, 6)
+    alternating_max_ratio(ctx, np.random.default_rng(1), starts=1, rounds=1)
+    tracemalloc.start()
+    try:
+        alternating_max_ratio(ctx, np.random.default_rng(1), starts=1, rounds=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
