@@ -10,8 +10,11 @@ Conventions (the highest-risk bookkeeping in this package, stated once):
 
 The additive character is fixed as e(x) = exp(2 pi i Tr(x)/p); any nontrivial
 choice gives a unitarily equivalent theory, and fixing one keeps reports
-deterministic.  Unit roots are computed from rational angles directly, never
-by repeated multiplication, so q-term sums carry no accumulated phase error.
+deterministic.  A phase e(a b) is read by discrete log: ``phase_table`` is e
+at every entry of the field's padded exp table, so e(a b) is the one entry
+at log0[a] + log0[b], zeros included.  Unit roots are computed from rational
+angles directly, never by repeated multiplication, so q-term sums carry no
+accumulated phase error.
 
 Both transforms are FFTs, O(q log q) with no q x q table: the additive one
 runs along the s base-p digit axes of the code (see ``_trace_index``), the
@@ -44,6 +47,14 @@ MULTIPLICATIVE = "multiplicative"
 def additive_char_table(ctx: FieldCtx) -> np.ndarray:
     """e(x) for every code x, as a cached complex vector."""
     return np.exp((TAU * 1j / ctx.p) * ctx.trace_table)
+
+
+@per_field("phase_table")
+def phase_table(ctx: FieldCtx) -> np.ndarray:
+    """e at every entry of the mul tables' exp_ext, so that e(a b) =
+    phase_table[log0[a] + log0[b]] for all codes a, b, zeros included: one
+    gather where e[mul_vec(a, b)] takes four, with the same values."""
+    return additive_char_table(ctx)[ctx._mul_tables()[1]]
 
 
 def additive_char(ctx: FieldCtx, x: int) -> complex:

@@ -9,13 +9,17 @@ bit-for-bit across runs and machines:
 
 * the modulus is the monic irreducible polynomial of degree s whose
   non-leading coefficient code is smallest (for s=1 this degenerates to X),
-* the generator is the smallest code of multiplicative order q-1.
+* the generator is the smallest code of multiplicative order q-1,
+* the exp table is built by doubling: the digits of g^L..g^{2L-1} are those
+  of 1..g^{L-1} times the L-th power of the s x s matrix of x -> g x.
 
 Multiplication is one gather, exp_ext[log0[a] + log0[b]], from discrete-log
 tables padded so that neither a reduction mod q-1 nor a test for zero is
 needed; inversion and powers run through the plain log/exp tables.  Addition
 is digitwise and is backed, for small fields, by a cached q x q table built
-from the p x p table of one digit.  The
+from the p x p table of one digit.  ``add_rows`` gives whole rows s + x over
+every x at once: rows of that table, or above it windows of the code tensor
+wrapped once along each digit axis.  The
 arithmetic is written once, in the vectorised methods (``add_vec`` etc.),
 which accept numpy integer arrays and broadcast; the scalar methods call them
 on single codes.  Per-field tables are built once, by ``per_field``.
@@ -36,9 +40,12 @@ import numpy as np
 # Largest field materialised by default.  It bounds q, not the work: in
 # q = |F|, the exhaustive routes cost
 #   mul_vec, one gather per product (tables of 5q words)            1 per product
+#   e(a b), one phase-table gather (4q complex)                     1 per phase
 #   dense q x q add table (q <= _ADD_TABLE_MAX), s int16 passes     q^2 memory
+#   add_rows: table rows, or windows of (2p-1)^s ints               1 per code
+#   log/exp tables by doubling (s x s matrix powers)                q s^2
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
-#   averaging_apply, deviation_norm                                 q^2
+#   averaging_apply, deviation_norm (rows from add_rows)            q^2
 #   alternating_max_ratio (4 x starts x rounds steps)               q^2 per step
 #   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
 #   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
@@ -50,7 +57,8 @@ import numpy as np
 DESK_CAP = 10_000
 
 # Fields up to this size get a dense q x q addition table (2187^2 int16 is
-# ~9.6 MB); larger fields fall back to digitwise addition.
+# ~9.6 MB); larger fields add digitwise, and by rows through the windows of
+# ``add_rows``.
 _ADD_TABLE_MAX = 2500
 
 
@@ -172,13 +180,6 @@ def _digits_int(code: int, p: int, s: int) -> list[int]:
     return out
 
 
-def _code_of(coeffs: list[int], p: int) -> int:
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + c
-    return code
-
-
 # ---------------------------------------------------------------------------
 # Field context
 # ---------------------------------------------------------------------------
@@ -242,14 +243,6 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Table-free product used to bootstrap the log/exp tables."""
-        pa = _digits_int(a, self.p, self.s)
-        pb = _digits_int(b, self.p, self.s)
-        prod = _poly_mulmod(_trim(pa), _trim(pb), list(self.modulus), self.p)
-        prod += [0] * (self.s - len(prod))
-        return _code_of(prod, self.p)
-
     def _find_generator(self) -> int:
         n = self.q - 1
         prime_divisors = list(factorize(n))
@@ -261,15 +254,26 @@ class FieldCtx:
         raise RuntimeError("no generator found")  # unreachable for a field
 
     def _build_log_exp(self) -> None:
-        n = self.q - 1
-        exp = np.zeros(n, dtype=np.int64)
+        """exp[k] = g^k by doubling.  With M the s x s matrix over F_p of
+        x -> g x on digit vectors, the digits of g^L, ..., g^{2L-1} are those
+        of 1, ..., g^{L-1} times M^L, and M^{2L} = (M^L)^2."""
+        n, p, s = self.q - 1, self.p, self.s
+        g = _trim(_digits_int(self.g, p, s))
+        step = np.zeros((s, s), dtype=np.int64)  # row i: the digits of X^i g
+        for i in range(s):
+            row = _poly_mulmod([0] * i + [1], g, list(self.modulus), p)
+            step[i, : len(row)] = row
+        digits = np.zeros((n, s), dtype=np.int64)
+        digits[0, 0] = 1
+        power, size = step, 1
+        while size < n:
+            k = min(size, n - size)
+            digits[size : size + k] = (digits[:k] @ power) % p
+            power, size = (power @ power) % p, 2 * size
+        exp = digits @ np.array(self._pow_p[:s], dtype=np.int64)
         log = np.full(self.q, -1, dtype=np.int64)
-        x = 1
-        for k in range(n):
-            exp[k] = x
-            log[x] = k
-            x = self._mul_poly(x, self.g)
-        if x != 1 or np.any(log[1:] < 0):
+        log[exp] = np.arange(n)
+        if not np.array_equal((digits[-1] @ step) % p, digits[0]) or np.any(log[1:] < 0):
             raise RuntimeError("generator does not have full order")
         self.exp_table = exp
         self.log_table = log
@@ -366,6 +370,28 @@ class FieldCtx:
             return tab.ravel()[a * self.q + b].astype(np.int64)
         return self._add_digitwise(a, b)
 
+    @per_field("add_windows")
+    def _add_windows(self) -> np.ndarray:
+        """The tensor of codes by digit (axis j the digit of p^(s-1-j)),
+        wrapped once along each axis: (2p - 1)^s ints, 160 KB at q = 9973.
+        Its p^s window starting at the digits of c holds c + x at the digits
+        of x."""
+        return np.pad(np.arange(self.q, dtype=np.intp).reshape((self.p,) * self.s),
+                      [(0, self.p - 1)] * self.s, mode="wrap")
+
+    def add_rows(self, shifts) -> np.ndarray:
+        """out[i, x] = shifts[i] + x for every code x: one row per shift, as
+        intp codes.  Rows of the add table where there is one, else the
+        windows of ``_add_windows`` at the shifts' digits."""
+        shifts = np.asarray(shifts, dtype=np.int64)
+        tab = self.add_table
+        if tab is not None:
+            return tab[shifts].astype(np.intp)
+        wrapped = self._add_windows()
+        shape = (self.p,) * self.s  # the windows, a view built per call (no q^2 cache)
+        windows = np.ndarray(shape * 2, np.intp, wrapped, 0, wrapped.strides * 2)
+        return windows[np.unravel_index(shifts, shape)].reshape(len(shifts), self.q)
+
     def neg_vec(self, a) -> np.ndarray:
         return self.neg_table[np.asarray(a, dtype=np.int64)]
 
@@ -382,6 +408,11 @@ class FieldCtx:
         log0[0] = 2 * n
         exp_ext = np.concatenate([self.exp_table, self.exp_table, np.zeros(2 * n + 1, np.int64)])
         return log0, exp_ext
+
+    @property
+    def log0(self) -> np.ndarray:
+        """The log table of the mul tables, with log0[0] = 2(q-1)."""
+        return self._mul_tables()[0]
 
     def mul_vec(self, a, b) -> np.ndarray:
         log0, exp_ext = self._mul_tables()

@@ -17,7 +17,8 @@ all live in this convention.
 All closed forms share the single measured Gauss-sum unit ``sigma``; the
 exhaustive equivalence checks double as the verification that one constant
 serves every case.  No q x q table of K is held: both routes of its check
-run in blocks of rows b.
+run in blocks of rows b.  The closed forms of K and of the ratio kernel
+read their phases from the phase table at a sum of discrete logs.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, per_field
 from .characters import (
     additive_char_table,
     fourier_inverse_rows,
     gauss_sum,
+    phase_table,
     quadratic_char,
     quadratic_char_table,
 )
@@ -44,22 +46,33 @@ from .reporting import TOLERANCE_ABS, CheckResult, stacked_error_check
 # cells in one block of rows, for the kernel rows here, the deviation's
 # coefficient rows and the direct averaging route's rows of y: int64
 # temporaries under 128 KiB are reused, not fresh pages; at q = 2187 (2 vCPU)
-# a coefficient call took 0.26 s in such blocks, 0.45 s in 2^16 cells
+# a coefficient call took 0.04-0.06 s in such blocks, 0.12 s in 2^16 cells
 ROW_BLOCK_CELLS = 1 << 14
 
 
 def _quad_columns(ctx: FieldCtx, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of K(a, b) that depend on b alone (b != 0): the prefactor
-    sigma q^{-1/2} chi(b) and the code -1/(4b)."""
+    """The parts of K(a, b) that depend on b alone: the prefactor
+    sigma q^{-1/2} chi(b) and the log of -1/(4b), log(-1/4) - log(b) mod q-1.
+    At b = 0 the prefactor is 0 and the log some unit's."""
     sigma = gauss_sum(ctx).sigma
     prefactor = (sigma / math.sqrt(ctx.q)) * quadratic_char_table(ctx)[b]
-    return prefactor, ctx.neg_vec(ctx.inv_vec(ctx.mul_vec(ctx.from_int(4), b)))
+    log0 = ctx.log0
+    neg_quarter = ctx.neg(ctx.inv(ctx.from_int(4)))
+    return prefactor, (log0[neg_quarter] - log0[b]) % (ctx.q - 1)
+
+
+@per_field("log_squares")
+def _log_squares(ctx: FieldCtx) -> np.ndarray:
+    """log0(a^2) for every code a."""
+    return ctx.log0[ctx.sq_vec(ctx.elements())]
 
 
 def _quad_rows(ctx: FieldCtx, a: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """K(a, b) from the column parts of b: prefactor(b) e(a^2 (-1/(4b)))."""
-    prefactor, neg_inv4b = columns
-    return prefactor * additive_char_table(ctx)[ctx.mul_vec(ctx.sq_vec(a), neg_inv4b)]
+    """K(a, b) from the column parts of b: prefactor(b) e(a^2 (-1/(4b))), the
+    phase read from the phase table at log0(a^2) + log(-1/(4b)).  Columns
+    whose prefactor carries a weight w(b) give w(b) K(a, b)."""
+    prefactor, log_col = columns
+    return prefactor * phase_table(ctx)[_log_squares(ctx)[a] + log_col]
 
 
 def _quad_generic(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,26 +210,28 @@ _RATIO_ROWS = 16
 
 
 def _ratio_parts(ctx: FieldCtx, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The h-free parts chi(1 - r^2) and (r-1)/(r+1) at codes r outside {+-1}."""
+    """The h-free parts at codes r: chi(1 - r^2), which is 0 at r = +-1, and
+    the log of (r-1)/(r+1), log(r-1) - log(r+1) mod q-1 (some unit's log at
+    r = +-1, where chi(1 - r^2) zeroes the term)."""
     chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
-    return chi_part, ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
+    log0 = ctx.log0
+    return chi_part, (log0[ctx.sub_vec(rs, 1)] - log0[ctx.add_vec(rs, 1)]) % (ctx.q - 1)
 
 
 def ratio_kernel_table(ctx: FieldCtx, hs) -> np.ndarray:
     """ratio_kernel for every h in ``hs`` (nonzero codes) and every code r:
-    rows h, columns r, zeros at r = +-1.  The h-free parts chi(1 - r^2) and
-    (r-1)/(r+1) are built once for all rows."""
+    rows h, columns r, zeros at r = +-1.  The h-free parts are built once for
+    all rows, and e(h (r-1)/(r+1)) is one phase-table gather per cell."""
     hs = np.asarray(hs, dtype=np.int64)
     prefactor = twisted_prefactor(ctx, hs)  # rejects h = 0 and codes out of range
-    rs = ctx.elements()
-    ok = (rs != 1) & (rs != ctx.neg(1))
-    chi_part, u = _ratio_parts(ctx, rs[ok])
-    e = additive_char_table(ctx)
-    out = np.zeros((len(hs), ctx.q), dtype=complex)
+    chi_part, log_u = _ratio_parts(ctx, ctx.elements())
+    log_h = ctx.log0[hs]
+    phases = phase_table(ctx)
+    out = np.empty((len(hs), ctx.q), dtype=complex)
     for i in range(0, len(hs), _RATIO_ROWS):
         rows = slice(i, i + _RATIO_ROWS)
-        phase = ctx.mul_vec(hs[rows, None], u[None, :])
-        out[rows, ok] = prefactor[rows, None] * chi_part[None, :] * e[phase]
+        phase = phases[log_h[rows, None] + log_u[None, :]]
+        out[rows] = prefactor[rows, None] * chi_part[None, :] * phase
     return out
 
 
@@ -258,14 +273,14 @@ def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal average on every (a, b) pair, in blocks of rows b."""
     codes = ctx.elements()
     step = max(1, ROW_BLOCK_CELLS // ctx.q)
-    prefactor, neg_inv4b = _quad_columns(ctx, codes[1:, None])  # row b at b - 1
+    prefactor, log_col = _quad_columns(ctx, codes[1:, None])  # row b at b - 1
 
     def blocks():
         for b0 in range(0, ctx.q, step):
             bs = codes[b0 : b0 + step]
             units = bs[bs != 0] - 1
             closed = np.zeros((len(bs), ctx.q), dtype=complex)
-            closed[bs != 0] = _quad_rows(ctx, codes, (prefactor[units], neg_inv4b[units]))
+            closed[bs != 0] = _quad_rows(ctx, codes, (prefactor[units], log_col[units]))
             closed[bs == 0, 0] = 1.0  # K(., 0) is the point mass at a = 0
             err = np.abs(closed - quad_kernel_rows_brute(ctx, bs))
             yield err, lambda i, a, b0=b0: f"(a={a}, b={b0 + i})"

@@ -5,8 +5,9 @@ conventions explicitly):
 
 * ``averaging_apply`` returns the physical-side average
   (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It and
-  the deviation's two adjoints are one blocked gather, independent of the
-  Fourier route, so ``alternating_max_ratio`` steps in q^2 work, O(q) memory.
+  the deviation's two adjoints are one blocked gather at the rows x + s(y)
+  of ``FieldCtx.add_rows``, independent of the Fourier route, so
+  ``alternating_max_ratio`` steps in q^2 work, O(q) memory.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -18,12 +19,15 @@ conventions explicitly):
 The Fourier route and the slice expansion read one builder, the deviation's
 coefficient rows c(m, n) = fhat1(m-n) fhat2(n) K(m-n, n) with column n = 0
 zeroed, built from the closed form of K in blocks of m (O(q) memory per
-row); the parts of K that depend on n alone are built once per call.  Since
-K(a, 0) is the point mass at a = 0, the row sums are the coefficients of
-A(f1,f2) - E[f1] E[f2].  Slice h of the deviation square is the rows'
-additive autocorrelation at lag h: with C_m the inverse transform of row m,
-every slice is the inverse transform of sum_m |C_m|^2 over q, so all q
-slices cost O(q^2 log q); consecutive blocks of rows share one FFT call.
+row).  The columns are reflected, column j holding n = -j, so that m - n =
+m + j is one row of ``add_rows``; the parts of K that depend on n alone,
+times fhat2(n), are built once per call, and each cell's phase is one
+phase-table gather.  Since K(a, 0) is the point mass at a = 0, the row sums
+are the coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation
+square is the rows' additive autocorrelation at lag -h (lag h in code
+order): with C_m the inverse transform of row m, every slice is the inverse
+transform of sum_m |C_m|^2 over q, read at -h, so all q slices cost
+O(q^2 log q); consecutive blocks of rows share one FFT call.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
@@ -69,13 +73,13 @@ def _common_field(f1: ComplexFn, f2: ComplexFn) -> FieldCtx:
 
 def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
     """sum_y v1[x + s1[y]] v2[x + s2[y]] for every x (q^2 work): the rows are
-    gathered in blocks of y and added one y at a time, in y order."""
-    codes = ctx.elements()
+    gathered through ``add_rows`` in blocks of y and added one y at a time,
+    in y order."""
     acc = np.zeros(ctx.q, dtype=complex)
     step = max(1, ROW_BLOCK_CELLS // ctx.q)
     for y0 in range(0, ctx.q, step):
         ys = slice(y0, y0 + step)
-        rows = v1[ctx.add_vec(s1[ys, None], codes)] * v2[ctx.add_vec(s2[ys, None], codes)]
+        rows = v1[ctx.add_rows(s1[ys])] * v2[ctx.add_rows(s2[ys])]
         for row in rows:  # one y at a time, in order: the sum is the per-y loop's
             acc += row
     return acc
@@ -91,17 +95,19 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
 
 def _coefficient_rows(f1: ComplexFn, f2: ComplexFn):
     """Yield the deviation's coefficient rows c(m, n) = fhat1(m-n) fhat2(n)
-    K(m-n, n), column n = 0 zeroed, in blocks of consecutive m from m = 0."""
+    K(m-n, n) in blocks of consecutive m from m = 0, with reflected columns:
+    column j holds n = -j, so m - n = m + j is one row of ``add_rows``.
+    Column 0 (n = 0) is zero, since K's prefactor vanishes at b = 0."""
     ctx = _common_field(f1, f2)
     fh1, fh2 = fourier(f1).values, fourier(f2).values
-    ns = ctx.units()
-    neg_ns = ctx.neg_vec(ns)
-    columns = _quad_columns(ctx, ns)
+    ns = ctx.neg_table  # n at every column j
+    prefactor, log_col = _quad_columns(ctx, ns)
+    columns = (fh2[ns] * prefactor, log_col)  # fhat2(n) K(a, n) from _quad_rows
     step = max(1, ROW_BLOCK_CELLS // ctx.q)
     for m0 in range(0, ctx.q, step):
-        a = ctx.add_vec(np.arange(m0, min(m0 + step, ctx.q))[:, None], neg_ns)  # m - n
-        rows = np.zeros((len(a), ctx.q), dtype=complex)
-        rows[:, 1:] = fh1[a] * fh2[1:] * _quad_rows(ctx, a, columns)
+        a = ctx.add_rows(np.arange(m0, min(m0 + step, ctx.q)))  # m - n
+        rows = _quad_rows(ctx, a, columns)
+        rows *= fh1[a]
         yield rows
 
 
@@ -168,9 +174,10 @@ def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
     conj(fhat2(v+h)) K(u,v) conj(K(u-h, v+h)),
 
     the coefficient rows' autocorrelation sum_m sum_n c(m, n) conj(c(m, n+h)).
-    The slices sum to || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged
-    norm squared, which matches the counting-norm square of the deviation's
-    coefficients).
+    The rows come with reflected columns (n = -j at column j), so slice h is
+    the inverse transform of their power read at -h.  The slices sum to
+    || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged norm squared, which
+    matches the counting-norm square of the deviation's coefficients).
     """
     ctx = f1.ctx
     power = np.zeros(ctx.q)
@@ -179,7 +186,7 @@ def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
         sq = np.abs(fourier_inverse_rows(ctx, np.concatenate(batch))) ** 2
         for part in np.split(sq, np.cumsum([len(rows) for rows in batch[:-1]])):
             power += part.sum(axis=0)  # block by block, as unbatched
-    return fourier_inverse_rows(ctx, power) / ctx.q
+    return fourier_inverse_rows(ctx, power)[ctx.neg_table] / ctx.q
 
 
 def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:

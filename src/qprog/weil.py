@@ -12,12 +12,15 @@ s = +-1, so |sum| <= sqrt(q) + 2.  The grid maximum is therefore at most
 min(3 sqrt(q), q - 3); eta = chi attains 3 sqrt(q) at q = 27, 81 and 243.
 ``envelope_check`` asserts that bound, up to 1e-9, on the whole grid.
 
-Every sum here is one weighted sum of eta_t over distinct units
-(``_char_sums``): the weights sit at the discrete logs of their units, and
-one length-(q-1) inverse FFT per weight row gives the sums for every t at
-once, O(q^2 log q) for a whole grid.  Grids are built in blocks of weight
-rows (``_blocked_char_sums``), so no whole (q-1)^2 grid is held unless a
-caller asks for it.  The mixed and ratio sums differ only in their weights.
+Every sum here is one weighted sum of eta_t over the units
+(``_char_sums``): the weight builders gather each row in log order, column k
+at the unit g^k (the mixed phases straight from the phase table at
+log lambda + log((r-1)/(r+1))), and one in-place length-(q-1) inverse FFT
+per row gives the sums for every t at once, O(q^2 log q) for a whole grid.
+Grids are built in blocks of weight rows (``_blocked_char_sums``), so no
+whole (q-1)^2 grid is held unless a caller asks for it, and a block is
+released before the next one is built.  The mixed and ratio sums differ
+only in their weights.
 ``substitution_check`` sums the reindexed side the other way round: for
 each t, one additive FFT in lambda over the digit axes.
 
@@ -35,12 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldCtx
-from .characters import (
-    additive_char_table,
-    fourier_inverse_rows,
-    quadratic_char_table,
-    unit_root_powers,
-)
+from .characters import fourier_inverse_rows, phase_table, quadratic_char_table, unit_root_powers
 from .kernels import _ratio_parts, ratio_kernel_table, twisted_prefactor
 from .reporting import CheckResult, error_check
 
@@ -50,17 +48,15 @@ def envelope(q: int) -> float:
     return min(3.0 * math.sqrt(q), q - 3.0)
 
 
-def _char_sums(ctx: FieldCtx, at: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k eta_t(at[k]) weights[j, k] for every t: rows t, columns j.
+def _char_sums(weights: np.ndarray) -> np.ndarray:
+    """sum_k eta_t(g^k) weights[j, k] for every t: rows t, columns j.
 
-    ``at`` holds distinct units, so row j placed at the discrete logs of
-    ``at`` is a by-log vector, and its unnormalised inverse DFT is
-    sum_m W_m zeta^{tm}.
+    Row j holds weights by discrete log (column k at the unit g^k), so its
+    sums are its unnormalised inverse DFT, sum_k W_k zeta^{tk}, taken in
+    place in the complex array ``weights``: the grid is held once, not twice
+    (``out=`` needs numpy >= 2.0).
     """
-    placed = np.zeros((len(weights), ctx.q - 1), dtype=complex)
-    placed[:, ctx.log_table[at]] = weights
-    # in place (``out=`` needs numpy >= 2.0): the grid is held once, not twice
-    return np.fft.ifft(placed, norm="forward", out=placed).T
+    return np.fft.ifft(weights, norm="forward", out=weights).T
 
 
 # cells (weight rows times q - 1 columns) per block of a Weil grid: 16 MB of
@@ -69,19 +65,21 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray):
-    """Yield (i0, _char_sums(ctx, *terms(ctx, rows[i0 : i0 + k]))) for blocks
-    of k = max(1, _BLOCK_CELLS // q) weight rows, in order."""
+    """Yield (i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))) for blocks of
+    k = max(1, _BLOCK_CELLS // q) weight rows, in order."""
     k = max(1, _BLOCK_CELLS // ctx.q)
     for i0 in range(0, len(rows), k):
-        yield i0, _char_sums(ctx, *terms(ctx, rows[i0 : i0 + k]))
+        yield i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))
 
 
-def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, W) with W[j, k] = chi(1 - r_k^2) e(lambda_j (r_k - 1)/(r_k + 1)), r outside {0, +-1}."""
-    rs = ctx.codes_outside(0, 1, ctx.neg(1))  # the summation index
-    chi_part, u = _ratio_parts(ctx, rs)
-    phases = additive_char_table(ctx)[ctx.mul_vec(lams[:, None], u[None, :])]
-    return rs, phases * chi_part.astype(complex)[None, :]
+def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> np.ndarray:
+    """W[j, k] = chi(1 - r^2) e(lambda_j (r-1)/(r+1)) at r = g^k, by log:
+    zero at r = +-1, the weights of the sum over r outside {0, +-1}.  The
+    phases are gathered straight into the array the FFT then runs in."""
+    chi_part, log_u = _ratio_parts(ctx, ctx.exp_table)
+    rows = phase_table(ctx)[ctx.log0[lams][:, None] + log_u[None, :]]
+    rows *= chi_part.astype(complex)
+    return rows
 
 
 def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,10 +94,9 @@ def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return ss, r_of_s, chi[chi_arg]
 
 
-def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, W) with W[j, k] = L_{h_j}(r_k), the ratio kernel, over every nonzero r."""
-    # columns 1..q-1 of the table are the units, a view rather than a copy
-    return ctx.units(), ratio_kernel_table(ctx, hs)[:, 1:]
+def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
+    """W[j, k] = L_{h_j}(g^k), the ratio kernel by log, over every nonzero r."""
+    return ratio_kernel_table(ctx, hs)[:, ctx.exp_table]
 
 
 def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
@@ -109,7 +106,7 @@ def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
         raise ValueError("lambda must be nonzero (the additive phase must be nonconstant)")
     if not 0 <= t <= ctx.q - 2:
         raise ValueError(f"character index t={t} out of range")
-    return complex(_char_sums(ctx, *_mixed_terms(ctx, np.array([lam])))[t, 0])
+    return complex(_char_sums(_mixed_terms(ctx, np.array([lam])))[t, 0])
 
 
 def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
@@ -121,7 +118,7 @@ def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
     h = ctx.check_element(h)  # h = 0 is rejected by ratio_kernel_table
     if not 0 <= t <= ctx.q - 2:
         raise ValueError(f"character index t={t} out of range")
-    return complex(_char_sums(ctx, *_ratio_terms(ctx, np.array([h])))[t, 0])
+    return complex(_char_sums(_ratio_terms(ctx, np.array([h])))[t, 0])
 
 
 @dataclass
@@ -161,6 +158,7 @@ def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
         ts, js = np.nonzero(block >= top - 1e-9)
         near.append((block[ts, js], ts, js + j0))
         max_abs = max(max_abs, top)
+        del sums, block  # not held while the next block's weights are built
     vals, ts, js = (np.concatenate(col) for col in zip(*near))
     tied = vals >= max_abs - 1e-9
     first = np.lexsort((js[tied], ts[tied]))[0]
@@ -194,7 +192,7 @@ def substitution_check(ctx: FieldCtx) -> CheckResult:
     """
     n = ctx.q - 1
     lams = ctx.units()
-    mixed = _char_sums(ctx, *_mixed_terms(ctx, lams))
+    mixed = _char_sums(_mixed_terms(ctx, lams))
     ss, r_of_s, c = _reindexed_terms(ctx)
     g = np.zeros((n, ctx.q), dtype=complex)
     g[:, ss] = unit_root_powers(ctx)[np.outer(np.arange(n), ctx.log_table[r_of_s]) % n] * c
@@ -207,8 +205,8 @@ def ratio_sum_check(ctx: FieldCtx) -> CheckResult:
     """ratio_char_sum(h, t) == twisted_prefactor(h) * mixed_char_sum(t, h) on
     the full (h, t) grid."""
     hs = ctx.units()
-    ratio = _char_sums(ctx, *_ratio_terms(ctx, hs))
-    mixed = _char_sums(ctx, *_mixed_terms(ctx, hs))
+    ratio = _char_sums(_ratio_terms(ctx, hs))
+    mixed = _char_sums(_mixed_terms(ctx, hs))
     err = np.abs(ratio - twisted_prefactor(ctx, hs)[None, :] * mixed).T  # rows h, columns t
     return error_check("ratio-kernel-char-sum", err, 1e-9,
                        lambda j, t: f"(h={int(hs[j])}, t={t})")

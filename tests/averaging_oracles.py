@@ -5,6 +5,11 @@ step, with two scalar-offset additions of length q each.  The package
 gathers the same rows in blocks of y and adds them in the same y order, so
 the two agree bit for bit.
 
+``coefficient_rows_by_code`` is the deviation's coefficient rows on the whole
+q x q grid, columns n in code order, with K's phase e(a^2 (-1/(4b))) read
+through ``mul_vec``.  The package yields the same rows with reflected
+columns (n = -j at column j) and reads the phase from the phase table.
+
 ``alternating_max_ratio_svd`` is the alternating maximization by dense
 q x q side matrices: with one argument fixed, the deviation is linear in
 the other, and each half-step takes that matrix's top singular pair.  The
@@ -14,9 +19,17 @@ trilinear form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qprog.characters import ComplexFn
+from qprog.characters import (
+    ComplexFn,
+    additive_char_table,
+    fourier,
+    gauss_sum,
+    quadratic_char_table,
+)
 from qprog.field import FieldCtx, sqrt_pairs
 
 
@@ -30,6 +43,21 @@ def averaging_apply_per_y(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     for y in range(ctx.q):
         acc += v1[ctx.add_vec(codes, y)] * v2[ctx.add_vec(codes, squares[y])]
     return ComplexFn(ctx, acc / ctx.q)
+
+
+def coefficient_rows_by_code(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """c(m, n) = fhat1(m-n) fhat2(n) K(m-n, n) at [m, n], column n = 0 zeroed,
+    with K(a, b) = sigma q^{-1/2} chi(b) e(a^2 (-1/(4b)))."""
+    ctx = f1.ctx
+    fh1, fh2 = fourier(f1).values, fourier(f2).values
+    ns = ctx.units()
+    a = ctx.sub_vec(ctx.elements()[:, None], ns[None, :])  # m - n
+    prefactor = (gauss_sum(ctx).sigma / math.sqrt(ctx.q)) * quadratic_char_table(ctx)[ns]
+    neg_inv4b = ctx.neg_vec(ctx.inv_vec(ctx.mul_vec(ctx.from_int(4), ns)))
+    kernel = prefactor * additive_char_table(ctx)[ctx.mul_vec(ctx.sq_vec(a), neg_inv4b)]
+    rows = np.zeros((ctx.q, ctx.q), dtype=complex)
+    rows[:, 1:] = fh1[a] * fh2[1:] * kernel
+    return rows
 
 
 def f1_side_matrix(ctx: FieldCtx, f2_vals: np.ndarray) -> np.ndarray:

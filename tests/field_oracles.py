@@ -1,7 +1,9 @@
 """Field helpers that only the tests use, kept as oracles.
 
 ``mul_direct`` multiplies by polynomial arithmetic modulo the modulus,
-bypassing the log/exp tables.  ``min_poly_embedding_map`` finds the subfield
+bypassing the log/exp tables; ``exp_table_by_loop`` builds the exp table
+with it, one power of the generator at a time (the package doubles by
+matrix powers instead).  ``min_poly_embedding_map`` finds the subfield
 embedding by the older route: the minimal polynomial of the small generator
 over F_p, solved by Gaussian elimination mod p, then its least root among
 the subfield's codes.  ``cubic_min_poly`` reads the minimal polynomial of an
@@ -12,12 +14,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from qprog.field import FieldCtx, SubfieldEmbedding, _digits_int, get_field
+from qprog.field import FieldCtx, SubfieldEmbedding, _digits_int, _poly_mulmod, _trim, get_field
 
 
 def mul_direct(ctx: FieldCtx, a: int, b: int) -> int:
     """Reference product bypassing the log/exp tables."""
-    return ctx._mul_poly(a, b)
+    pa = _trim(_digits_int(a, ctx.p, ctx.s))
+    pb = _trim(_digits_int(b, ctx.p, ctx.s))
+    prod = _poly_mulmod(pa, pb, list(ctx.modulus), ctx.p)
+    code = 0
+    for c in reversed(prod):
+        code = code * ctx.p + c
+    return code
+
+
+def exp_table_by_loop(ctx: FieldCtx) -> np.ndarray:
+    """g^k for k = 0..q-2, one polynomial product per power."""
+    exp = np.zeros(ctx.q - 1, dtype=np.int64)
+    x = 1
+    for k in range(ctx.q - 1):
+        exp[k] = x
+        x = mul_direct(ctx, x, ctx.g)
+    return exp
 
 
 def field_from_descriptor(d: dict) -> FieldCtx:

@@ -9,15 +9,19 @@ pair kernel independent of both package routes.
 ``kernel_coeffs_table`` is the Fourier route's coefficients read from that
 table, one column n at a time.  The package builds K in blocks of rows and
 never holds the grid.
+
+``ratio_kernel_table_by_mul`` is the ratio kernel with its phase read
+through ``mul_vec`` and (r-1)/(r+1) by division, where the package reads
+one phase-table entry at a log sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qprog.characters import ComplexFn, additive_char_table, fourier
+from qprog.characters import ComplexFn, additive_char_table, fourier, quadratic_char_table
 from qprog.field import FieldCtx, per_field
-from qprog.kernels import _check_pair_args, _quad_generic
+from qprog.kernels import _check_pair_args, _quad_generic, twisted_prefactor
 
 
 def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, int]:
@@ -66,3 +70,14 @@ def kernel_coeffs_table(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
         mn = ctx.sub_vec(codes, n)
         coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
     return coeffs
+
+
+def ratio_kernel_table_by_mul(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
+    """sigma chi(h) chi(1 - r^2) e(h (r-1)/(r+1)) at [h, r], zero at r = +-1."""
+    rs = ctx.codes_outside(1, ctx.neg(1))
+    chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
+    u = ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
+    phase = additive_char_table(ctx)[ctx.mul_vec(hs[:, None], u[None, :])]
+    out = np.zeros((len(hs), ctx.q), dtype=complex)
+    out[:, rs] = twisted_prefactor(ctx, hs)[:, None] * chi_part[None, :] * phase
+    return out

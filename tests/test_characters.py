@@ -17,6 +17,7 @@ from qprog.characters import (
     mult_char,
     mult_fourier,
     mult_fourier_inverse,
+    phase_table,
     quadratic_char,
     quadratic_char_table,
     random_fn,
@@ -61,6 +62,16 @@ def test_additive_char_is_homomorphism(ctx_small):
     a = np.repeat(ctx.elements(), ctx.q)
     b = np.tile(ctx.elements(), ctx.q)
     assert np.abs(e[ctx.add_vec(a, b)] - e[a] * e[b]).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", Q_FULL)
+def test_phase_table_is_e_of_the_product_on_every_pair(q):
+    """phase_table[log0[a] + log0[b]] is e[mul_vec(a, b)] bit for bit, zeros included."""
+    ctx = field_for(q)
+    codes = ctx.elements()
+    by_log = phase_table(ctx)[ctx.log0[codes][:, None] + ctx.log0[codes][None, :]]
+    by_mul = additive_char_table(ctx)[ctx.mul_vec(codes[:, None], codes[None, :])]
+    assert by_log.tobytes() == by_mul.tobytes()
 
 
 # ---------------------------------------------------------------------------

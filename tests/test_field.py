@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qprog import field
 from qprog.field import (
     DESK_CAP,
     build_field,
@@ -15,7 +16,13 @@ from qprog.field import (
 )
 
 from conftest import Q_FULL, field_for
-from field_oracles import cubic_min_poly, field_from_descriptor, min_poly_embedding_map, mul_direct
+from field_oracles import (
+    cubic_min_poly,
+    exp_table_by_loop,
+    field_from_descriptor,
+    min_poly_embedding_map,
+    mul_direct,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +223,11 @@ def test_per_field_tables_are_built_once():
         _trace_index,
         additive_char_table,
         gauss_sum,
+        phase_table,
         quadratic_char_table,
         unit_root_powers,
     )
+    from qprog.kernels import _log_squares
 
     ctx = build_field(5, 2)  # a fresh field: only the mul tables are built
     tables = {
@@ -231,6 +240,9 @@ def test_per_field_tables_are_built_once():
         "chi_table": quadratic_char_table,
         "trace_index": _trace_index,
         "gauss_sum": gauss_sum,
+        "phase_table": phase_table,
+        "log_squares": _log_squares,
+        "add_windows": lambda c: c._add_windows(),
     }
     for key, table in tables.items():
         first = table(ctx)
@@ -353,9 +365,50 @@ def test_mul_vec_matches_polynomial_product_on_every_pair(q):
 
 
 def test_add_table_matches_digitwise_on_f3_7():
-    """The table is filled in row blocks; every entry is the digitwise sum."""
+    """The table is built from its digits; every entry is the digitwise sum."""
     ctx = build_field(3, 7)
     codes = ctx.elements()
     tab = ctx.add_table
     assert tab.dtype == np.int16
     assert np.array_equal(tab, ctx._add_digitwise(codes[:, None], codes[None, :]))
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3), (7, 2), (3, 4), (11, 2),
+                                  (5, 3), (3, 7), (3, 8), (97, 2), (9973, 1)])
+def test_exp_table_by_doubling_matches_polynomial_loop(p, s):
+    """The exp table built by doubling with powers of the multiplication-by-g
+    matrix equals g^k built one polynomial product at a time, and the log
+    table inverts it."""
+    ctx = build_field(p, s)
+    assert np.array_equal(ctx.exp_table, exp_table_by_loop(ctx))
+    assert np.array_equal(ctx.log_table[ctx.exp_table], np.arange(ctx.q - 1))
+    assert ctx.log_table[0] == -1
+
+
+def _add_rows_expected(ctx, shifts):
+    return ctx.add_vec(shifts[:, None], ctx.elements()[None, :])
+
+
+@pytest.mark.parametrize("q", Q_FULL)
+def test_add_rows_match_add_vec_on_both_branches(q, monkeypatch):
+    """Every shift, through the add table and, on a fresh field with no
+    table allowed, through the wrapped windows: exactly add_vec's codes."""
+    codes = field_for(q).elements()
+    expected = _add_rows_expected(field_for(q), codes)
+    rows = field_for(q).add_rows(codes)
+    assert rows.dtype == np.intp and np.array_equal(rows, expected)
+    monkeypatch.setattr(field, "_ADD_TABLE_MAX", 0)
+    ctx = build_field(*prime_power(q))
+    assert ctx.add_table is None
+    assert np.array_equal(ctx.add_rows(codes), expected)
+    assert np.array_equal(ctx.add_rows(codes[:0]), expected[:0])
+
+
+@pytest.mark.parametrize("p, s", [(5, 5), (3, 8), (97, 2), (9973, 1)])
+def test_add_rows_above_the_table_match_digitwise(p, s):
+    """Seeded shifts on fields that keep no add table, including 0 and q - 1."""
+    ctx = build_field(p, s)
+    assert ctx.add_table is None
+    shifts = np.concatenate([[0, ctx.q - 1], np.random.default_rng(ctx.q).integers(0, ctx.q, 6)])
+    assert np.array_equal(ctx.add_rows(shifts), _add_rows_expected(ctx, shifts))
+    assert ctx._add_windows().shape == (2 * p - 1,) * s

@@ -28,7 +28,12 @@ from qprog.kernels import (
 )
 
 from conftest import Q_FULL, Q_MEDIUM, field_for
-from kernel_oracles import pair_kernel_coeffs, quad_kernel_table, quad_kernel_table_brute
+from kernel_oracles import (
+    pair_kernel_coeffs,
+    quad_kernel_table,
+    quad_kernel_table_brute,
+    ratio_kernel_table_by_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +234,15 @@ def test_ratio_kernel_zeros_and_modulus(ctx_small):
                 assert mods[r] == 0
             else:
                 assert abs(mods[r] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("q", Q_FULL)
+def test_ratio_kernel_table_matches_mul_vec_oracle(q):
+    """Phases read from the phase table at log h + log((r-1)/(r+1)): the
+    mul_vec route's table exactly, for every h and r."""
+    ctx = field_for(q)
+    hs = ctx.units()
+    assert np.array_equal(ratio_kernel_table(ctx, hs), ratio_kernel_table_by_mul(ctx, hs))
 
 
 def test_ratio_kernel_f7_value():

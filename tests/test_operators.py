@@ -26,7 +26,11 @@ from qprog.operators import (
     triple_average_chain,
 )
 
-from averaging_oracles import alternating_max_ratio_svd, averaging_apply_per_y
+from averaging_oracles import (
+    alternating_max_ratio_svd,
+    averaging_apply_per_y,
+    coefficient_rows_by_code,
+)
 from conftest import Q_FULL, field_for
 from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
 from progression_oracles import count_progressions_field_scan
@@ -98,6 +102,19 @@ def test_averaging_apply_holds_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("q", Q_ROWS)
+def test_coefficient_rows_are_the_code_order_rows_reflected(q):
+    """Column j of the yielded rows is the code-order oracle's column n = -j,
+    column 0 exactly zero, rows m = 0..q-1 in order."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+    rows = np.concatenate(list(operators._coefficient_rows(f1, f2)))
+    expected = coefficient_rows_by_code(f1, f2)[:, ctx.neg_table]
+    assert rows.shape == (q, q) and not rows[:, 0].any()
+    assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("q", Q_ROWS)

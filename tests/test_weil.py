@@ -26,7 +26,8 @@ from qprog.weil import (
 from qprog.kernels import ratio_kernel, twisted_prefactor
 
 from conftest import Q_FULL, Q_MEDIUM, field_for
-from transform_oracles import char_sums_dense
+from kernel_oracles import ratio_kernel_table_by_mul
+from transform_oracles import char_sums_dense, mixed_weights_by_code
 
 
 def test_empty_sum_at_q3():
@@ -148,7 +149,7 @@ def test_substitution_check_catches_a_summation_fault(monkeypatch):
     multiplicative FFT route (sums for eta_t read at -t) fails the check."""
     ctx = get_field(7, 1)
     sums = weil._char_sums
-    monkeypatch.setattr(weil, "_char_sums", lambda ctx, at, w: sums(ctx, at, w).conj())
+    monkeypatch.setattr(weil, "_char_sums", lambda w: sums(w).conj())
     res = substitution_check(ctx)
     assert not res.passed and res.cases == 36
 
@@ -244,10 +245,12 @@ def test_scan_argmax_is_lexicographically_first():
 
 
 def _substituted_terms(ctx, lams):
-    """The reindexed sum's weights per lambda row: eta at r(s) and
-    W[j, k] = c_k e(lambda_j s_k)."""
+    """The reindexed sum's weights per lambda row, by log: c_k e(lambda_j s_k)
+    at the log of r(s_k), zero at the logs of 1 and -1."""
     ss, r_of_s, c = weil._reindexed_terms(ctx)
-    return r_of_s, additive_char_table(ctx)[ctx.mul_vec(lams[:, None], ss[None, :])] * c
+    w = np.zeros((len(lams), ctx.q - 1), dtype=complex)
+    w[:, ctx.log_table[r_of_s]] = additive_char_table(ctx)[ctx.mul_vec(lams[:, None], ss[None, :])] * c
+    return w
 
 
 TERMS = {
@@ -290,10 +293,23 @@ def test_char_sums_match_dense_oracle(q, terms):
     """Every Weil grid (mixed, reindexed, ratio): the inverse FFT over the
     discrete log equals the eta-matrix product, for every t and every row."""
     ctx = field_for(q)
-    at, w = TERMS[terms](ctx, ctx.units())
-    fft_route = weil._char_sums(ctx, at, w)
+    w = TERMS[terms](ctx, ctx.units())
+    dense = char_sums_dense(ctx, ctx.exp_table, w)
+    fft_route = weil._char_sums(w)  # in place: w is overwritten
     assert fft_route.shape == (q - 1, q - 1)
-    assert np.abs(fft_route - char_sums_dense(ctx, at, w)).max() <= 1e-10
+    assert np.abs(fft_route - dense).max() <= 1e-10
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243])
+def test_by_log_weights_are_code_order_weights_at_exp_table(q):
+    """The mixed and ratio weights built by discrete log equal the
+    code-order weights read at exp_table, cell for cell."""
+    ctx = field_for(q)
+    lams = ctx.units()
+    by_code = mixed_weights_by_code(ctx, lams)[:, ctx.exp_table]
+    assert np.array_equal(weil._mixed_terms(ctx, lams), by_code)
+    by_code = ratio_kernel_table_by_mul(ctx, lams)[:, ctx.exp_table]
+    assert np.array_equal(weil._ratio_terms(ctx, lams), by_code)
 
 
 def test_scan_ratio_behavior_across_q():

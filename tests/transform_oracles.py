@@ -5,6 +5,10 @@ Each builds the full character matrix, q x q for the additive transforms and
 by term: O(q^2) memory and O(q^2)-O(q^3) time.  The package computes the
 same objects by FFT; two-route tests compare the two on small fields.
 
+``mixed_weights_by_code`` gives the mixed sum's weights with columns in code
+order, computed by division and ``mul_vec``; the package builds them by
+discrete log.
+
 Also here: ``mult_char_table``, one multiplicative character on every code,
 and a JSON round trip for ``ComplexFn`` values; only tests use them.
 """
@@ -13,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from qprog.characters import FULL, MULTIPLICATIVE, ComplexFn, additive_char_table, unit_root_powers
+from qprog.characters import (
+    FULL,
+    MULTIPLICATIVE,
+    ComplexFn,
+    additive_char_table,
+    quadratic_char_table,
+    unit_root_powers,
+)
 from qprog.field import FieldCtx
 
 
@@ -80,3 +91,15 @@ def char_sums_dense(ctx: FieldCtx, at: np.ndarray, weights: np.ndarray) -> np.nd
     n = ctx.q - 1
     eta = unit_root_powers(ctx)[(np.arange(n)[:, None] * ctx.log_table[at][None, :]) % n]
     return eta @ weights.T
+
+
+def mixed_weights_by_code(ctx: FieldCtx, lams: np.ndarray) -> np.ndarray:
+    """chi(1 - r^2) e(lambda_j (r-1)/(r+1)) at [j, r] for r outside {0, +-1},
+    zero at those three codes."""
+    rs = ctx.codes_outside(0, 1, ctx.neg(1))
+    chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
+    u = ctx.div_vec(ctx.sub_vec(rs, 1), ctx.add_vec(rs, 1))
+    out = np.zeros((len(lams), ctx.q), dtype=complex)
+    phases = additive_char_table(ctx)[ctx.mul_vec(lams[:, None], u[None, :])]
+    out[:, rs] = phases * chi_part.astype(complex)[None, :]
+    return out
