@@ -49,7 +49,7 @@ import numpy as np
 #   alternating_max_ratio (4 x starts x rounds steps)               q^2 per step
 #   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
 #   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
-#   sliced_norm_scan (ratio-sum grid, ~55 O(q) bisection steps/h)   q^2 log q
+#   sliced_norm_scan (mixed-sum grid, <= 5 O(q) secular steps/h)    q^2 log q
 #   pair_kernel_check, decomposition_check                          q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free                                         q |A|

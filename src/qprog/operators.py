@@ -40,8 +40,11 @@ q + sqrt(q) S_t with S_t = ratio_char_sum(h', t), and eta_0 with the point 0
 spans a 2 x 2 block.  Every eigenvector is even or odd under Y -> -Y, since
 eta_t(-1) = (-1)^t, so the deleted points split into one even and one odd
 direction, and each sector's top eigenvalue is the largest root of a secular
-equation.  One FFT grid of ratio sums per block of h gives every S_t, so a
-whole scan costs O(q^2 log q) for the sums plus O(q) per h and bisection step.
+equation.  The ratio sums at h' are twisted_prefactor(h') times the mixed
+sums at lambda = h' (``weil.ratio_sum_check``), so one FFT grid of mixed sums
+per block of h gives every S_t.  A safeguarded rational step finds each
+root in a few O(q) evaluations of the secular function (at most 5 on the
+fields up to 9973 tried), so a whole scan costs O(q^2 log q).
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ import numpy as np
 
 from .field import FieldCtx
 from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
-from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_generic, _quad_rows
+from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_generic, _quad_rows, twisted_prefactor
 from .reporting import CheckResult, error_check
-from .weil import _blocked_char_sums, _ratio_terms
+from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms
 
 
 # ---------------------------------------------------------------------------
@@ -216,64 +219,145 @@ def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]
     ]
 
 
-def _top_secular_root(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+# a row of ``_top_secular_root`` stops once its step is at most this many
+# ulps of x: rounding in the secular sum leaves steps of about an ulp, which a
+# bracket test alone would never accept
+_SECULAR_ULPS = 4
+
+
+def _top_secular_root(lam: np.ndarray, tail_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, the top eigenvalue of diag(lam[i]) compressed to the
-    complement of a unit vector v with |v_k|^2 = w[i, k] > 0.
+    complement of a vector v with |v_k|^2 proportional to w_k: w_k = 1, except
+    on the last columns, which carry tail_w[i] > 0.  Returns the roots and each
+    row's number of secular-function evaluations.
 
-    It is the root of sum_k w_k / (lam_k - x) = 0 between the row's two
-    largest lam, where the sum increases from -inf to +inf; bisect there.
-    A row leaves once its midpoint is no longer strictly inside its bracket,
-    so no division ever happens at an endpoint; a bracket that starts
-    collapsed (a repeated top eigenvalue) returns that eigenvalue.
+    The root of f(x) = sum_k w_k / (lam_k - x) lies between the row's two
+    largest lam, lam_2 <= lam_1, where f increases from -inf to +inf.  Each
+    step (Bunch, Nielsen and Sorensen 1978, in R.-C. Li's form, 1994) keeps
+    the top pole exact and models the other poles by a + s / (lam_2 - x),
+    with their sum's value and slope at x; the model's root is the root of a
+    quadratic in the step, taken in its stable form.  The sign of f at x
+    narrows the bracket, and a model root outside it is replaced by the
+    midpoint.  A row stops once its step is within a few ulps of x, or when
+    no float lies strictly inside its bracket (a repeated top eigenvalue
+    starts so and returns it), so f is never evaluated at a pole.
     """
-    top2 = np.partition(lam, -2, axis=1)[:, -2:]
-    lo, hi = top2[:, 0].copy(), top2[:, 1].copy()
-    rows = np.arange(len(lam))
-    while rows.size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        inside = (lo[rows] < mid) & (mid < hi[rows])
-        if not inside.all():
-            rows, mid = rows[inside], mid[inside]
-            lam, w = lam[inside], w[inside]
-        d = lam - mid[:, None]
-        above = (np.divide(w, d, out=d)).sum(axis=1) > 0  # the root lies below mid
-        hi[rows[above]] = mid[above]
-        lo[rows[~above]] = mid[~above]
-    return lo
+    k, m = lam.shape
+    bulk = m - tail_w.shape[1]
+    rows = np.arange(k)
+    top = lam.argmax(axis=1)
+    lam1 = lam[rows, top]
+    lam[rows, top] = -np.inf  # masked in place for the second maximum, then restored
+    lam2 = lam.max(axis=1)
+    lam[rows, top] = lam1
+    w1 = np.ones(k)
+    in_tail = top >= bulk
+    w1[in_tail] = tail_w[in_tail, top[in_tail] - bulk]
+    root = lam2.copy()
+    evals = np.zeros(k, dtype=np.int64)
+    x = 0.5 * (lam2 + lam1)
+    act = rows[(lam2 < x) & (x < lam1)]
+    # the active rows' state, compressed whenever rows leave
+    lam, tail_w, top = lam[act], tail_w[act], top[act]
+    lo, hi, x, lam1, lam2, w1 = lam2[act], lam1[act], x[act], lam1[act], lam2[act], w1[act]
+    it = 0
+    while act.size:
+        it += 1
+        r = lam - x[:, None]
+        np.reciprocal(r, out=r)
+        r[:, bulk:] *= tail_w  # r_k = w_k / (lam_k - x)
+        at = np.arange(len(act))
+        r1 = r[at, top]
+        r[at, top] = 0.0  # the top pole is kept out of the model
+        phi = r.sum(axis=1)
+        dphi = np.einsum("ij,ij->i", r[:, :bulk], r[:, :bulk]) + (r[:, bulk:] ** 2 / tail_w).sum(axis=1)
+        f = phi + r1
+        above = f > 0  # the root lies below x
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        # with s = dphi d2^2 and a = phi - dphi d2, the model w1/(d1 - tau) + a + s/(d2 - tau)
+        # = 0 in the step tau, times (d1 - tau)(d2 - tau), is a tau^2 - b tau + c = 0, whose
+        # root in (d2, d1) is (b - sqrt(disc)) / 2a = 2c / (b + sqrt(disc)); the sign of b
+        # picks the form without cancellation
+        d1, d2 = lam1 - x, lam2 - x
+        a = phi - dphi * d2
+        b = a * (d1 + d2) + w1 + dphi * d2 * d2
+        c = d1 * d2 * f
+        disc = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        num = np.where(b > 0, 2.0 * c, b - disc)
+        den = np.where(b > 0, b + disc, 2.0 * a)
+        tau = np.divide(num, den, out=np.full(len(act), np.inf), where=den != 0)
+        done = np.abs(tau) <= _SECULAR_ULPS * np.finfo(float).eps * np.abs(x)
+        step = x + tau
+        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        stuck = ~done & ~((lo < x) & (x < hi))
+        leave = done | stuck
+        if leave.any():
+            root[act[leave]] = np.where(done, step, lo)[leave]
+            evals[act[leave]] = it
+            keep = ~leave
+            act, lam, tail_w, top = act[keep], lam[keep], tail_w[keep], top[keep]
+            lo, hi, x, lam1, lam2, w1 = lo[keep], hi[keep], x[keep], lam1[keep], lam2[keep], w1[keep]
+    return root, evals
 
 
-def _slice_eigenvalues(q: int, S: np.ndarray) -> np.ndarray:
-    """q^2 ||T_h||^2 for each row of S, S[i, t] = ratio_char_sum(h_i/4, t)."""
+def _slice_sectors(q: int, S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The secular rows (lam, tail_w) of ``_top_secular_root`` for the even and
+    the odd sector of N_h, for each row of S, S[i, t] = ratio_char_sum(h_i/4, t).
+
+    Each eta_t carries the same weight on the deleted direction, so weights
+    are 1 but for the two eigenvalues mu of the {0, eta_0} block, appended to
+    the even sector with their weight relative to one eta_t.  At q = 3 the odd
+    sector is the deleted direction alone and has no row."""
     n = q - 1
     rq = math.sqrt(q)
     # the {0, eta_0} block [[q, b], [conj(b), q + sqrt(q) S_0]], |b|^2 = q(q-1)
     d = rq * S[:, :1]
     rad = np.sqrt(d * d + 4.0 * q * n)
     shift = np.concatenate([(d + rad) / 2, (d - rad) / 2], axis=1)  # mu - q
-    w_unit = shift**2 / (shift**2 + q * n)  # weight of each mu's vector on eta_0
-    lam = q + rq * S
-    even = np.concatenate([lam[:, 2::2], q + shift], axis=1)
-    even_w = np.concatenate([np.full((len(S), (n - 2) // 2), 2.0 / n), 2.0 * w_unit / n], axis=1)
-    top = _top_secular_root(even, even_w)
-    odd = lam[:, 1::2]
-    if odd.shape[1] > 1:  # at q = 3 the odd sector is the deleted direction alone
-        top = np.maximum(top, _top_secular_root(odd, np.full(odd.shape, 2.0 / n)))
-    return top
+    even = np.empty((len(S), n // 2 + 1))
+    np.multiply(S[:, 2::2], rq, out=even[:, :-2])
+    even[:, :-2] += q
+    even[:, -2:] = q + shift
+    sectors = [(even, shift**2 / (shift**2 + q * n))]  # each mu's weight on eta_0
+    if n > 2:
+        odd = np.multiply(S[:, 1::2], rq)
+        odd += q
+        sectors.append((odd, np.empty((len(S), 0))))
+    return sectors
+
+
+def _slice_eigenvalues(sectors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """q^2 ||T_h||^2 for each row: the larger of the sectors' top eigenvalues."""
+    return np.max([_top_secular_root(lam, tail_w)[0] for lam, tail_w in sectors], axis=0)
+
+
+# cells per block of the slice scan's mixed sums: half of weil_scan's, since
+# the sectors and the solver's work arrays add about a block's bytes again;
+# at q = 9973 full blocks peaked at 66-70 MB RSS against weil_scan's 59 MB, and
+# half blocks at 49 MB in the same time
+_SLICE_BLOCK_CELLS = _BLOCK_CELLS // 2
 
 
 def _slice_norms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
-    """||T_h|| for every h in ``hs`` (nonzero codes), from the ratio sums at h/4."""
+    """||T_h|| for every h in ``hs`` (nonzero codes), from the mixed sums at
+    h/4: the ratio sums there are twisted_prefactor(h/4) times them."""
     q = ctx.q
     quarters = ctx.div_vec(hs, ctx.from_int(4))
     eig = np.empty(len(hs))
-    for i0, sums in _blocked_char_sums(ctx, _ratio_terms, quarters):
-        eig[i0 : i0 + sums.shape[1]] = _slice_eigenvalues(q, np.ascontiguousarray(sums.real.T))
+    for i0, sums in _blocked_char_sums(ctx, _mixed_terms, quarters, _SLICE_BLOCK_CELLS):
+        ratio = sums.T  # rows h, columns t: a view of the block
+        i1 = i0 + len(ratio)
+        ratio *= twisted_prefactor(ctx, quarters[i0:i1])[:, None]
+        sectors = _slice_sectors(q, ratio.real)
+        del sums, ratio  # the block is not held by the roots or the next block
+        eig[i0:i1] = _slice_eigenvalues(sectors)
+        del sectors
     return np.sqrt(eig) / q
 
 
 def sliced_operator_norm(ctx: FieldCtx, h: int) -> float:
     """Largest singular value of the sliced operator T_h, by the spectral route."""
-    h = ctx.check_element(h)  # h = 0 is rejected by ratio_kernel_table
+    h = ctx.check_element(h)  # h = 0 is rejected by twisted_prefactor
     return float(_slice_norms(ctx, np.array([h]))[0])
 
 

@@ -64,10 +64,11 @@ def _char_sums(weights: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 1 << 20
 
 
-def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray):
+def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray, cells: int | None = None):
     """Yield (i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))) for blocks of
-    k = max(1, _BLOCK_CELLS // q) weight rows, in order."""
-    k = max(1, _BLOCK_CELLS // ctx.q)
+    k = max(1, cells // q) weight rows, in order; cells defaults to
+    _BLOCK_CELLS, read at call time."""
+    k = max(1, (cells or _BLOCK_CELLS) // ctx.q)
     for i0 in range(0, len(rows), k):
         yield i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))
 

@@ -7,14 +7,22 @@ evaluates every slice of the deviation square as one bilinear form per h:
 O(q^3) per pair.  The package computes the norms from the Weil sums and the
 slices as an autocorrelation of the deviation's coefficient rows; two-route
 tests compare them on small fields.
+
+``top_secular_root_bisect`` is the bisection the rational secular step
+replaced, and ``slice_norms_by_ratio_sums`` the route the package took
+before it read the mixed sums: the ratio sums at h/4 (one ratio-kernel row
+per h) and the bisection on every sector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from qprog.characters import ComplexFn, fourier
 from qprog.field import FieldCtx
+from qprog.weil import _char_sums, _ratio_terms
 
 from kernel_oracles import quad_kernel_table
 
@@ -56,3 +64,64 @@ def sliced_square_form_dense(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
         Gh = fh2 * fh2[ctx.add_vec(codes, h)].conj()
         slices[h] = Fh @ (sliced_operator_matrix(ctx, h) @ Gh)
     return slices
+
+
+def top_secular_root_bisect(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row i, the top eigenvalue of diag(lam[i]) compressed to the
+    complement of a unit vector v with |v_k|^2 = w[i, k] > 0.
+
+    It is the root of sum_k w_k / (lam_k - x) = 0 between the row's two
+    largest lam, where the sum increases from -inf to +inf; bisect there.
+    A row leaves once its midpoint is no longer strictly inside its bracket,
+    so no division ever happens at an endpoint; a bracket that starts
+    collapsed (a repeated top eigenvalue) returns that eigenvalue.
+    """
+    top2 = np.partition(lam, -2, axis=1)[:, -2:]
+    lo, hi = top2[:, 0].copy(), top2[:, 1].copy()
+    rows = np.arange(len(lam))
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        inside = (lo[rows] < mid) & (mid < hi[rows])
+        if not inside.all():
+            rows, mid = rows[inside], mid[inside]
+            lam, w = lam[inside], w[inside]
+        d = lam - mid[:, None]
+        above = (np.divide(w, d, out=d)).sum(axis=1) > 0  # the root lies below mid
+        hi[rows[above]] = mid[above]
+        lo[rows[~above]] = mid[~above]
+    return lo
+
+
+def full_weights(lam: np.ndarray, tail_w: np.ndarray) -> np.ndarray:
+    """The weights of a (lam, tail_w) secular row, one per column: 1 on the
+    bulk, tail_w on the last columns."""
+    w = np.ones(lam.shape)
+    w[:, lam.shape[1] - tail_w.shape[1] :] = tail_w
+    return w
+
+
+def ratio_sum_rows(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
+    """S[i, t] = ratio_char_sum(h_i/4, t), from the ratio-kernel rows."""
+    quarters = ctx.div_vec(hs, ctx.from_int(4))
+    return np.ascontiguousarray(_char_sums(_ratio_terms(ctx, quarters)).real.T)
+
+
+def slice_norms_by_ratio_sums(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
+    """||T_h|| for every h in ``hs``: the ratio sums at h/4, and the bisection
+    on each sector with every weight written out (2/n per eta_t)."""
+    q, n = ctx.q, ctx.q - 1
+    S = ratio_sum_rows(ctx, hs)
+    rq = math.sqrt(q)
+    # the {0, eta_0} block [[q, b], [conj(b), q + sqrt(q) S_0]], |b|^2 = q(q-1)
+    d = rq * S[:, :1]
+    rad = np.sqrt(d * d + 4.0 * q * n)
+    shift = np.concatenate([(d + rad) / 2, (d - rad) / 2], axis=1)  # mu - q
+    w_unit = shift**2 / (shift**2 + q * n)  # weight of each mu's vector on eta_0
+    lam = q + rq * S
+    even = np.concatenate([lam[:, 2::2], q + shift], axis=1)
+    even_w = np.concatenate([np.full((len(S), (n - 2) // 2), 2.0 / n), 2.0 * w_unit / n], axis=1)
+    top = top_secular_root_bisect(even, even_w)
+    odd = lam[:, 1::2]
+    if odd.shape[1] > 1:  # at q = 3 the odd sector is the deleted direction alone
+        top = np.maximum(top, top_secular_root_bisect(odd, np.full(odd.shape, 2.0 / n)))
+    return np.sqrt(top) / q

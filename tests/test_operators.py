@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qprog.field import build_field, get_field
+from qprog.field import build_field, get_field, prime_power
 from qprog.characters import ComplexFn, additive_char_table, random_fn
 from qprog import operators
 from qprog.kernels import pair_kernel_grid_closed, quad_kernel
+from qprog.weil import weil_scan
 from qprog.operators import (
     _kernel_coeffs,
     _side_image,
@@ -35,16 +36,22 @@ from conftest import Q_FULL, field_for
 from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
 from progression_oracles import count_progressions_field_scan
 from slice_oracles import (
+    full_weights,
+    ratio_sum_rows,
+    slice_norms_by_ratio_sums,
     sliced_operator_apply,
     sliced_operator_matrix,
     sliced_operator_norm_svd,
     sliced_square_form_dense,
+    top_secular_root_bisect,
 )
 
 # the test ladder plus larger extension fields, for the two-route count test
 Q_COUNT = Q_FULL + [125, 243, 343]
 # the test ladder plus two extension fields, for the coefficient-row routes
 Q_ROWS = Q_FULL + [125, 243]
+# the test ladder plus 125 = 5^3, the prime 127 and 243 = 3^5, for the slice-norm routes
+Q_SLICES = Q_FULL + [125, 127, 243]
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +362,121 @@ def test_slice_norms_obey_weil_certificate(q):
     eigenvalue of N_h at or below 4q, so ||T_h|| sqrt(q) <= 2 for every h."""
     rep = sliced_norm_scan(field_for(q))
     assert rep.max_norm_times_sqrt_q <= 2 + 1e-9
+
+
+@pytest.mark.parametrize("q", Q_SLICES)
+def test_slice_norms_from_mixed_sums_match_ratio_sum_route(q):
+    """The scan twists the mixed sums at h/4 by the prefactor; the ratio-kernel
+    rows give the same sums, and through the same sectors the same norms."""
+    ctx = field_for(q)
+    hs = ctx.units()
+    ratio_route = np.sqrt(operators._slice_eigenvalues(operators._slice_sectors(q, ratio_sum_rows(ctx, hs)))) / q
+    assert np.all(np.abs(operators._slice_norms(ctx, hs) - ratio_route) <= 1e-12 * ratio_route)
+
+
+@pytest.mark.parametrize("q", Q_SLICES)
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_slice_norms_across_blocks_match_ratio_sum_route(q, rows_per_block, monkeypatch):
+    """Blocks of one and of three h: each block's prefactor and norms land at
+    its own offset, against the ratio-sum route and the bisection."""
+    monkeypatch.setattr(operators, "_SLICE_BLOCK_CELLS", rows_per_block * q)
+    ctx = field_for(q)
+    hs = ctx.units()
+    old = slice_norms_by_ratio_sums(ctx, hs)
+    assert np.all(np.abs(operators._slice_norms(ctx, hs) - old) <= 1e-12 * old)
+
+
+def test_slice_norms_match_ratio_bisection_route_on_every_field_to_243():
+    """On every odd prime power q <= 243: the mixed sums and the rational step
+    against the ratio sums and the bisection, every h."""
+    for q in range(3, 244, 2):
+        try:
+            ctx = get_field(*prime_power(q))
+        except ValueError:  # not a prime power
+            continue
+        new = np.array(sliced_norm_scan(ctx).norms)
+        old = slice_norms_by_ratio_sums(ctx, ctx.units())
+        assert np.all(np.abs(new - old) <= 1e-12 * old), q
+
+
+@pytest.mark.parametrize("q", Q_SLICES)
+def test_rational_secular_roots_match_bisection(q):
+    """Every sector row of every h: the rational step's root against the bisection's."""
+    ctx = field_for(q)
+    for lam, tail_w in operators._slice_sectors(q, ratio_sum_rows(ctx, ctx.units())):
+        fast, _ = operators._top_secular_root(lam, tail_w)
+        slow = top_secular_root_bisect(lam, full_weights(lam, tail_w))
+        assert np.all(np.abs(fast - slow) <= 1e-12 * np.abs(slow))
+
+
+@pytest.mark.parametrize("q", Q_SLICES + [2187])
+def test_rational_secular_step_converges_in_few_evaluations(q, monkeypatch):
+    """No row of the scan falls back to bisection for long: at most 8
+    evaluations of the secular function per row (4 or 5 on these fields)."""
+    counts = []
+    solve = operators._top_secular_root
+
+    def counted(lam, tail_w):
+        roots, evals = solve(lam, tail_w)
+        counts.append(evals)
+        return roots, evals
+
+    monkeypatch.setattr(operators, "_top_secular_root", counted)
+    sliced_norm_scan(field_for(q))
+    evals = np.concatenate(counts)
+    assert len(evals) == (q - 1) * (2 if q > 3 else 1)  # a row per h and sector
+    assert evals.max() <= 8
+
+
+def _secular_edge_rows():
+    """Synthetic secular rows (lam, tail_w) at the solver's edges."""
+    above_one = np.nextafter(1.0, 2.0)
+    return {
+        # a repeated top eigenvalue: the bracket starts collapsed
+        "repeated-top": (np.array([[0.0, 1.0, 3.0, 3.0]]), np.empty((1, 0))),
+        # q = 3: one sector of two poles, where the model is exact
+        "q3": (np.array([[3.0, 7.0]]), np.array([[0.2, 0.8]])),
+        # the root is within an ulp of the top pole, and the model root lands on it
+        "tiny-top-weight": (np.array([[0.0, 1.0, 2.0]]), np.array([[1e-30]])),
+        # the first midpoint is the pole at lam_2 itself
+        "x-on-a-pole": (np.array([[0.0, 1.0, above_one]]), np.empty((1, 0))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_secular_edge_rows()))
+def test_rational_secular_step_edge_rows(name):
+    """Every edge row gives the bisection's root, and the secular function is
+    never evaluated at a pole (any division by zero would raise)."""
+    lam, tail_w = _secular_edge_rows()[name]
+    with np.errstate(all="raise"):
+        fast, evals = operators._top_secular_root(lam.copy(), tail_w)
+        slow = top_secular_root_bisect(lam.copy(), full_weights(lam, tail_w))
+    assert abs(fast[0] - slow[0]) <= 1e-15 * abs(slow[0]), (fast, slow)
+    top2 = np.sort(lam[0])[-2:]
+    assert top2[0] <= fast[0] <= top2[1]
+    if name in ("repeated-top", "x-on-a-pole"):
+        assert evals[0] == 0 and fast[0] == top2[0]
+    if name == "q3":
+        assert evals[0] <= 2 and abs(fast[0] - 3.8) <= 1e-15 * 3.8
+
+
+def test_slice_scan_holds_one_half_size_block():
+    """The slice scan's blocks hold half of weil_scan's cells, and it drops
+    each block before the roots and the next block, so at q = 2187 its traced
+    peak is about half of weil_scan's: 12 MB against 25 MB.  Holding the
+    previous block gives 20 MB; the ratio-sum route peaked at 64 MB."""
+    ctx = get_field(3, 7)
+    sliced_norm_scan(ctx)  # warm the per-field tables
+    weil_scan(ctx)
+    peaks = []
+    for scan in (sliced_norm_scan, weil_scan):
+        tracemalloc.start()
+        try:
+            scan(ctx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.6 * peaks[1], peaks
 
 
 def test_opnorm_bound_at_q9():
