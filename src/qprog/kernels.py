@@ -16,9 +16,14 @@ all live in this convention.
 
 All closed forms share the single measured Gauss-sum unit ``sigma``; the
 exhaustive equivalence checks double as the verification that one constant
-serves every case.  No q x q table of K is held: both routes of its check
-run in blocks of rows b.  The closed forms of K and of the ratio kernel
-read their phases from the phase table at a sum of discrete logs.
+serves every case.  Each closed form is one vectorised function of code
+arrays (``_quad_kernel``, ``_pair_closed``, ``ratio_kernel_table``) that
+carries its special cases: K's point mass at (0, 0), B_h's diagonal and
+vanishing antidiagonal, L_h's zeros at r = +-1.  The scalar entry points,
+the grids and the checks index into it.  No q x q table of K is held: both
+routes of its check run in blocks of rows b.  The closed forms of K and of
+the ratio kernel read their phases from the phase table at a sum of
+discrete logs.
 """
 
 from __future__ import annotations
@@ -75,17 +80,17 @@ def _quad_rows(ctx: FieldCtx, a: np.ndarray, columns: tuple[np.ndarray, np.ndarr
     return prefactor * phase_table(ctx)[_log_squares(ctx)[a] + log_col]
 
 
-def _quad_generic(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sigma q^{-1/2} chi(b) e(-a^2/(4b)), broadcast over code arrays a and b (b != 0)."""
-    return _quad_rows(ctx, a, _quad_columns(ctx, b))
+def _quad_kernel(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K(a, b) on broadcast code arrays a and b: sigma q^{-1/2} chi(b)
+    e(-a^2/(4b)), whose prefactor vanishes on b = 0, plus the point mass 1
+    at (0, 0)."""
+    return _quad_rows(ctx, a, _quad_columns(ctx, b)) + ((a == 0) & (b == 0))
 
 
 def quad_kernel(ctx: FieldCtx, a: int, b: int) -> complex:
     """Closed form: sigma q^{-1/2} chi(b) e(-a^2/(4b)) for b != 0; 1 at (0,0); else 0."""
     a, b = ctx.check_element(a), ctx.check_element(b)
-    if b == 0:
-        return complex(a == 0)
-    return complex(_quad_generic(ctx, np.array(a), np.array(b)))
+    return complex(_quad_kernel(ctx, np.array([a]), np.array([b]))[0])
 
 
 def quad_kernel_brute(ctx: FieldCtx, a: int, b: int) -> complex:
@@ -151,43 +156,33 @@ def pair_kernel_grid_brute(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarra
     return ys, cols.T @ cols.conj()
 
 
-def _pair_generic(ctx: FieldCtx, h: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z)) on code
-    arrays y, z off the diagonal and the vanishing antidiagonal."""
+def _pair_closed(ctx: FieldCtx, h: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """B_h(y, z) on broadcast code arrays of admissible y, z: q on the diagonal
+    y = z, and sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z))
+    elsewhere, which the character's zero makes 0 on the antidiagonal
+    h + y + z = 0 (its phase is read there at h + y + z = 1)."""
     hyz = ctx.add_vec(ctx.add_vec(h, y), z)
     ymz = ctx.sub_vec(y, z)
     denom = ctx.mul_vec(ctx.mul_vec(ctx.add_vec(h, y), ctx.add_vec(h, z)), ctx.mul_vec(y, z))
     chi_arg = ctx.div_vec(ctx.mul_vec(ctx.mul_vec(h, hyz), ymz), denom)
-    phase = ctx.div_vec(ctx.mul_vec(h, ctx.neg_vec(ymz)), hyz)
+    phase = ctx.div_vec(ctx.mul_vec(h, ctx.neg_vec(ymz)), np.where(hyz == 0, 1, hyz))
     sigma = gauss_sum(ctx).sigma
     chi = quadratic_char_table(ctx)
     e = additive_char_table(ctx)
-    return sigma * math.sqrt(ctx.q) * chi[chi_arg] * e[phase]
+    return np.where(ymz == 0, complex(ctx.q), sigma * math.sqrt(ctx.q) * chi[chi_arg] * e[phase])
 
 
 def pair_kernel_closed(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
-    """Case evaluation: q on the diagonal, 0 on the vanishing antidiagonal,
+    """Closed form: q on the diagonal, 0 on the vanishing antidiagonal,
     sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z)) otherwise."""
     h, y, z = _check_pair_args(ctx, h, y, z)
-    if y == z:
-        return complex(ctx.q)
-    if ctx.add(ctx.add(h, y), z) == 0:
-        return 0.0 + 0.0j
-    return complex(_pair_generic(ctx, h, np.array(y), np.array(z)))
+    return complex(_pair_closed(ctx, h, np.array([y]), np.array([z]))[0])
 
 
 def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form grid over all admissible (y, z) for one h."""
     ys = admissible_codes(ctx, h)
-    n = len(ys)
-    Y = np.broadcast_to(ys[:, None], (n, n))
-    Z = np.broadcast_to(ys[None, :], (n, n))
-    diag = Y == Z
-    generic = ~diag & (ctx.add_vec(ctx.add_vec(h, Y), Z) != 0)
-    out = np.zeros((n, n), dtype=complex)
-    out[diag] = ctx.q
-    out[generic] = _pair_generic(ctx, h, Y[generic], Z[generic])
-    return ys, out
+    return ys, _pair_closed(ctx, h, ys[:, None], ys[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +197,6 @@ def twisted_prefactor(ctx: FieldCtx, h):
     if np.any((h <= 0) | (h >= ctx.q)):
         raise ValueError(f"h must be nonzero, a code in 1..{ctx.q - 1}")
     return gauss_sum(ctx).sigma * quadratic_char_table(ctx)[h]
-
-
-# rows of ``ratio_kernel_table`` computed at once: temporaries of a few MB; of
-# 8, 16, 32 and 64 rows, 16 was the fastest at q = 2187 and 9973
-_RATIO_ROWS = 16
 
 
 def _ratio_parts(ctx: FieldCtx, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,14 +215,8 @@ def ratio_kernel_table(ctx: FieldCtx, hs) -> np.ndarray:
     hs = np.asarray(hs, dtype=np.int64)
     prefactor = twisted_prefactor(ctx, hs)  # rejects h = 0 and codes out of range
     chi_part, log_u = _ratio_parts(ctx, ctx.elements())
-    log_h = ctx.log0[hs]
-    phases = phase_table(ctx)
-    out = np.empty((len(hs), ctx.q), dtype=complex)
-    for i in range(0, len(hs), _RATIO_ROWS):
-        rows = slice(i, i + _RATIO_ROWS)
-        phase = phases[log_h[rows, None] + log_u[None, :]]
-        out[rows] = prefactor[rows, None] * chi_part[None, :] * phase
-    return out
+    phase = phase_table(ctx)[ctx.log0[hs][:, None] + log_u[None, :]]
+    return prefactor[:, None] * chi_part[None, :] * phase
 
 
 def ratio_kernel(ctx: FieldCtx, h: int, r: int) -> complex:
@@ -273,15 +257,11 @@ def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal average on every (a, b) pair, in blocks of rows b."""
     codes = ctx.elements()
     step = max(1, ROW_BLOCK_CELLS // ctx.q)
-    prefactor, log_col = _quad_columns(ctx, codes[1:, None])  # row b at b - 1
 
     def blocks():
         for b0 in range(0, ctx.q, step):
             bs = codes[b0 : b0 + step]
-            units = bs[bs != 0] - 1
-            closed = np.zeros((len(bs), ctx.q), dtype=complex)
-            closed[bs != 0] = _quad_rows(ctx, codes, (prefactor[units], log_col[units]))
-            closed[bs == 0, 0] = 1.0  # K(., 0) is the point mass at a = 0
+            closed = _quad_kernel(ctx, codes[None, :], bs[:, None])  # rows b, columns a
             err = np.abs(closed - quad_kernel_rows_brute(ctx, bs))
             yield err, lambda i, a, b0=b0: f"(a={a}, b={b0 + i})"
 

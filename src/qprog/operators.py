@@ -58,7 +58,7 @@ import numpy as np
 
 from .field import FieldCtx
 from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
-from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_generic, _quad_rows, twisted_prefactor
+from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_kernel, _quad_rows, twisted_prefactor
 from .reporting import CheckResult, error_check
 from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms
 
@@ -209,8 +209,8 @@ def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]
     # and v = 1 serves there.  Its image under T_1 is K(u, v0) conj(K(u-1, v0+1))
     v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
     codes = ctx.elements()
-    image = _quad_generic(ctx, codes, v0) * np.conj(
-        _quad_generic(ctx, ctx.sub_vec(codes, 1), ctx.add(v0, 1)))
+    image = _quad_kernel(ctx, codes, v0) * np.conj(
+        _quad_kernel(ctx, ctx.sub_vec(codes, 1), ctx.add(v0, 1)))
     return [
         error_check("averaging-two-routes", routes, 1e-8, lambda i: f"(trial={i})"),
         error_check("slice-expansion-identity", form, 1e-8, lambda i: f"(trial={i})"),

@@ -64,11 +64,10 @@ def _char_sums(weights: np.ndarray) -> np.ndarray:
 _BLOCK_CELLS = 1 << 20
 
 
-def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray, cells: int | None = None):
+def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray, cells: int):
     """Yield (i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))) for blocks of
-    k = max(1, cells // q) weight rows, in order; cells defaults to
-    _BLOCK_CELLS, read at call time."""
-    k = max(1, (cells or _BLOCK_CELLS) // ctx.q)
+    k = max(1, cells // q) weight rows, in order."""
+    k = max(1, cells // ctx.q)
     for i0 in range(0, len(rows), k):
         yield i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))
 
@@ -151,7 +150,7 @@ def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
     grid = np.empty((n, n)) if keep_grid else None
     max_abs = 0.0
     near = []  # per block: (|sum|, t, lambda index) of the cells near its maximum
-    for j0, sums in _blocked_char_sums(ctx, _mixed_terms, lams):
+    for j0, sums in _blocked_char_sums(ctx, _mixed_terms, lams, _BLOCK_CELLS):
         block = np.abs(sums)  # rows t, columns lambda index j0, j0 + 1, ...
         if grid is not None:
             grid[:, j0 : j0 + block.shape[1]] = block

@@ -21,7 +21,7 @@ import numpy as np
 
 from qprog.characters import ComplexFn, additive_char_table, fourier, quadratic_char_table
 from qprog.field import FieldCtx, per_field
-from qprog.kernels import _check_pair_args, _quad_generic, twisted_prefactor
+from qprog.kernels import _check_pair_args, _quad_kernel, twisted_prefactor
 
 
 def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, int]:
@@ -40,7 +40,7 @@ def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int,
 def quad_kernel_table(ctx: FieldCtx) -> np.ndarray:
     """Closed-form K on the whole q x q grid (cached; rows a, columns b)."""
     tab = np.zeros((ctx.q, ctx.q), dtype=complex)
-    tab[:, 1:] = _quad_generic(ctx, ctx.elements()[:, None], ctx.units()[None, :])
+    tab[:, 1:] = _quad_kernel(ctx, ctx.elements()[:, None], ctx.units()[None, :])
     tab[0, 0] = 1.0
     return tab
 

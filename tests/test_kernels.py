@@ -17,6 +17,7 @@ from qprog.kernels import (
     pair_kernel_brute,
     pair_kernel_check,
     pair_kernel_closed,
+    pair_kernel_grid_closed,
     quad_kernel,
     quad_kernel_brute,
     quad_kernel_check,
@@ -184,6 +185,24 @@ def test_pair_kernel_case_partition():
                     assert v == 0
                 else:
                     assert abs(abs(v) - math.sqrt(5)) < 1e-12
+
+
+def test_scalar_closed_forms_equal_their_vectorised_forms(ctx_small):
+    """Each scalar entry point is its vectorised closed form, byte for byte:
+    K on the whole (a, b) grid with the b = 0 row, B_h on every admissible
+    (h, y, z) and L_h on every (h, r)."""
+    ctx = ctx_small
+    codes = ctx.elements()
+    grid = kernels._quad_kernel(ctx, codes[:, None], codes[None, :])
+    scalars = np.array([[quad_kernel(ctx, a, b) for b in codes] for a in codes])
+    assert scalars.tobytes() == grid.tobytes()
+    for h in ctx.units():
+        ys, grid = pair_kernel_grid_closed(ctx, h)
+        scalars = np.array([[pair_kernel_closed(ctx, h, y, z) for z in ys] for y in ys])
+        assert scalars.tobytes() == grid.tobytes()
+    table = ratio_kernel_table(ctx, ctx.units())
+    scalars = np.array([[ratio_kernel(ctx, h, r) for r in codes] for h in ctx.units()])
+    assert scalars.tobytes() == table.tobytes()
 
 
 def test_pair_kernel_coeffs_reconstruct_brute():

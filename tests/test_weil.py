@@ -260,16 +260,32 @@ TERMS = {
 }
 
 
+def _count_blocks(monkeypatch) -> list[int]:
+    """The rows of each block of mixed weights built from now on, in order."""
+    rows = []
+    mixed = weil._mixed_terms
+
+    def counted(ctx, lams):
+        rows.append(len(lams))
+        return mixed(ctx, lams)
+
+    monkeypatch.setattr(weil, "_mixed_terms", counted)
+    return rows
+
+
 @pytest.mark.parametrize("q", [3, 5, 27, 49, 125])
 def test_blocked_scan_matches_single_block(q, monkeypatch):
     """One lambda row per block, three rows per block and one block give the
     same grid, maximum and first tied cell."""
     ctx = field_for(q)
     reports = []
-    for cells in (1, 3 * q, q * q):
+    blocks = _count_blocks(monkeypatch)
+    for cells, n_blocks in ((1, q - 1), (3 * q, -(-(q - 1) // 3)), (q * q, 1)):
         monkeypatch.setattr(weil, "_BLOCK_CELLS", cells)
         reports.append(weil_scan(ctx, keep_grid=True))
         assert weil_scan(ctx).argmax_lambda == reports[-1].argmax_lambda
+        assert len(blocks) == 2 * n_blocks and sum(blocks) == 2 * (q - 1)
+        blocks.clear()
     one = reports[-1]
     for rep in reports[:-1]:
         assert np.array_equal(rep.grid, one.grid)
@@ -283,8 +299,10 @@ def test_scan_argmax_across_blocks(q, cell, monkeypatch):
     split the lambda rows; the small fields are split row by row."""
     if q < 2187:
         monkeypatch.setattr(weil, "_BLOCK_CELLS", 1)
+    blocks = _count_blocks(monkeypatch)
     rep = weil_scan(field_for(q))
     assert (rep.argmax_t, rep.argmax_lambda) == cell
+    assert len(blocks) == (q - 1 if q < 2187 else 5)  # 479 rows a block at 2187
 
 
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
