@@ -228,6 +228,12 @@ def enumerate_planes(emb: SubfieldEmbedding):
         yield Plane(_canonical_basis(emb, mask), members, mask)
 
 
+def _witnesses(big: FieldCtx, plane: Plane) -> np.ndarray:
+    """The nonzero y in the plane with y^2 in the plane, ascending."""
+    ys = plane.elements[plane.elements != 0]
+    return ys[plane.mask[big.sq_vec(ys)]]
+
+
 def is_bad_plane(emb: SubfieldEmbedding, plane: Plane) -> tuple[bool, int | None]:
     """True iff some nonzero y in the plane has y^2 in the plane.
 
@@ -236,12 +242,8 @@ def is_bad_plane(emb: SubfieldEmbedding, plane: Plane) -> tuple[bool, int | None
     """
     if plane.mask[1]:
         raise ValueError("badness is only classified for planes avoiding 1")
-    big = emb.big
-    ys = plane.elements[plane.elements != 0]
-    hits = plane.mask[big.sq_vec(ys)]
-    if not hits.any():
-        return False, None
-    return True, int(ys[hits][0])
+    ys = _witnesses(emb.big, plane)
+    return (True, int(ys[0])) if ys.size else (False, None)
 
 
 @dataclass
@@ -279,8 +281,7 @@ def plane_census(emb: SubfieldEmbedding) -> PlaneCensus:
         if plane.mask[1]:
             containing += 1
             continue
-        # witnesses: nonzero y in the plane with y^2 in it (see is_bad_plane)
-        w = int(plane.mask[big.sq_vec(plane.elements[plane.elements != 0])].sum())
+        w = len(_witnesses(big, plane))
         if w:
             bad += 1
             min_witnesses = w if min_witnesses is None else min(min_witnesses, w)

@@ -16,10 +16,11 @@ bit-for-bit across runs and machines:
 Multiplication is one gather, exp_ext[log0[a] + log0[b]], from discrete-log
 tables padded so that neither a reduction mod q-1 nor a test for zero is
 needed; inversion and powers run through the plain log/exp tables.  Addition
-is digitwise and is backed, for small fields, by a cached q x q table built
-from the p x p table of one digit.  ``add_rows`` gives whole rows s + x over
-every x at once: rows of that table, or above it windows of the code tensor
-wrapped once along each digit axis.  The
+is one gather too, wrapped[offset[a] + offset[b]], from the code tensor
+wrapped once along each digit axis, so digit sums need no reduction mod p.
+``add_rows`` gives whole rows s + x over every x at once: for small fields
+rows of a cached q x q table built from the p x p table of one digit, above
+it windows of the same wrapped tensor.  The
 arithmetic is written once, in the vectorised methods (``add_vec`` etc.),
 which accept numpy integer arrays and broadcast; the scalar methods call them
 on single codes.  Per-field tables are built once, by ``per_field``.
@@ -40,9 +41,9 @@ import numpy as np
 # Largest field materialised by default.  It bounds q, not the work: in
 # q = |F|, the exhaustive routes cost
 #   mul_vec, one gather per product (tables of 5q words)            1 per product
+#   add_vec, one gather per sum (a tensor of (2p-1)^s ints)         1 per sum
 #   e(a b), one phase-table gather (4q complex)                     1 per phase
-#   dense q x q add table (q <= _ADD_TABLE_MAX), s int16 passes     q^2 memory
-#   add_rows: table rows, or windows of (2p-1)^s ints               1 per code
+#   add_rows: rows of the q x q int16 table, or add_vec's windows   1 per code
 #   log/exp tables by doubling (s x s matrix powers)                q s^2
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm (rows from add_rows)            q^2
@@ -53,12 +54,12 @@ import numpy as np
 #   pair_kernel_check, decomposition_check                          q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free                                         q |A|
-#   plane_census over F_{q^3}                                       q^4
+#   plane_census over F_{q^3} (q^2+q+1 functionals on q^3 points)   q^5
 DESK_CAP = 10_000
 
-# Fields up to this size get a dense q x q addition table (2187^2 int16 is
-# ~9.6 MB); larger fields add digitwise, and by rows through the windows of
-# ``add_rows``.
+# Fields up to this size give ``add_rows`` rows of a dense q x q add table
+# (2187^2 int16 is ~9.6 MB), where a row copy beats a gather; larger fields
+# take windows of the wrapped tensor.  ``add_vec`` never builds the table.
 _ADD_TABLE_MAX = 2500
 
 
@@ -283,7 +284,7 @@ class FieldCtx:
         tr = conj = self.elements()
         for _ in range(self.s - 1):
             conj = self.pow_vec(conj, self.p)
-            tr = self._add_digitwise(tr, conj)
+            tr = self.add_vec(tr, conj)
         if np.any(tr >= self.p):
             raise RuntimeError("trace left the prime field")
         self.trace_table = tr
@@ -297,7 +298,7 @@ class FieldCtx:
         return a
 
     def add(self, a: int, b: int) -> int:
-        return int(self._add_digitwise(a, b))  # O(s): builds no add table
+        return int(self.add_vec(a, b))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, int(self.neg_table[b]))
@@ -338,6 +339,24 @@ class FieldCtx:
 
     # -- vectorised arithmetic -------------------------------------------------
 
+    @per_field("add_gather")
+    def _add_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(wrapped, offset) with a + b = wrapped[offset[a] + offset[b]]: ``wrapped``
+        is the code tensor by digit (axis j the digit of p^(s-1-j)) wrapped once
+        along each axis and flattened, (2p - 1)^s ints, 160 KB at q = 9973, and
+        ``offset[c]`` the flat index of c's digits, so digit sums need no mod p."""
+        digits = (self.p,) * self.s
+        wrapped = np.pad(np.arange(self.q, dtype=np.intp).reshape(digits), (0, self.p - 1), "wrap")
+        offset = np.ravel_multi_index(np.unravel_index(self.elements(), digits), wrapped.shape)
+        return wrapped.ravel(), offset
+
+    def add_vec(self, a, b) -> np.ndarray:
+        wrapped, offset = self._add_gather()
+        at = offset[a] + offset[b]
+        # Arrays gather in place, into their index array ("clip": "raise" buffers a copy).
+        # A second result-sized array is re-faulted per call: 4.1 ms, not 1.2 (256 x 2187, 2 vCPU).
+        return wrapped.take(at, out=at, mode="clip") if at.ndim else wrapped[at]
+
     @property
     @per_field("add_table")
     def add_table(self) -> np.ndarray | None:
@@ -354,40 +373,15 @@ class FieldCtx:
                 self.p * pj, self.p * pj)
         return tab
 
-    def _add_digitwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.s == 1:
-            return (a + b) % self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for pi in self._pow_p[: self.s]:
-            out += (((a // pi) + (b // pi)) % self.p) * pi
-        return out
-
-    def add_vec(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        tab = self.add_table
-        if tab is not None:  # one flat gather: half the time of tab[a, b]
-            return tab.ravel()[a * self.q + b].astype(np.int64)
-        return self._add_digitwise(a, b)
-
-    @per_field("add_windows")
-    def _add_windows(self) -> np.ndarray:
-        """The tensor of codes by digit (axis j the digit of p^(s-1-j)),
-        wrapped once along each axis: (2p - 1)^s ints, 160 KB at q = 9973.
-        Its p^s window starting at the digits of c holds c + x at the digits
-        of x."""
-        return np.pad(np.arange(self.q, dtype=np.intp).reshape((self.p,) * self.s),
-                      [(0, self.p - 1)] * self.s, mode="wrap")
-
     def add_rows(self, shifts) -> np.ndarray:
-        """out[i, x] = shifts[i] + x for every code x: one row per shift, as
-        intp codes.  Rows of the add table where there is one, else the
-        windows of ``_add_windows`` at the shifts' digits."""
+        """out[i, x] = shifts[i] + x for every code x, as intp codes: rows of
+        the add table where there is one, else the windows of the wrapped code
+        tensor at the shifts' digits (c + x sits at x's digits past c's)."""
         shifts = np.asarray(shifts, dtype=np.int64)
         tab = self.add_table
         if tab is not None:
             return tab[shifts].astype(np.intp)
-        wrapped = self._add_windows()
+        wrapped = self._add_gather()[0].reshape((2 * self.p - 1,) * self.s)
         shape = (self.p,) * self.s  # the windows, a view built per call (no q^2 cache)
         windows = np.ndarray(shape * 2, np.intp, wrapped, 0, wrapped.strides * 2)
         return windows[np.unravel_index(shifts, shape)].reshape(len(shifts), self.q)

@@ -38,7 +38,6 @@ from .characters import (
     fourier_inverse_rows,
     gauss_sum,
     phase_table,
-    quadratic_char,
     quadratic_char_table,
 )
 from .reporting import TOLERANCE_ABS, CheckResult, stacked_error_check
@@ -230,6 +229,11 @@ def half_shift(ctx: FieldCtx, h: int) -> int:
     return ctx.div(h, ctx.from_int(2))
 
 
+def _twist(ctx: FieldCtx, c: int, Y: np.ndarray) -> np.ndarray:
+    """D(Y) = chi(Y^2 - c^2) on a code array Y, as floats."""
+    return quadratic_char_table(ctx)[ctx.sub_vec(ctx.sq_vec(Y), ctx.mul(c, c))].astype(float)
+
+
 def twisted_pair_kernel(ctx: FieldCtx, h: int, Y: int, Z: int) -> complex:
     """D(Y) B_h(Y-c, Z-c) D(Z) with D(Y) = chi(Y^2 - c^2), c = h/2.
 
@@ -242,10 +246,9 @@ def twisted_pair_kernel(ctx: FieldCtx, h: int, Y: int, Z: int) -> complex:
     c = half_shift(ctx, h)
     if Y in (c, ctx.neg(c)) or Z in (c, ctx.neg(c)):
         raise ValueError("twisted kernel excludes Y, Z in {c, -c}")
-    c2 = ctx.mul(c, c)
-    dY = quadratic_char(ctx, ctx.sub(ctx.mul(Y, Y), c2))
-    dZ = quadratic_char(ctx, ctx.sub(ctx.mul(Z, Z), c2))
-    return dY * dZ * pair_kernel_closed(ctx, h, ctx.sub(Y, c), ctx.sub(Z, c))
+    Y, Z = np.array([Y]), np.array([Z])
+    pair = _pair_closed(ctx, h, ctx.sub_vec(Y, c), ctx.sub_vec(Z, c))
+    return complex((_twist(ctx, c, Y) * pair * _twist(ctx, c, Z))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +288,6 @@ def decomposition_check(ctx: FieldCtx) -> CheckResult:
     profile: B_{h,0}(Y,Z) = q 1_{Y=Z} + sqrt(q) L_h(Z/Y) for Y, Z outside
     {0, c, -c}."""
     q = ctx.q
-    chi = quadratic_char_table(ctx)
     ratio_tables = ratio_kernel_table(ctx, ctx.units())  # row h - 1 is L_h
 
     def blocks():  # one (q-3)^2 grid per h
@@ -293,7 +295,7 @@ def decomposition_check(ctx: FieldCtx) -> CheckResult:
             c = half_shift(ctx, h)
             Ys = ctx.codes_outside(0, c, ctx.neg(c))  # none at q = 3
             cols = _slice_phase_columns(ctx, h, ctx.sub_vec(Ys, c))  # admissible for B_h
-            d = chi[ctx.sub_vec(ctx.sq_vec(Ys), ctx.mul(c, c))].astype(float)
+            d = _twist(ctx, c, Ys)
             twisted = d[:, None] * (cols.T @ cols.conj()) * d[None, :]
 
             ratios = ctx.div_vec(Ys[None, :], Ys[:, None])  # r = Z/Y at [i, j] = (Y, Z)

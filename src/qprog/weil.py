@@ -77,7 +77,9 @@ def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> np.ndarray:
     zero at r = +-1, the weights of the sum over r outside {0, +-1}.  The
     phases are gathered straight into the array the FFT then runs in."""
     chi_part, log_u = _ratio_parts(ctx, ctx.exp_table)
-    rows = phase_table(ctx)[ctx.log0[lams][:, None] + log_u[None, :]]
+    rows = np.empty((len(lams), len(log_u)), dtype=complex)
+    for row, log_lam in zip(rows, ctx.log0[lams]):  # row by row: no (k, q-1) index array
+        np.take(phase_table(ctx), log_lam + log_u, out=row, mode="clip")
     rows *= chi_part.astype(complex)
     return rows
 

@@ -1,6 +1,8 @@
 """Field helpers that only the tests use, kept as oracles.
 
-``mul_direct`` multiplies by polynomial arithmetic modulo the modulus,
+``add_digitwise`` adds by s passes of digit arithmetic mod p, bypassing
+the gather of ``add_vec`` and the add table.  ``mul_direct`` multiplies by
+polynomial arithmetic modulo the modulus,
 bypassing the log/exp tables; ``exp_table_by_loop`` builds the exp table
 with it, one power of the generator at a time (the package doubles by
 matrix powers instead).  ``min_poly_embedding_map`` finds the subfield
@@ -15,6 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from qprog.field import FieldCtx, SubfieldEmbedding, _digits_int, _poly_mulmod, _trim, get_field
+
+
+def add_digitwise(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Reference sum on broadcast code arrays, one base-p digit at a time."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for pi in ctx._pow_p[: ctx.s]:
+        out += (((a // pi) + (b // pi)) % ctx.p) * pi
+    return out
 
 
 def mul_direct(ctx: FieldCtx, a: int, b: int) -> int:

@@ -17,6 +17,7 @@ from qprog.field import (
 
 from conftest import Q_FULL, field_for
 from field_oracles import (
+    add_digitwise,
     cubic_min_poly,
     exp_table_by_loop,
     field_from_descriptor,
@@ -229,7 +230,7 @@ def test_per_field_tables_are_built_once():
     )
     from qprog.kernels import _log_squares
 
-    ctx = build_field(5, 2)  # a fresh field: only the mul tables are built
+    ctx = build_field(5, 2)  # a fresh field: only the mul tables and the add gather are built
     tables = {
         "mul_tables": lambda c: c._mul_tables(),
         "add_table": lambda c: c.add_table,
@@ -242,7 +243,7 @@ def test_per_field_tables_are_built_once():
         "gauss_sum": gauss_sum,
         "phase_table": phase_table,
         "log_squares": _log_squares,
-        "add_windows": lambda c: c._add_windows(),
+        "add_gather": lambda c: c._add_gather(),
     }
     for key, table in tables.items():
         first = table(ctx)
@@ -348,7 +349,7 @@ def test_add_table_is_built_from_digits(p, s):
     assert tab.dtype == np.int16 and tab.shape == (ctx.q, ctx.q)
     for a0 in range(0, ctx.q, 256):
         rows = codes[a0 : a0 + 256, None]
-        assert np.array_equal(tab[a0 : a0 + 256], ctx._add_digitwise(rows, codes[None, :]))
+        assert np.array_equal(tab[a0 : a0 + 256], add_digitwise(ctx, rows, codes[None, :]))
 
 
 @pytest.mark.parametrize("q", Q_FULL)
@@ -370,7 +371,7 @@ def test_add_table_matches_digitwise_on_f3_7():
     codes = ctx.elements()
     tab = ctx.add_table
     assert tab.dtype == np.int16
-    assert np.array_equal(tab, ctx._add_digitwise(codes[:, None], codes[None, :]))
+    assert np.array_equal(tab, add_digitwise(ctx, codes[:, None], codes[None, :]))
 
 
 @pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3), (7, 2), (3, 4), (11, 2),
@@ -385,8 +386,48 @@ def test_exp_table_by_doubling_matches_polynomial_loop(p, s):
     assert ctx.log_table[0] == -1
 
 
+@pytest.mark.parametrize("q", Q_FULL)
+def test_add_vec_matches_digitwise_on_every_pair(q):
+    """The one gather at offset[a] + offset[b] against the digitwise oracle,
+    as a (k,1) x (1,n) broadcast and as scalar x array, in int64."""
+    ctx = field_for(q)
+    codes = ctx.elements()
+    expected = add_digitwise(ctx, codes[:, None], codes[None, :])
+    got = ctx.add_vec(codes[:, None], codes[None, :])
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    for a in range(q):
+        assert np.array_equal(ctx.add_vec(a, codes), expected[a])
+
+
+@pytest.mark.parametrize("p, s", [(5, 5), (3, 8), (97, 2), (9973, 1)])
+def test_add_vec_above_the_table_matches_digitwise(p, s):
+    """Seeded pairs, 0 and q - 1 included, on fields that keep no add table."""
+    ctx = build_field(p, s)
+    rng = np.random.default_rng(ctx.q)
+    a = np.concatenate([[0, 0, ctx.q - 1, ctx.q - 1], rng.integers(0, ctx.q, 4096)])
+    b = np.concatenate([[0, ctx.q - 1, 0, ctx.q - 1], rng.integers(0, ctx.q, 4096)])
+    got = ctx.add_vec(a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, add_digitwise(ctx, a, b))
+    grid = ctx.add_vec(a[:64, None], b[None, :64])
+    assert np.array_equal(grid, add_digitwise(ctx, a[:64, None], b[None, :64]))
+    assert np.array_equal(ctx.add_vec(ctx.q - 1, b), add_digitwise(ctx, ctx.q - 1, b))
+
+
+def test_add_vec_builds_no_q_squared_array():
+    """Sums over every pair of F_2401, a field that may keep an add table,
+    leave no array of q^2 entries in the field's cache."""
+    ctx = build_field(7, 4)
+    codes = ctx.elements()
+    for a0 in range(0, ctx.q, 256):
+        ctx.add_vec(codes[a0 : a0 + 256, None], codes[None, :])
+    assert "add_table" not in ctx._cache
+    arrays = [x for v in ctx._cache.values() for x in (v if isinstance(v, tuple) else (v,))
+              if isinstance(x, np.ndarray)]
+    assert arrays and all(x.size < ctx.q**2 for x in arrays)
+
+
 def _add_rows_expected(ctx, shifts):
-    return ctx.add_vec(shifts[:, None], ctx.elements()[None, :])
+    return add_digitwise(ctx, shifts[:, None], ctx.elements()[None, :])
 
 
 @pytest.mark.parametrize("q", Q_FULL)
@@ -411,4 +452,4 @@ def test_add_rows_above_the_table_match_digitwise(p, s):
     assert ctx.add_table is None
     shifts = np.concatenate([[0, ctx.q - 1], np.random.default_rng(ctx.q).integers(0, ctx.q, 6)])
     assert np.array_equal(ctx.add_rows(shifts), _add_rows_expected(ctx, shifts))
-    assert ctx._add_windows().shape == (2 * p - 1,) * s
+    assert ctx._add_gather()[0].shape == ((2 * p - 1) ** s,)

@@ -190,7 +190,8 @@ def test_pair_kernel_case_partition():
 def test_scalar_closed_forms_equal_their_vectorised_forms(ctx_small):
     """Each scalar entry point is its vectorised closed form, byte for byte:
     K on the whole (a, b) grid with the b = 0 row, B_h on every admissible
-    (h, y, z) and L_h on every (h, r)."""
+    (h, y, z), its twist D(Y) B_h(Y-c, Z-c) D(Z) on every admissible
+    (h, Y, Z) and L_h on every (h, r)."""
     ctx = ctx_small
     codes = ctx.elements()
     grid = kernels._quad_kernel(ctx, codes[:, None], codes[None, :])
@@ -199,6 +200,13 @@ def test_scalar_closed_forms_equal_their_vectorised_forms(ctx_small):
     for h in ctx.units():
         ys, grid = pair_kernel_grid_closed(ctx, h)
         scalars = np.array([[pair_kernel_closed(ctx, h, y, z) for z in ys] for y in ys])
+        assert scalars.tobytes() == grid.tobytes()
+    for h in ctx.units():
+        c = half_shift(ctx, h)
+        Ys = ctx.codes_outside(c, ctx.neg(c))
+        d, ys = kernels._twist(ctx, c, Ys), ctx.sub_vec(Ys, c)
+        grid = d[:, None] * kernels._pair_closed(ctx, h, ys[:, None], ys[None, :]) * d[None, :]
+        scalars = np.array([[twisted_pair_kernel(ctx, h, Y, Z) for Z in Ys] for Y in Ys])
         assert scalars.tobytes() == grid.tobytes()
     table = ratio_kernel_table(ctx, ctx.units())
     scalars = np.array([[ratio_kernel(ctx, h, r) for r in codes] for h in ctx.units()])
