@@ -219,6 +219,7 @@ def _scan_weil(ctx, args):
         "argmax_t": rep.argmax_t,
         "argmax_lambda": rep.argmax_lambda,
         "below_sanity_floor": rep.below_sanity_floor,
+        "orbit_rows": rep.orbit_rows,
     }
     lams = ctx.units().tolist()
     rows = [] if rep.grid is None else [

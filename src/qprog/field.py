@@ -49,8 +49,9 @@ import numpy as np
 #   averaging_apply, deviation_norm (rows from add_rows)            q^2
 #   alternating_max_ratio (4 x starts x rounds steps)               q^2 per step
 #   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
-#   weil_scan, substitution_check, ratio_sum_check (FFT grids)      q^2 log q
-#   sliced_norm_scan (mixed-sum grid, <= 5 O(q) secular steps/h)    q^2 log q
+#   substitution_check, ratio_sum_check (FFT grids)                 q^2 log q
+#   weil_scan (one FFT row per orbit of lambda, >= (q-1)/2s rows)   q^2 log q / s
+#   sliced_norm_scan (as weil_scan, <= 5 O(q) secular steps/orbit)  q^2 log q / s
 #   pair_kernel_check, decomposition_check                          q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free                                         q |A|
@@ -410,7 +411,9 @@ class FieldCtx:
 
     def mul_vec(self, a, b) -> np.ndarray:
         log0, exp_ext = self._mul_tables()
-        return exp_ext[log0[np.asarray(a, dtype=np.int64)] + log0[np.asarray(b, dtype=np.int64)]]
+        at = log0[np.asarray(a, dtype=np.int64)] + log0[np.asarray(b, dtype=np.int64)]
+        # arrays gather in place into their fresh index array, as in add_vec
+        return exp_ext.take(at, out=at, mode="clip") if at.ndim else exp_ext[at]
 
     @per_field("sq_table")
     def _squares(self) -> np.ndarray:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .field import FieldCtx, per_field
 from .characters import (
+    ROW_BLOCK_CELLS,
     additive_char_table,
     fourier_inverse_rows,
     gauss_sum,
@@ -46,13 +47,6 @@ from .reporting import TOLERANCE_ABS, CheckResult, stacked_error_check
 # ---------------------------------------------------------------------------
 # quad kernel K: the Fourier multiplier of the averaging operator
 # ---------------------------------------------------------------------------
-
-# cells in one block of rows, for the kernel rows here, the deviation's
-# coefficient rows and the direct averaging route's rows of y: int64
-# temporaries under 128 KiB are reused, not fresh pages; at q = 2187 (2 vCPU)
-# a coefficient call took 0.04-0.06 s in such blocks, 0.12 s in 2^16 cells
-ROW_BLOCK_CELLS = 1 << 14
-
 
 def _quad_columns(ctx: FieldCtx, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The parts of K(a, b) that depend on b alone: the prefactor

@@ -27,7 +27,9 @@ are the coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation
 square is the rows' additive autocorrelation at lag -h (lag h in code
 order): with C_m the inverse transform of row m, every slice is the inverse
 transform of sum_m |C_m|^2 over q, read at -h, so all q slices cost
-O(q^2 log q); consecutive blocks of rows share one FFT call.
+O(q^2 log q); consecutive blocks of rows share one FFT call.  The suite
+builds the rows once per trial: one pass gives both the row sums and the
+slices.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
@@ -45,6 +47,15 @@ sums at lambda = h' (``weil.ratio_sum_check``), so one FFT grid of mixed sums
 per block of h gives every S_t.  A safeguarded rational step finds each
 root in a few O(q) evaluations of the secular function (at most 5 on the
 fields up to 9973 tried), so a whole scan costs O(q^2 log q).
+
+The Weil grid's symmetries make ||T_h|| constant on orbits.  Under
+h' -> h'^p the twisted sums S_t go to S_{pt}, and under h' -> -h' to
+S_{-t} (chi(-h') = chi(-1) chi(h') cancels the chi(-1) of the mixed sums).
+Both maps permute the t within each parity sector and fix t = 0, so the
+sectors' roots do not move.  Since 4 lies in the prime field, h/4 and
+h'/4 share an orbit of ``weil.weil_orbits`` exactly when h and h' do, and
+the scan solves each orbit once, at its representative's mixed sums:
+(q-1)/2 rows at prime q, about (q-1)/2s over F_{p^s}.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from .field import FieldCtx
 from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
 from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_kernel, _quad_rows, twisted_prefactor
 from .reporting import CheckResult, error_check
-from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms
+from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +193,41 @@ def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
     || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged norm squared, which
     matches the counting-norm square of the deviation's coefficients).
     """
+    return _coefficient_pass(f1, f2)[1]
+
+
+def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the coefficient rows: the row sums of ``_deviation_coeffs``
+    and the slices of ``sliced_square_form``, each from the same blocks by the
+    same operations as alone."""
     ctx = f1.ctx
+    sums = []
     power = np.zeros(ctx.q)
     blocks = _coefficient_rows(f1, f2)
     while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
+        sums += [rows.sum(axis=1) for rows in batch]
         sq = np.abs(fourier_inverse_rows(ctx, np.concatenate(batch))) ** 2
         for part in np.split(sq, np.cumsum([len(rows) for rows in batch[:-1]])):
             power += part.sum(axis=0)  # block by block, as unbatched
-    return fourier_inverse_rows(ctx, power)[ctx.neg_table] / ctx.q
+    return np.concatenate(sums), fourier_inverse_rows(ctx, power)[ctx.neg_table] / ctx.q
 
 
 def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     """Per seeded random pair: both averaging routes pointwise, and
-    ``sliced_square_form`` against the mean of |direct - E f1 E f2|^2.  Then
-    T_1 on a point mass, whose image has modulus 1/q everywhere."""
+    ``sliced_square_form`` against the mean of |direct - E f1 E f2|^2; the
+    Fourier route and the slices read one pass over the coefficient rows.
+    Then T_1 on a point mass, whose image has modulus 1/q everywhere."""
     rng = np.random.default_rng(seed)
     routes = np.empty(trials)
     form = np.empty(trials)
     for i in range(trials):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
         direct = averaging_apply(f1, f2).values
-        routes[i] = np.abs(direct - averaging_apply_fourier(f1, f2).values).max()
+        coeffs, slices = _coefficient_pass(f1, f2)
+        coeffs[0] += f1.mean() * f2.mean()  # as _kernel_coeffs
+        routes[i] = np.abs(direct - fourier_inverse(ComplexFn(ctx, coeffs)).values).max()
         square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
-        form[i] = abs(sliced_square_form(f1, f2).sum() - square)
+        form[i] = abs(slices.sum() - square)
     # the point mass sits at the first v >= 2 other than -1; F_3 has none,
     # and v = 1 serves there.  Its image under T_1 is K(u, v0) conj(K(u-1, v0+1))
     v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
@@ -340,19 +363,22 @@ _SLICE_BLOCK_CELLS = _BLOCK_CELLS // 2
 
 def _slice_norms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
     """||T_h|| for every h in ``hs`` (nonzero codes), from the mixed sums at
-    h/4: the ratio sums there are twisted_prefactor(h/4) times them."""
+    h/4: the ratio sums there are twisted_prefactor(h/4) times them.  Each
+    orbit of h/4 is solved once, at its representative (code 0 is its own
+    orbit, which twisted_prefactor rejects)."""
     q = ctx.q
-    quarters = ctx.div_vec(hs, ctx.from_int(4))
-    eig = np.empty(len(hs))
-    for i0, sums in _blocked_char_sums(ctx, _mixed_terms, quarters, _SLICE_BLOCK_CELLS):
-        ratio = sums.T  # rows h, columns t: a view of the block
+    rep = weil_orbits(ctx).rep[ctx.div_vec(hs, ctx.from_int(4))]
+    reps = np.flatnonzero(np.bincount(rep, minlength=q))  # ascending, each once
+    eig = np.empty(q)  # at the representatives' codes
+    for i0, sums in _blocked_char_sums(ctx, _mixed_terms, reps, _SLICE_BLOCK_CELLS):
+        ratio = sums.T  # rows h/4, columns t: a view of the block
         i1 = i0 + len(ratio)
-        ratio *= twisted_prefactor(ctx, quarters[i0:i1])[:, None]
+        ratio *= twisted_prefactor(ctx, reps[i0:i1])[:, None]
         sectors = _slice_sectors(q, ratio.real)
         del sums, ratio  # the block is not held by the roots or the next block
-        eig[i0:i1] = _slice_eigenvalues(sectors)
+        eig[reps[i0:i1]] = _slice_eigenvalues(sectors)
         del sectors
-    return np.sqrt(eig) / q
+    return np.sqrt(eig[rep]) / q
 
 
 def sliced_operator_norm(ctx: FieldCtx, h: int) -> float:

@@ -12,6 +12,17 @@ s = +-1, so |sum| <= sqrt(q) + 2.  The grid maximum is therefore at most
 min(3 sqrt(q), q - 3); eta = chi attains 3 sqrt(q) at q = 27, 81 and 243.
 ``envelope_check`` asserts that bound, up to 1e-9, on the whole grid.
 
+Two exact symmetries make most rows of the (t, lambda) grid permutations of
+others.  Frobenius r -> r^p fixes {0, +-1}, chi and e, so
+S(t, lambda^p) = S(pt, lambda); inversion r -> 1/r negates (r-1)/(r+1), so
+S(t, -lambda) = chi(-1) S(-t, lambda).  Over F_{p^s} the group they generate
+has order 2s, and ``weil_orbits`` gives each unit lambda = +-rep^{p^j} its
+orbit's least code rep.  ``weil_scan`` sums only the representative rows,
+(q-1)/2 at prime q and about (q-1)/2s in general, and reads every other row
+as a permutation of its representative's:
+|S(t, eps rep^{p^j})| = |S(eps p^j t, rep)|.  The slice scan in
+``operators`` solves one h per orbit of h/4 the same way.
+
 Every sum here is one weighted sum of eta_t over the units
 (``_char_sums``): the weight builders gather each row in log order, column k
 at the unit g^k (the mixed phases straight from the phase table at
@@ -34,10 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, per_field
 from .characters import fourier_inverse_rows, phase_table, quadratic_char_table, unit_root_powers
 from .kernels import _ratio_parts, ratio_kernel_table, twisted_prefactor
 from .reporting import CheckResult, error_check
@@ -123,12 +135,71 @@ def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
     return complex(_char_sums(_ratio_terms(ctx, np.array([h])))[t, 0])
 
 
+class Orbits(NamedTuple):
+    """The orbits of lambda -> lambda^p and lambda -> -lambda, by code:
+    lambda = (-1)^neg rep^(p^frob), with rep the least code of lambda's orbit.
+    Code 0 is its own orbit (rep 0, frob 0, neg False)."""
+
+    rep: np.ndarray  # int64
+    frob: np.ndarray  # int8, in 0..s-1
+    neg: np.ndarray  # bool
+
+    def reps(self) -> np.ndarray:
+        """The units that represent their orbits, ascending."""
+        return np.flatnonzero(self.rep == np.arange(len(self.rep)))[1:]
+
+
+@per_field("weil_orbits")
+def weil_orbits(ctx: FieldCtx) -> Orbits:
+    """The orbit table of the units under lambda -> lambda^p and
+    lambda -> -lambda.  In logs the group acts as k -> k p^j + e (q-1)/2
+    mod q-1; the least code over the 2s images is kept as a running minimum,
+    so the table is built in O(q) memory.  An image eps lambda^(p^j) = rep
+    gives lambda = eps rep^(p^(s-j)), as p^s = 1 mod q-1 and eps^p = eps."""
+    p, s, n = ctx.p, ctx.s, ctx.q - 1
+    logs = np.arange(n)
+    least = ctx.exp_table.copy()  # by log: the least image code so far
+    frob = np.zeros(n, dtype=np.int8)
+    neg = np.zeros(n, dtype=bool)
+    for j in range(s):
+        for e in (0, 1):
+            image = ctx.exp_table[(logs * pow(p, j, n) + e * (n // 2)) % n]
+            less = image < least
+            least[less] = image[less]
+            frob[less] = (s - j) % s
+            neg[less] = bool(e)
+    orbits = Orbits(np.zeros(ctx.q, dtype=np.int64), np.zeros(ctx.q, dtype=np.int8),
+                    np.zeros(ctx.q, dtype=bool))
+    for table, by_log in zip(orbits, (least, frob, neg)):
+        table[ctx.exp_table] = by_log
+    return orbits
+
+
+def _orbit_grid(ctx: FieldCtx, orbits: Orbits, reps: np.ndarray, rep_grid: np.ndarray) -> np.ndarray:
+    """The full grid |S(t, lambda)|, rows t and columns lambda, from the
+    representatives' columns of ``rep_grid``: |S(t, lambda)| = |S(m t, rep)|
+    with m = (-1)^neg p^frob mod q-1, filled a block of columns at a time."""
+    n = ctx.q - 1
+    lams = ctx.units()
+    col = np.searchsorted(reps, orbits.rep[lams])
+    pj = np.array([pow(ctx.p, j, n) for j in range(ctx.s)])[orbits.frob[lams]]
+    mults = np.where(orbits.neg[lams], n - pj, pj)
+    grid = np.empty((n, n))
+    t = np.arange(n)[:, None]
+    step = max(1, _BLOCK_CELLS // ctx.q)
+    for c0 in range(0, n, step):
+        cs = slice(c0, c0 + step)
+        grid[:, cs] = rep_grid[t * mults[cs] % n, col[cs]]
+    return grid
+
+
 @dataclass
 class WeilScanReport:
     """Full (eta, lambda) grid scan of the mixed character sum."""
 
     q: int
     grid_count: int
+    orbit_rows: int  # the lambda rows summed: one per orbit
     max_abs_sum: float
     max_ratio: float
     argmax_t: int
@@ -138,43 +209,56 @@ class WeilScanReport:
 
 
 def weil_scan(ctx: FieldCtx, keep_grid: bool = False) -> WeilScanReport:
-    """Scan all (q-1)^2 pairs (t, lambda != 0).  The argmax is the smallest
-    (t, lambda) in code order with |sum| within 1e-9 of the maximum, so
-    rounding never decides between tied cells.
+    """Scan all (q-1)^2 pairs (t, lambda != 0) from one row per orbit of
+    ``weil_orbits``.  The argmax is the smallest (t, lambda) in code order
+    with |sum| within 1e-9 of the maximum, so rounding never decides between
+    tied cells.
 
-    The grid is summed in blocks of lambda rows; only ``keep_grid`` holds it
-    whole.  Each block keeps its cells within 1e-9 of its own maximum, a
-    superset of its cells within 1e-9 of the global one.
+    The representative rows are summed in blocks; each block keeps its cells
+    within 1e-9 of its own maximum, a superset of its cells within 1e-9 of the
+    global one.  A cell (t, rep) stands for the cells (eps p^-j t, eps
+    rep^(p^j)) of every group element, which hold the same |sum|, and the
+    least of those images is the argmax.  Only ``keep_grid`` holds the full
+    grid, filled column by column from the representatives' rows.
     """
-    q = ctx.q
+    q, p, s = ctx.q, ctx.p, ctx.s
     n = q - 1
-    lams = ctx.units()
-    grid = np.empty((n, n)) if keep_grid else None
+    orbits = weil_orbits(ctx)
+    reps = orbits.reps()
+    rep_grid = np.empty((n, len(reps))) if keep_grid else None
     max_abs = 0.0
-    near = []  # per block: (|sum|, t, lambda index) of the cells near its maximum
-    for j0, sums in _blocked_char_sums(ctx, _mixed_terms, lams, _BLOCK_CELLS):
-        block = np.abs(sums)  # rows t, columns lambda index j0, j0 + 1, ...
-        if grid is not None:
-            grid[:, j0 : j0 + block.shape[1]] = block
+    near = []  # per block: (|sum|, t, rep index) of the cells near its maximum
+    for i0, sums in _blocked_char_sums(ctx, _mixed_terms, reps, _BLOCK_CELLS):
+        block = np.abs(sums)  # rows t, columns rep index i0, i0 + 1, ...
+        if rep_grid is not None:
+            rep_grid[:, i0 : i0 + block.shape[1]] = block
         top = float(block.max())
         ts, js = np.nonzero(block >= top - 1e-9)
-        near.append((block[ts, js], ts, js + j0))
+        near.append((block[ts, js], ts, js + i0))
         max_abs = max(max_abs, top)
         del sums, block  # not held while the next block's weights are built
     vals, ts, js = (np.concatenate(col) for col in zip(*near))
     tied = vals >= max_abs - 1e-9
-    first = np.lexsort((js[tied], ts[tied]))[0]
-    ti, li = ts[tied][first], js[tied][first]
+    ts, tied_reps = ts[tied], reps[js[tied]]
+    image_ts, image_lams = [], []  # (eps p^-j t, eps rep^(p^j)) for every group element
+    for j in range(s):
+        t = pow(p, s - j, n) * ts % n
+        lam = ctx.pow_vec(tied_reps, p**j)
+        image_ts += [t, -t % n]
+        image_lams += [lam, ctx.neg_vec(lam)]
+    image_ts, image_lams = np.concatenate(image_ts), np.concatenate(image_lams)
+    first = np.lexsort((image_lams, image_ts))[0]
     max_ratio = max_abs / math.sqrt(q)
     return WeilScanReport(
         q=q,
         grid_count=n * n,
+        orbit_rows=len(reps),
         max_abs_sum=max_abs,
         max_ratio=max_ratio,
-        argmax_t=int(ti),
-        argmax_lambda=int(lams[li]),
+        argmax_t=int(image_ts[first]),
+        argmax_lambda=int(image_lams[first]),
         below_sanity_floor=bool(max_ratio < 0.5),
-        grid=grid,
+        grid=None if rep_grid is None else _orbit_grid(ctx, orbits, reps, rep_grid),
     )
 
 
@@ -231,5 +315,6 @@ def envelope_check(ctx: FieldCtx) -> CheckResult:
         report.grid_count,
         report.max_abs_sum,
         first,
-        data={"max_ratio": report.max_ratio, "below_sanity_floor": report.below_sanity_floor},
+        data={"max_ratio": report.max_ratio, "below_sanity_floor": report.below_sanity_floor,
+              "orbit_rows": report.orbit_rows},
     )

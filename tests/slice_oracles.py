@@ -11,7 +11,9 @@ tests compare them on small fields.
 ``top_secular_root_bisect`` is the bisection the rational secular step
 replaced, and ``slice_norms_by_ratio_sums`` the route the package took
 before it read the mixed sums: the ratio sums at h/4 (one ratio-kernel row
-per h) and the bisection on every sector.
+per h) and the bisection on every sector.  ``slice_norms_every_row`` is the
+route the package took before it solved one h per orbit of h/4: the mixed
+sums and the rational step on every h.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import numpy as np
 
 from qprog.characters import ComplexFn, fourier
 from qprog.field import FieldCtx
-from qprog.weil import _char_sums, _ratio_terms
+from qprog.kernels import twisted_prefactor
+from qprog.operators import _SLICE_BLOCK_CELLS, _slice_eigenvalues, _slice_sectors
+from qprog.weil import _blocked_char_sums, _char_sums, _mixed_terms, _ratio_terms
 
 from kernel_oracles import quad_kernel_table
 
@@ -125,3 +129,16 @@ def slice_norms_by_ratio_sums(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
     if odd.shape[1] > 1:  # at q = 3 the odd sector is the deleted direction alone
         top = np.maximum(top, top_secular_root_bisect(odd, np.full(odd.shape, 2.0 / n)))
     return np.sqrt(top) / q
+
+
+def slice_norms_every_row(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
+    """||T_h|| for every h in ``hs``: one row of mixed sums at h/4 and one
+    solve of each sector per h, in the package's blocks."""
+    quarters = ctx.div_vec(hs, ctx.from_int(4))
+    eig = np.empty(len(hs))
+    for i0, sums in _blocked_char_sums(ctx, _mixed_terms, quarters, _SLICE_BLOCK_CELLS):
+        ratio = sums.T  # rows h, columns t
+        i1 = i0 + len(ratio)
+        ratio *= twisted_prefactor(ctx, quarters[i0:i1])[:, None]
+        eig[i0:i1] = _slice_eigenvalues(_slice_sectors(ctx.q, ratio.real))
+    return np.sqrt(eig) / ctx.q

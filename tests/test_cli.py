@@ -93,6 +93,19 @@ def test_scan_weil_writes_reports_and_csv(tmp_path):
     assert len(csv_text) == 1 + (5 - 1) ** 2
 
 
+def test_scan_and_verify_weil_report_the_orbit_rows(tmp_path):
+    """q = 3^5: the group of lambda -> lambda^p, lambda -> -lambda has order
+    10, so 25 rows of 242 are summed; both reports say so, and the envelope
+    check still counts every cell."""
+    assert main(["scan", "weil", "--q-list", "243", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "scan-weil-3-5.json").read_text())["summary"]
+    assert summary["orbit_rows"] == 25
+    assert main(["verify", "weil", "--p", "3", "--s", "5", "--out", str(tmp_path)]) == 0
+    check = json.loads((tmp_path / "verify-3-5.json").read_text())["suites"]["weil"][0]
+    assert check["name"] == "weil-envelope" and check["cases"] == 242**2
+    assert check["data"]["orbit_rows"] == 25
+
+
 @pytest.mark.parametrize("argv, reports", [
     (["verify", "--p", "3", "--s", "2"], ["verify-3-2.json"]),
     (["scan", "delta", "--q-list", "9", "--trials", "4", "--seed", "7"],
@@ -257,18 +270,28 @@ def _verify_operators_failure(tmp_path):
     return rc, report["first_failure"]["name"], passed
 
 
+def _corrupt_coefficient_pass(monkeypatch, part: int):
+    """Scale one output of the suite's one pass over the coefficient rows by
+    1 + 1e-6: the Fourier route's coefficients (0) or the slices (1)."""
+    one_pass = operators._coefficient_pass
+
+    def corrupted(f1, f2):
+        out = list(one_pass(f1, f2))
+        out[part] = out[part] * (1 + 1e-6)
+        return tuple(out)
+
+    monkeypatch.setattr(operators, "_coefficient_pass", corrupted)
+
+
 def test_verify_operators_catches_a_wrong_slice_expansion(tmp_path, monkeypatch):
-    form = operators.sliced_square_form
-    monkeypatch.setattr(operators, "sliced_square_form", lambda f1, f2: form(f1, f2) * (1 + 1e-6))
+    _corrupt_coefficient_pass(monkeypatch, 1)
     rc, first, passed = _verify_operators_failure(tmp_path)
     assert (rc, first) == (1, "slice-expansion-identity")
     assert passed["averaging-two-routes"]
 
 
 def test_verify_operators_catches_a_wrong_averaging_route(tmp_path, monkeypatch):
-    via = operators.averaging_apply_fourier
-    monkeypatch.setattr(operators, "averaging_apply_fourier",
-                        lambda f1, f2: ComplexFn(f1.ctx, via(f1, f2).values * (1 + 1e-6)))
+    _corrupt_coefficient_pass(monkeypatch, 0)
     rc, first, passed = _verify_operators_failure(tmp_path)
     assert (rc, first) == (1, "averaging-two-routes")
     assert passed["slice-expansion-identity"]

@@ -365,6 +365,24 @@ def test_mul_vec_matches_polynomial_product_on_every_pair(q):
     assert ctx.log_table[0] == -1
 
 
+def test_mul_vec_gathers_in_place_without_writing_its_inputs():
+    """The in-place gather gives the two-gather products, int64, on a
+    256 x 2187 block, a broadcast and scalars, and leaves the caller's arrays
+    and the field's tables as they were."""
+    ctx = build_field(3, 7)
+    log0, exp_ext = ctx._mul_tables()
+    tables = [ctx.exp_table.copy(), log0.copy(), exp_ext.copy()]
+    codes = ctx.elements()
+    a, b = np.repeat(codes[:256, None], ctx.q, axis=1), np.tile(codes, (256, 1))
+    a_before, b_before = a.copy(), b.copy()
+    for x, y in ((a, b), (codes[:256, None], codes[None, :]), (a, 7), (ctx.exp_table, codes[:0:-1])):
+        got = ctx.mul_vec(x, y)
+        assert got.dtype == np.int64 and np.array_equal(got, exp_ext[log0[x] + log0[y]])
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+    assert all(np.array_equal(t, u) for t, u in zip(tables, [ctx.exp_table, log0, exp_ext]))
+    assert ctx.mul_vec(5, 7) == exp_ext[log0[5] + log0[7]] and ctx.mul_vec(0, 7) == 0
+
+
 def test_add_table_matches_digitwise_on_f3_7():
     """The table is built from its digits; every entry is the digitwise sum."""
     ctx = build_field(3, 7)

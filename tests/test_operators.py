@@ -10,7 +10,7 @@ from qprog.field import build_field, get_field, prime_power
 from qprog.characters import ComplexFn, additive_char_table, random_fn
 from qprog import operators
 from qprog.kernels import pair_kernel_grid_closed, quad_kernel
-from qprog.weil import weil_scan
+from qprog.weil import weil_orbits, weil_scan
 from qprog.operators import (
     _kernel_coeffs,
     _side_image,
@@ -39,6 +39,7 @@ from slice_oracles import (
     full_weights,
     ratio_sum_rows,
     slice_norms_by_ratio_sums,
+    slice_norms_every_row,
     sliced_operator_apply,
     sliced_operator_matrix,
     sliced_operator_norm_svd,
@@ -386,6 +387,27 @@ def test_slice_norms_across_blocks_match_ratio_sum_route(q, rows_per_block, monk
     assert np.all(np.abs(operators._slice_norms(ctx, hs) - old) <= 1e-12 * old)
 
 
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 2187])
+def test_orbit_slice_norms_match_every_row_route(q):
+    """One solve per orbit of h/4, scattered to every h, against one row of
+    mixed sums and one solve per h."""
+    ctx = field_for(q)
+    hs = ctx.units()
+    every = slice_norms_every_row(ctx, hs)
+    assert np.all(np.abs(operators._slice_norms(ctx, hs) - every) <= 1e-12 * every)
+
+
+@pytest.mark.parametrize("q", [9, 27, 49, 125, 243])
+def test_sliced_operator_norm_is_constant_on_orbits(q):
+    """||T_h|| at every h of an orbit of h -> h^p, h -> -h (the orbits of h/4,
+    as 4^p = 4) is the every-row route's value at the orbit's representative."""
+    ctx = field_for(q)
+    rep = weil_orbits(ctx).rep
+    for h in range(1, q):
+        expected = slice_norms_every_row(ctx, rep[h : h + 1])[0]
+        assert abs(sliced_operator_norm(ctx, h) - expected) <= 1e-12 * expected, h
+
+
 def test_slice_norms_match_ratio_bisection_route_on_every_field_to_243():
     """On every odd prime power q <= 243: the mixed sums and the rational step
     against the ratio sums and the bisection, every h."""
@@ -422,9 +444,11 @@ def test_rational_secular_step_converges_in_few_evaluations(q, monkeypatch):
         return roots, evals
 
     monkeypatch.setattr(operators, "_top_secular_root", counted)
-    sliced_norm_scan(field_for(q))
+    ctx = field_for(q)
+    sliced_norm_scan(ctx)
     evals = np.concatenate(counts)
-    assert len(evals) == (q - 1) * (2 if q > 3 else 1)  # a row per h and sector
+    orbits = len(weil_orbits(ctx).reps())
+    assert len(evals) == orbits * (2 if q > 3 else 1)  # a row per orbit of h/4 and sector
     assert evals.max() <= 8
 
 
@@ -462,10 +486,12 @@ def test_rational_secular_step_edge_rows(name):
 
 def test_slice_scan_holds_one_half_size_block():
     """The slice scan's blocks hold half of weil_scan's cells, and it drops
-    each block before the roots and the next block, so at q = 2187 its traced
-    peak is about half of weil_scan's: 12 MB against 25 MB.  Holding the
-    previous block gives 20 MB; the ratio-sum route peaked at 64 MB."""
-    ctx = get_field(3, 7)
+    each block before the roots and the next block, so at q = 3^8 (423 orbit
+    rows: 3 of weil_scan's blocks, 6 of the slice scan's) its traced peak is
+    about half of weil_scan's: 12.6 MB against 26.1 MB.  (At q = 2187, before
+    the scans summed one row per orbit, holding the previous block gave 20 MB
+    against 12 MB, and the ratio-sum route peaked at 64 MB.)"""
+    ctx = get_field(3, 8)
     sliced_norm_scan(ctx)  # warm the per-field tables
     weil_scan(ctx)
     peaks = []

@@ -28,6 +28,7 @@ from qprog.kernels import ratio_kernel, twisted_prefactor
 from conftest import Q_FULL, Q_MEDIUM, field_for
 from kernel_oracles import ratio_kernel_table_by_mul
 from transform_oracles import char_sums_dense, mixed_weights_by_code
+from weil_oracles import weil_scan_every_row
 
 
 def test_empty_sum_at_q3():
@@ -275,16 +276,17 @@ def _count_blocks(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("q", [3, 5, 27, 49, 125])
 def test_blocked_scan_matches_single_block(q, monkeypatch):
-    """One lambda row per block, three rows per block and one block give the
+    """One orbit row per block, three rows per block and one block give the
     same grid, maximum and first tied cell."""
     ctx = field_for(q)
+    rows = len(weil.weil_orbits(ctx).reps())
     reports = []
     blocks = _count_blocks(monkeypatch)
-    for cells, n_blocks in ((1, q - 1), (3 * q, -(-(q - 1) // 3)), (q * q, 1)):
+    for cells, n_blocks in ((1, rows), (3 * q, -(-rows // 3)), (q * q, 1)):
         monkeypatch.setattr(weil, "_BLOCK_CELLS", cells)
         reports.append(weil_scan(ctx, keep_grid=True))
         assert weil_scan(ctx).argmax_lambda == reports[-1].argmax_lambda
-        assert len(blocks) == 2 * n_blocks and sum(blocks) == 2 * (q - 1)
+        assert len(blocks) == 2 * n_blocks and sum(blocks) == 2 * rows
         blocks.clear()
     one = reports[-1]
     for rep in reports[:-1]:
@@ -295,14 +297,14 @@ def test_blocked_scan_matches_single_block(q, monkeypatch):
 
 @pytest.mark.parametrize("q, cell", [(27, (13, 1)), (243, (121, 3)), (2187, (1093, 12))])
 def test_scan_argmax_across_blocks(q, cell, monkeypatch):
-    """The first tied cell survives blocking: at q = 2187 the default blocks
-    split the lambda rows; the small fields are split row by row."""
+    """The first tied cell survives blocking: the small fields are split
+    row by row; at q = 2187 the 157 orbit rows fit one default block of 479."""
     if q < 2187:
         monkeypatch.setattr(weil, "_BLOCK_CELLS", 1)
     blocks = _count_blocks(monkeypatch)
     rep = weil_scan(field_for(q))
     assert (rep.argmax_t, rep.argmax_lambda) == cell
-    assert len(blocks) == (q - 1 if q < 2187 else 5)  # 479 rows a block at 2187
+    assert len(blocks) == (rep.orbit_rows if q < 2187 else 1)
 
 
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
@@ -339,3 +341,50 @@ def test_scan_ratio_behavior_across_q():
     for q in qs:
         rep = weil_scan(field_for(q))
         assert rep.max_ratio <= min(3.0, (q - 3) / math.sqrt(q)) + 1e-9, (q, rep)
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 343, 729])
+def test_orbit_table_partitions_the_units(q):
+    """Every unit is (-1)^neg rep^(p^frob) by ctx.pow and ctx.neg, its rep is
+    the least code of its orbit, and each orbit is the full set of images of
+    its rep under lambda -> lambda^p and lambda -> -lambda, of a size that
+    divides 2s."""
+    ctx = field_for(q)
+    orbits = weil.weil_orbits(ctx)
+    assert (orbits.rep[0], orbits.frob[0], orbits.neg[0]) == (0, 0, False)
+    members: dict[int, set[int]] = {}
+    for lam in range(1, q):
+        rep = int(orbits.rep[lam])
+        image = ctx.pow(rep, ctx.p ** int(orbits.frob[lam]))
+        assert (ctx.neg(image) if orbits.neg[lam] else image) == lam
+        assert 1 <= rep <= lam and orbits.rep[rep] == rep
+        members.setdefault(rep, set()).add(lam)
+    assert sorted(members) == orbits.reps().tolist()
+    for rep, orbit in members.items():
+        images = {ctx.pow(rep, ctx.p**j) for j in range(ctx.s)}
+        assert orbit == images | {ctx.neg(x) for x in images}
+        assert (2 * ctx.s) % len(orbit) == 0
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 2187])
+def test_orbit_filled_grid_matches_every_row_oracle(q):
+    """The grid read from one row per orbit equals the all-rows scan's to
+    1e-12, with the same maximum and the same first tied cell."""
+    ctx = field_for(q)
+    rep = weil_scan(ctx, keep_grid=True)
+    oracle = weil_scan_every_row(ctx)
+    assert rep.orbit_rows == len(weil.weil_orbits(ctx).reps()) < q - 1 or q == 3
+    assert rep.grid_count == oracle.grid_count == (q - 1) ** 2
+    assert np.abs(rep.grid - oracle.grid).max() <= 1e-12
+    assert abs(rep.max_abs_sum - oracle.max_abs_sum) <= 1e-12 * max(oracle.max_abs_sum, 1.0)
+    assert (rep.argmax_t, rep.argmax_lambda) == (oracle.argmax_t, oracle.argmax_lambda)
+    plain = weil_scan(ctx)
+    assert plain.grid is None
+    assert (plain.max_abs_sum, plain.argmax_t, plain.argmax_lambda) == (
+        rep.max_abs_sum, rep.argmax_t, rep.argmax_lambda)
+
+
+def test_envelope_check_records_the_orbit_rows():
+    ctx = field_for(2187)
+    res = envelope_check(ctx)
+    assert res.cases == 2186**2 and res.data["orbit_rows"] == 157
