@@ -19,25 +19,14 @@ from .field import (
 from .characters import (
     ComplexFn,
     GaussSumInfo,
-    additive_char,
     fourier,
     fourier_inverse,
     gauss_sum,
-    mult_char,
     mult_fourier,
     mult_fourier_inverse,
-    quadratic_char,
     random_fn,
 )
-from .kernels import (
-    pair_kernel_brute,
-    pair_kernel_closed,
-    quad_kernel,
-    quad_kernel_brute,
-    ratio_kernel,
-    twisted_pair_kernel,
-    twisted_prefactor,
-)
+from .kernels import twisted_prefactor
 from .operators import (
     ChainReport,
     DeviationReport,
@@ -50,26 +39,17 @@ from .operators import (
     deviation_norm,
     deviation_scan,
     sliced_norm_scan,
-    sliced_operator_norm,
-    sliced_square_form,
     triple_average_chain,
 )
-from .weil import (
-    WeilScanReport,
-    mixed_char_sum,
-    ratio_char_sum,
-    weil_scan,
-)
+from .weil import WeilScanReport, weil_scan
 from .constructions import (
     ElementSet,
     Plane,
     PlaneCensus,
     enumerate_planes,
     greedy_progression_free,
-    is_bad_plane,
     is_progression_free,
     plane_census,
     quadratic_extension_line,
 )
-
-__version__ = "0.1.0"
+from .reporting import VERSION as __version__

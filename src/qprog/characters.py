@@ -64,35 +64,16 @@ def phase_table(ctx: FieldCtx) -> np.ndarray:
     return additive_char_table(ctx)[ctx._mul_tables()[1]]
 
 
-def additive_char(ctx: FieldCtx, x: int) -> complex:
-    """The fixed nontrivial additive character e(x) = exp(2 pi i Tr(x)/p)."""
-    return complex(additive_char_table(ctx)[ctx.check_element(x)])
-
-
 @per_field("root_powers")
 def unit_root_powers(ctx: FieldCtx) -> np.ndarray:
-    """Powers of the primitive (q-1)-th root of unity, index k -> zeta^k."""
+    """Powers of the primitive (q-1)-th root of unity, index k -> zeta^k:
+    eta_t(x) = zeta^(t log_g(x)) for nonzero x is entry t log_g(x) mod q-1."""
     return np.exp((TAU * 1j / (ctx.q - 1)) * np.arange(ctx.q - 1))
-
-
-def mult_char(ctx: FieldCtx, t: int, x: int) -> complex:
-    """eta_t(x) = zeta^{t log_g(x)} for nonzero x; t = 0 is trivial."""
-    if not 0 <= t <= ctx.q - 2:
-        raise ValueError(f"character index t={t} out of range 0..{ctx.q - 2}")
-    x = ctx.check_element(x)
-    if x == 0:
-        raise ValueError("multiplicative characters are defined on nonzero elements only")
-    k = (t * int(ctx.log_table[x])) % (ctx.q - 1)
-    return complex(unit_root_powers(ctx)[k])
-
-
-def quadratic_char(ctx: FieldCtx, x: int) -> int:
-    """+1 on nonzero squares, -1 on nonsquares, 0 at 0."""
-    return int(quadratic_char_table(ctx)[ctx.check_element(x)])
 
 
 @per_field("chi_table")
 def quadratic_char_table(ctx: FieldCtx) -> np.ndarray:
+    """chi at every code: +1 on nonzero squares, -1 on nonsquares, 0 at 0."""
     tab = np.zeros(ctx.q, dtype=np.int8)
     units = ctx.units()
     tab[units] = np.where(ctx.log_table[units] & 1, -1, 1)

@@ -234,18 +234,6 @@ def _witnesses(big: FieldCtx, plane: Plane) -> np.ndarray:
     return ys[plane.mask[big.sq_vec(ys)]]
 
 
-def is_bad_plane(emb: SubfieldEmbedding, plane: Plane) -> tuple[bool, int | None]:
-    """True iff some nonzero y in the plane has y^2 in the plane.
-
-    Only defined for planes avoiding 1 (callers filter; a plane containing 1
-    is outside this classification).
-    """
-    if plane.mask[1]:
-        raise ValueError("badness is only classified for planes avoiding 1")
-    ys = _witnesses(emb.big, plane)
-    return (True, int(ys[0])) if ys.size else (False, None)
-
-
 @dataclass
 class PlaneCensus:
     """Exact plane counts over a cubic extension, with one certified witness.

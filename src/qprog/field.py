@@ -48,7 +48,7 @@ import numpy as np
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm (rows from add_rows)            q^2
 #   alternating_max_ratio (4 x starts x rounds steps)               q^2 per step
-#   sliced_square_form, quad_kernel_check (rows of K, FFT per row)  q^2 log q
+#   averaging_checks, quad_kernel_check (rows of K, FFT per row)    q^2 log q
 #   substitution_check, ratio_sum_check (FFT grids)                 q^2 log q
 #   weil_scan (one FFT row per orbit of lambda, >= (q-1)/2s rows)   q^2 log q / s
 #   sliced_norm_scan (as weil_scan, <= 5 O(q) secular steps/orbit)  q^2 log q / s

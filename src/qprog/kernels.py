@@ -2,12 +2,12 @@
 
 Four kernels, each with an exhaustive two-route check:
 
-* ``quad_kernel``       -- the Fourier multiplier avg_y e(a y + b y^2),
-* ``pair_kernel``       -- the Gram sum over x of paired slice phases,
-* ``twisted_pair_kernel`` -- the pair kernel conjugated by the square-shifted
-  quadratic-character twist,
-* ``ratio_kernel``      -- the rank-one profile of the twisted kernel as a
-  function of the column/row ratio.
+* K(a, b)      -- the Fourier multiplier avg_y e(a y + b y^2) (``_quad_kernel``),
+* B_h(y, z)    -- the Gram sum over x of paired slice phases (``_pair_closed``),
+* the twisted kernel D(Y) B_h(Y-c, Z-c) D(Z), the pair kernel conjugated by
+  the square-shifted quadratic-character twist D = ``_twist``,
+* L_h(r)       -- the rank-one profile of the twisted kernel as a function of
+  the column/row ratio (``ratio_kernel_table``).
 
 The pair kernel is evaluated with the rescaled phase -x^2/y + (x-h)^2/(y+h)
 + x^2/z - (x-h)^2/(z+h) (the additive character absorbed the invertible
@@ -19,11 +19,10 @@ exhaustive equivalence checks double as the verification that one constant
 serves every case.  Each closed form is one vectorised function of code
 arrays (``_quad_kernel``, ``_pair_closed``, ``ratio_kernel_table``) that
 carries its special cases: K's point mass at (0, 0), B_h's diagonal and
-vanishing antidiagonal, L_h's zeros at r = +-1.  The scalar entry points,
-the grids and the checks index into it.  No q x q table of K is held: both
-routes of its check run in blocks of rows b.  The closed forms of K and of
-the ratio kernel read their phases from the phase table at a sum of
-discrete logs.
+vanishing antidiagonal, L_h's zeros at r = +-1.  The grids and the checks
+index into it.  No q x q table of K is held: both routes of its check run
+in blocks of rows b.  The closed forms of K and of the ratio kernel read
+their phases from the phase table at a sum of discrete logs.
 """
 
 from __future__ import annotations
@@ -80,18 +79,6 @@ def _quad_kernel(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _quad_rows(ctx, a, _quad_columns(ctx, b)) + ((a == 0) & (b == 0))
 
 
-def quad_kernel(ctx: FieldCtx, a: int, b: int) -> complex:
-    """Closed form: sigma q^{-1/2} chi(b) e(-a^2/(4b)) for b != 0; 1 at (0,0); else 0."""
-    a, b = ctx.check_element(a), ctx.check_element(b)
-    return complex(_quad_kernel(ctx, np.array([a]), np.array([b]))[0])
-
-
-def quad_kernel_brute(ctx: FieldCtx, a: int, b: int) -> complex:
-    """Literal average (1/q) sum_y e(a y + b y^2)."""
-    a, b = ctx.check_element(a), ctx.check_element(b)
-    return complex(quad_kernel_rows_brute(ctx, np.array([b]))[0, a])
-
-
 def quad_kernel_rows_brute(ctx: FieldCtx, bs: np.ndarray) -> np.ndarray:
     """Literal K, rows b in ``bs`` and columns a: row b is the additive
     inverse transform of y -> e(b y^2)/q.  It never completes the square, so
@@ -104,16 +91,6 @@ def quad_kernel_rows_brute(ctx: FieldCtx, bs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pair kernel B: Gram sums of paired slice phases
 # ---------------------------------------------------------------------------
-
-
-def _check_pair_args(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, int]:
-    h, y, z = ctx.check_element(h), ctx.check_element(y), ctx.check_element(z)
-    if h == 0:
-        raise ValueError("pair kernel requires h != 0")
-    neg_h = ctx.neg(h)
-    if y in (0, neg_h) or z in (0, neg_h):
-        raise ValueError("pair kernel requires y, z outside {0, -h}")
-    return h, y, z
 
 
 def _slice_phase_columns(ctx: FieldCtx, h: int, ys: np.ndarray) -> np.ndarray:
@@ -133,13 +110,6 @@ def _slice_phase_columns(ctx: FieldCtx, h: int, ys: np.ndarray) -> np.ndarray:
 def admissible_codes(ctx: FieldCtx, h: int) -> np.ndarray:
     """Codes outside {0, -h}, ascending."""
     return ctx.codes_outside(0, ctx.neg(h))
-
-
-def pair_kernel_brute(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
-    """Literal q-term sum over x of e(-x^2/y + (x-h)^2/(y+h) + x^2/z - (x-h)^2/(z+h))."""
-    h, y, z = _check_pair_args(ctx, h, y, z)
-    cols = _slice_phase_columns(ctx, h, np.array([y, z]))
-    return complex(cols[:, 0] @ cols[:, 1].conj())
 
 
 def pair_kernel_grid_brute(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,13 +133,6 @@ def _pair_closed(ctx: FieldCtx, h: int, y: np.ndarray, z: np.ndarray) -> np.ndar
     chi = quadratic_char_table(ctx)
     e = additive_char_table(ctx)
     return np.where(ymz == 0, complex(ctx.q), sigma * math.sqrt(ctx.q) * chi[chi_arg] * e[phase])
-
-
-def pair_kernel_closed(ctx: FieldCtx, h: int, y: int, z: int) -> complex:
-    """Closed form: q on the diagonal, 0 on the vanishing antidiagonal,
-    sigma sqrt(q) chi(h(h+y+z)(y-z)/((h+y)(h+z)yz)) e(h(z-y)/(h+y+z)) otherwise."""
-    h, y, z = _check_pair_args(ctx, h, y, z)
-    return complex(_pair_closed(ctx, h, np.array([y]), np.array([z]))[0])
 
 
 def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,20 +165,15 @@ def _ratio_parts(ctx: FieldCtx, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def ratio_kernel_table(ctx: FieldCtx, hs) -> np.ndarray:
-    """ratio_kernel for every h in ``hs`` (nonzero codes) and every code r:
-    rows h, columns r, zeros at r = +-1.  The h-free parts are built once for
-    all rows, and e(h (r-1)/(r+1)) is one phase-table gather per cell."""
+    """L_h(r) = sigma chi(h) chi(1 - r^2) e(h (r-1)/(r+1)) for every h in
+    ``hs`` (nonzero codes) and every code r: rows h, columns r, zeros at
+    r = +-1.  The h-free parts are built once for all rows, and
+    e(h (r-1)/(r+1)) is one phase-table gather per cell."""
     hs = np.asarray(hs, dtype=np.int64)
     prefactor = twisted_prefactor(ctx, hs)  # rejects h = 0 and codes out of range
     chi_part, log_u = _ratio_parts(ctx, ctx.elements())
     phase = phase_table(ctx)[ctx.log0[hs][:, None] + log_u[None, :]]
     return prefactor[:, None] * chi_part[None, :] * phase
-
-
-def ratio_kernel(ctx: FieldCtx, h: int, r: int) -> complex:
-    """sigma chi(h) chi(1 - r^2) e(h (r-1)/(r+1)) away from r = +-1, zero there."""
-    h, r = ctx.check_element(h), ctx.check_element(r)
-    return complex(ratio_kernel_table(ctx, [h])[0, r])
 
 
 def half_shift(ctx: FieldCtx, h: int) -> int:
@@ -226,23 +184,6 @@ def half_shift(ctx: FieldCtx, h: int) -> int:
 def _twist(ctx: FieldCtx, c: int, Y: np.ndarray) -> np.ndarray:
     """D(Y) = chi(Y^2 - c^2) on a code array Y, as floats."""
     return quadratic_char_table(ctx)[ctx.sub_vec(ctx.sq_vec(Y), ctx.mul(c, c))].astype(float)
-
-
-def twisted_pair_kernel(ctx: FieldCtx, h: int, Y: int, Z: int) -> complex:
-    """D(Y) B_h(Y-c, Z-c) D(Z) with D(Y) = chi(Y^2 - c^2), c = h/2.
-
-    Defined for Y, Z outside {c, -c}; callers wanting the extension by zero
-    at those two points apply it themselves.
-    """
-    h, Y, Z = ctx.check_element(h), ctx.check_element(Y), ctx.check_element(Z)
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    c = half_shift(ctx, h)
-    if Y in (c, ctx.neg(c)) or Z in (c, ctx.neg(c)):
-        raise ValueError("twisted kernel excludes Y, Z in {c, -c}")
-    Y, Z = np.array([Y]), np.array([Z])
-    pair = _pair_closed(ctx, h, ctx.sub_vec(Y, c), ctx.sub_vec(Z, c))
-    return complex((_twist(ctx, c, Y) * pair * _twist(ctx, c, Z))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ is the compression, to the complement of {c, -c} (c = h'/2), of an operator
 N on {0} and the units: q 1_{Y=Z} + sqrt(q) L_{h'}(Z/Y) between units, q at
 (0, 0) and a constant of modulus sqrt(q) on the rest of row and column 0.
 Multiplicative characters diagonalise N: eta_t (t != 0) has eigenvalue
-q + sqrt(q) S_t with S_t = ratio_char_sum(h', t), and eta_0 with the point 0
-spans a 2 x 2 block.  Every eigenvector is even or odd under Y -> -Y, since
+q + sqrt(q) S_t with S_t = sum_r L_{h'}(r) eta_t(r), and eta_0 with the point
+0 spans a 2 x 2 block.  Every eigenvector is even or odd under Y -> -Y, since
 eta_t(-1) = (-1)^t, so the deleted points split into one even and one odd
 direction, and each sector's top eigenvalue is the largest root of a secular
 equation.  The ratio sums at h' are twisted_prefactor(h') times the mixed
@@ -130,17 +130,17 @@ def _deviation_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
     return np.concatenate([rows.sum(axis=1) for rows in _coefficient_rows(f1, f2)])
 
 
-def _kernel_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
-    """sum_n fhat1(m-n) fhat2(n) K(m-n, n), for every m: the deviation's, plus the
-    n = 0 column, fhat1(0) fhat2(0) = E[f1] E[f2] at m = 0 (K(., 0) is a point mass)."""
-    coeffs = _deviation_coeffs(f1, f2)
+def _synthesize(f1: ComplexFn, f2: ComplexFn, coeffs: np.ndarray) -> ComplexFn:
+    """A(f1, f2) from the deviation's coefficients: the n = 0 column adds
+    fhat1(0) fhat2(0) = E[f1] E[f2] at m = 0 alone (K(., 0) is a point mass),
+    in place, and sum_m e(mx) coeffs[m] is synthesized."""
     coeffs[0] += f1.mean() * f2.mean()
-    return coeffs
+    return fourier_inverse(ComplexFn(f1.ctx, coeffs))
 
 
 def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n)."""
-    return fourier_inverse(ComplexFn(f1.ctx, _kernel_coeffs(f1, f2)))
+    return _synthesize(f1, f2, _deviation_coeffs(f1, f2))
 
 
 class DeviationNorms(NamedTuple):
@@ -174,15 +174,17 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
 # ---------------------------------------------------------------------------
 
 
-# coefficient blocks joined into one FFT call of ``sliced_square_form`` (at
+# coefficient blocks joined into one FFT call of ``_coefficient_pass`` (at
 # most 2^17 cells): above q = 2^13 a block is one row, and one prime-length
 # FFT call per row was its largest cost; at q = 9973 (2 vCPU) one call took
 # 16.5-18.5 s with 8, 13 or 26 rows per FFT call, 27.7 s with one
 _SLICE_FFT_BLOCKS = 8
 
 
-def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
-    """The deviation square expanded over difference slices h: entry h is
+def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the coefficient rows: the row sums of ``_deviation_coeffs``,
+    from the same blocks by the same operations, and the deviation square
+    expanded over difference slices h, whose entry h is
 
     sum_{u; v outside {0,-h}} fhat1(u) conj(fhat1(u-h)) fhat2(v)
     conj(fhat2(v+h)) K(u,v) conj(K(u-h, v+h)),
@@ -193,13 +195,6 @@ def sliced_square_form(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
     || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged norm squared, which
     matches the counting-norm square of the deviation's coefficients).
     """
-    return _coefficient_pass(f1, f2)[1]
-
-
-def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the coefficient rows: the row sums of ``_deviation_coeffs``
-    and the slices of ``sliced_square_form``, each from the same blocks by the
-    same operations as alone."""
     ctx = f1.ctx
     sums = []
     power = np.zeros(ctx.q)
@@ -214,8 +209,8 @@ def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndar
 
 def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     """Per seeded random pair: both averaging routes pointwise, and
-    ``sliced_square_form`` against the mean of |direct - E f1 E f2|^2; the
-    Fourier route and the slices read one pass over the coefficient rows.
+    the slices' sum against the mean of |direct - E f1 E f2|^2; the Fourier
+    route and the slices read one pass over the coefficient rows.
     Then T_1 on a point mass, whose image has modulus 1/q everywhere."""
     rng = np.random.default_rng(seed)
     routes = np.empty(trials)
@@ -224,8 +219,7 @@ def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
         direct = averaging_apply(f1, f2).values
         coeffs, slices = _coefficient_pass(f1, f2)
-        coeffs[0] += f1.mean() * f2.mean()  # as _kernel_coeffs
-        routes[i] = np.abs(direct - fourier_inverse(ComplexFn(ctx, coeffs)).values).max()
+        routes[i] = np.abs(direct - _synthesize(f1, f2, coeffs).values).max()
         square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
         form[i] = abs(slices.sum() - square)
     # the point mass sits at the first v >= 2 other than -1; F_3 has none,
@@ -325,7 +319,8 @@ def _top_secular_root(lam: np.ndarray, tail_w: np.ndarray) -> tuple[np.ndarray, 
 
 def _slice_sectors(q: int, S: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The secular rows (lam, tail_w) of ``_top_secular_root`` for the even and
-    the odd sector of N_h, for each row of S, S[i, t] = ratio_char_sum(h_i/4, t).
+    the odd sector of N_h, for each row of the ratio sums
+    S[i, t] = sum_r L_{h_i/4}(r) eta_t(r).
 
     Each eta_t carries the same weight on the deleted direction, so weights
     are 1 but for the two eigenvalues mu of the {0, eta_0} block, appended to
@@ -379,12 +374,6 @@ def _slice_norms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
         eig[reps[i0:i1]] = _slice_eigenvalues(sectors)
         del sectors
     return np.sqrt(eig[rep]) / q
-
-
-def sliced_operator_norm(ctx: FieldCtx, h: int) -> float:
-    """Largest singular value of the sliced operator T_h, by the spectral route."""
-    h = ctx.check_element(h)  # h = 0 is rejected by twisted_prefactor
-    return float(_slice_norms(ctx, np.array([h]))[0])
 
 
 @dataclass

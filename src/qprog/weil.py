@@ -109,30 +109,10 @@ def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
-    """W[j, k] = L_{h_j}(g^k), the ratio kernel by log, over every nonzero r."""
+    """W[j, k] = L_{h_j}(g^k), the ratio kernel by log, over every nonzero r.
+    Their sums, sum_r L_h(r) eta_t(r), are sigma chi(h) times the mixed sums
+    at lambda = h: L_h vanishes at +-1, which the mixed sum deletes."""
     return ratio_kernel_table(ctx, hs)[:, ctx.exp_table]
-
-
-def mixed_char_sum(ctx: FieldCtx, t: int, lam: int) -> complex:
-    """sum over r outside {0, +-1} of eta_t(r) chi(1-r^2) e(lambda (r-1)/(r+1))."""
-    lam = ctx.check_element(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero (the additive phase must be nonconstant)")
-    if not 0 <= t <= ctx.q - 2:
-        raise ValueError(f"character index t={t} out of range")
-    return complex(_char_sums(_mixed_terms(ctx, np.array([lam])))[t, 0])
-
-
-def ratio_char_sum(ctx: FieldCtx, h: int, t: int) -> complex:
-    """sum over nonzero r of L_h(r) eta_t(r), where L_h is the ratio kernel.
-
-    Unwinding definitions, this equals sigma chi(h) times the mixed sum at
-    lambda = h (the ratio kernel vanishes at +-1, which the mixed sum deletes).
-    """
-    h = ctx.check_element(h)  # h = 0 is rejected by ratio_kernel_table
-    if not 0 <= t <= ctx.q - 2:
-        raise ValueError(f"character index t={t} out of range")
-    return complex(_char_sums(_ratio_terms(ctx, np.array([h])))[t, 0])
 
 
 class Orbits(NamedTuple):
@@ -288,8 +268,8 @@ def substitution_check(ctx: FieldCtx) -> CheckResult:
 
 
 def ratio_sum_check(ctx: FieldCtx) -> CheckResult:
-    """ratio_char_sum(h, t) == twisted_prefactor(h) * mixed_char_sum(t, h) on
-    the full (h, t) grid."""
+    """The ratio sum sum_r L_h(r) eta_t(r) equals twisted_prefactor(h) times
+    the mixed sum at (t, lambda = h), on the full (h, t) grid."""
     hs = ctx.units()
     ratio = _char_sums(_ratio_terms(ctx, hs))
     mixed = _char_sums(_mixed_terms(ctx, hs))

@@ -6,9 +6,9 @@ pair kernel independent of both package routes.
 
 ``quad_kernel_table`` is the closed-form K on the whole q x q grid and
 ``quad_kernel_table_brute`` the literal average accumulated one y at a time;
-``kernel_coeffs_table`` is the Fourier route's coefficients read from that
-table, one column n at a time.  The package builds K in blocks of rows and
-never holds the grid.
+``kernel_coeffs_table`` is the deviation's coefficients read from that
+table, one column n != 0 at a time.  The package builds K in blocks of
+rows and never holds the grid.
 
 ``ratio_kernel_table_by_mul`` is the ratio kernel with its phase read
 through ``mul_vec`` and (r-1)/(r+1) by division, where the package reads
@@ -21,12 +21,12 @@ import numpy as np
 
 from qprog.characters import ComplexFn, additive_char_table, fourier, quadratic_char_table
 from qprog.field import FieldCtx, per_field
-from qprog.kernels import _check_pair_args, _quad_kernel, twisted_prefactor
+from qprog.kernels import _quad_kernel, twisted_prefactor
 
 
 def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, int]:
-    """Quadratic-phase coefficients (A, B, C): the summand phase is A x^2 + B x + C."""
-    h, y, z = _check_pair_args(ctx, h, y, z)
+    """Quadratic-phase coefficients (A, B, C): the summand phase is A x^2 + B x + C,
+    for h != 0 and y, z outside {0, -h}."""
     ymz = ctx.sub(y, z)
     hy, hz = ctx.add(h, y), ctx.add(h, z)
     denom = ctx.mul(hy, hz)
@@ -60,13 +60,13 @@ def quad_kernel_table_brute(ctx: FieldCtx) -> np.ndarray:
 
 
 def kernel_coeffs_table(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
-    """sum_n fhat1(m-n) fhat2(n) K(m-n, n), for every m, from the table."""
+    """sum_{n != 0} fhat1(m-n) fhat2(n) K(m-n, n), for every m, from the table."""
     ctx = f1.ctx
     fh1, fh2 = fourier(f1).values, fourier(f2).values
     Kt = quad_kernel_table(ctx)
     codes = ctx.elements()
     coeffs = np.zeros(ctx.q, dtype=complex)
-    for n in range(ctx.q):
+    for n in range(1, ctx.q):
         mn = ctx.sub_vec(codes, n)
         coeffs += fh1[mn] * fh2[n] * Kt[mn, n]
     return coeffs

@@ -48,7 +48,7 @@ def sliced_operator_apply(ctx: FieldCtx, h: int, G: ComplexFn) -> ComplexFn:
     """T_h G at u: sum over v outside {0, -h} of G(v) K(u,v) conj(K(u-h, v+h))."""
     h = ctx.check_element(h)
     if h == 0:
-        raise ValueError("the h = 0 slice is handled inside sliced_square_form")
+        raise ValueError("T_h is defined for h != 0 only")
     return ComplexFn(ctx, sliced_operator_matrix(ctx, h) @ G.values)
 
 
@@ -105,7 +105,7 @@ def full_weights(lam: np.ndarray, tail_w: np.ndarray) -> np.ndarray:
 
 
 def ratio_sum_rows(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
-    """S[i, t] = ratio_char_sum(h_i/4, t), from the ratio-kernel rows."""
+    """S[i, t] = sum_r L_{h_i/4}(r) eta_t(r), from the ratio-kernel rows."""
     quarters = ctx.div_vec(hs, ctx.from_int(4))
     return np.ascontiguousarray(_char_sums(_ratio_terms(ctx, quarters)).real.T)
 

@@ -9,18 +9,16 @@ from hypothesis import given, settings, strategies as st
 from qprog.field import get_field
 from qprog.characters import (
     ComplexFn,
-    additive_char,
     additive_char_table,
     fourier,
     fourier_inverse,
     gauss_sum,
-    mult_char,
     mult_fourier,
     mult_fourier_inverse,
     phase_table,
-    quadratic_char,
     quadratic_char_table,
     random_fn,
+    unit_root_powers,
 )
 
 from conftest import Q_FULL, field_for
@@ -41,9 +39,9 @@ from transform_oracles import (
 
 
 def test_additive_char_basics():
-    F3 = get_field(3, 1)
-    assert additive_char(F3, 0) == 1
-    assert abs(additive_char(F3, 1) - np.exp(2j * np.pi / 3)) < 1e-15
+    e = additive_char_table(get_field(3, 1))
+    assert e[0] == 1
+    assert abs(e[1] - np.exp(2j * np.pi / 3)) < 1e-15
 
 
 def test_additive_orthogonality_exhaustive(ctx_medium):
@@ -81,20 +79,16 @@ def test_phase_table_is_e_of_the_product_on_every_pair(q):
 
 def test_mult_char_basics():
     F5 = get_field(5, 1)
-    for x in range(1, 5):
-        assert mult_char(F5, 0, x) == 1
+    assert np.all(mult_char_table(F5, 0)[1:] == 1)
     # chi = eta_2 on F_5: squares {1, 4} -> +1, nonsquares {2, 3} -> -1
-    chi = {x: mult_char(F5, 2, x) for x in range(1, 5)}
+    chi = mult_char_table(F5, 2)
     assert abs(chi[1] - 1) < 1e-15 and abs(chi[4] - 1) < 1e-15
     assert abs(chi[2] + 1) < 1e-15 and abs(chi[3] + 1) < 1e-15
-    # eta_t(g) is the primitive root to the t
+    # eta_t(g) is the primitive root to the t, the t-th unit-root power
     root = np.exp(2j * np.pi / 4)
     for t in range(4):
-        assert abs(mult_char(F5, t, F5.g) - root**t) < 1e-14
-    with pytest.raises(ValueError):
-        mult_char(F5, 1, 0)
-    with pytest.raises(ValueError):
-        mult_char(F5, 4, 1)  # index out of range
+        assert abs(mult_char_table(F5, t)[F5.g] - root**t) < 1e-14
+        assert abs(unit_root_powers(F5)[t] - root**t) < 1e-14
 
 
 def test_mult_orthogonality_exhaustive(ctx_medium):
@@ -110,8 +104,8 @@ def test_mult_orthogonality_exhaustive(ctx_medium):
 @settings(max_examples=80, deadline=None)
 def test_mult_char_multiplicative(x, y, t):
     ctx = get_field(3, 3)
-    lhs = mult_char(ctx, t, ctx.mul(x, y))
-    assert abs(lhs - mult_char(ctx, t, x) * mult_char(ctx, t, y)) < 1e-12
+    eta = mult_char_table(ctx, t)
+    assert abs(eta[ctx.mul(x, y)] - eta[x] * eta[y]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +114,11 @@ def test_mult_char_multiplicative(x, y, t):
 
 
 def test_quadratic_char_values():
-    F7 = get_field(7, 1)
-    assert quadratic_char(F7, 1) == 1
-    assert quadratic_char(F7, 0) == 0
-    assert quadratic_char(F7, 3) == -1  # squares mod 7 are {1, 2, 4}
-    assert {x for x in range(1, 7) if quadratic_char(F7, x) == 1} == {1, 2, 4}
+    chi = quadratic_char_table(get_field(7, 1))
+    assert chi[1] == 1
+    assert chi[0] == 0
+    assert chi[3] == -1  # squares mod 7 are {1, 2, 4}
+    assert {x for x in range(1, 7) if chi[x] == 1} == {1, 2, 4}
 
 
 def test_quadratic_char_is_power_map(ctx_medium):

@@ -6,9 +6,9 @@ import pytest
 from qprog.field import get_field, subfield_embed
 from qprog.constructions import (
     ElementSet,
+    _witnesses,
     enumerate_planes,
     greedy_progression_free,
-    is_bad_plane,
     is_progression_free,
     plane_census,
     quadratic_extension_line,
@@ -178,8 +178,7 @@ def test_bad_plane_from_squaring_pair():
         if mask[1]:
             continue
         plane = next(pl for pl in enumerate_planes(emb) if np.array_equal(pl.mask, mask))
-        bad, witness = is_bad_plane(emb, plane)
-        assert bad and witness is not None
+        assert y in _witnesses(big, plane)  # the plane is bad, with witness y
         A, _, _ = cubic_min_poly(emb, y)
         half_a = small.div(A, small.from_int(2))
         z = big.sub(y2, big.mul(emb.map_[half_a], y))
@@ -191,13 +190,6 @@ def test_bad_plane_from_squaring_pair():
         if found >= 5:
             break
     assert found
-
-
-def test_is_bad_plane_rejects_planes_containing_one():
-    emb = _embedding(3, 1, 3)
-    plane = next(pl for pl in enumerate_planes(emb) if pl.mask[1])
-    with pytest.raises(ValueError):
-        is_bad_plane(emb, plane)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -220,8 +212,7 @@ def test_plane_census_counts(q):
 def test_good_plane_is_not_bad():
     emb = _embedding(5, 1, 3)
     census = plane_census(emb)
-    bad, witness = is_bad_plane(emb, census.good_example)
-    assert not bad and witness is None
+    assert not _witnesses(emb.big, census.good_example).size
 
 
 @pytest.mark.parametrize("q", Q_SMALL)

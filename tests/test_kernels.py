@@ -9,22 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from qprog import kernels
 from qprog.field import get_field
-from qprog.characters import additive_char, gauss_sum, quadratic_char
+from qprog.characters import additive_char_table, gauss_sum, quadratic_char_table
 from qprog.kernels import (
-    admissible_codes,
+    _pair_closed,
+    _quad_kernel,
+    _slice_phase_columns,
+    _twist,
     decomposition_check,
     half_shift,
-    pair_kernel_brute,
     pair_kernel_check,
-    pair_kernel_closed,
+    pair_kernel_grid_brute,
     pair_kernel_grid_closed,
-    quad_kernel,
-    quad_kernel_brute,
     quad_kernel_check,
     quad_kernel_rows_brute,
-    ratio_kernel,
     ratio_kernel_table,
-    twisted_pair_kernel,
     twisted_prefactor,
 )
 
@@ -44,16 +42,15 @@ from kernel_oracles import (
 
 def test_quad_kernel_degenerate_cases(ctx_small):
     ctx = ctx_small
-    assert quad_kernel(ctx, 0, 0) == 1
-    for a in range(1, ctx.q):
-        assert quad_kernel(ctx, a, 0) == 0
-    assert abs(quad_kernel_brute(ctx, 0, 0) - 1) < 1e-12
+    assert _quad_kernel(ctx, 0, 0) == 1
+    assert not _quad_kernel(ctx, ctx.units(), 0).any()
+    assert abs(quad_kernel_rows_brute(ctx, np.array([0]))[0, 0] - 1) < 1e-12
 
 
 def test_quad_kernel_f3_value():
     # brute oracle: (1/3) sum e(y^2) over F_3 equals i/sqrt(3)
     ctx = get_field(3, 1)
-    assert abs(quad_kernel(ctx, 0, 1) - 1j / math.sqrt(3)) < 1e-12
+    assert abs(_quad_kernel(ctx, 0, 1) - 1j / math.sqrt(3)) < 1e-12
 
 
 def test_quad_kernel_closed_equals_brute(ctx_medium):
@@ -142,27 +139,19 @@ def test_quad_kernel_modulus_on_generic(ctx_small):
 
 def test_pair_kernel_diagonal_and_antidiagonal():
     ctx = get_field(7, 1)
-    assert abs(pair_kernel_brute(ctx, 1, 2, 2) - 7) < 1e-12
-    assert abs(pair_kernel_closed(ctx, 1, 2, 2) - 7) == 0
+    ys, brute = pair_kernel_grid_brute(ctx, 1)
+    assert ys.tolist() == [1, 2, 3, 4, 5]  # row and column y at index y - 1
+    assert abs(brute[1, 1] - 7) < 1e-12
+    assert abs(_pair_closed(ctx, 1, 2, 2) - 7) == 0
     # h + y + z = 1 + 2 + 4 = 0 mod 7
-    assert abs(pair_kernel_brute(ctx, 1, 2, 4)) < 1e-12
-    assert pair_kernel_closed(ctx, 1, 2, 4) == 0
+    assert abs(brute[1, 3]) < 1e-12
+    assert _pair_closed(ctx, 1, 2, 4) == 0
 
 
 def test_pair_kernel_generic_modulus():
     ctx = get_field(7, 1)
-    v = pair_kernel_brute(ctx, 1, 2, 3)
+    v = pair_kernel_grid_brute(ctx, 1)[1][1, 2]  # (y, z) = (2, 3)
     assert abs(abs(v) - math.sqrt(7)) < 1e-12
-
-
-def test_pair_kernel_rejections():
-    ctx = get_field(7, 1)
-    with pytest.raises(ValueError):
-        pair_kernel_brute(ctx, 0, 2, 3)
-    with pytest.raises(ValueError):
-        pair_kernel_brute(ctx, 1, 0, 3)
-    with pytest.raises(ValueError):
-        pair_kernel_closed(ctx, 1, 2, 6)  # z = -h
 
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
@@ -176,41 +165,15 @@ def test_pair_kernel_closed_equals_brute_exhaustive(q):
 def test_pair_kernel_case_partition():
     ctx = get_field(5, 1)
     for h in range(1, 5):
-        for y in admissible_codes(ctx, h):
-            for z in admissible_codes(ctx, h):
-                v = pair_kernel_closed(ctx, h, int(y), int(z))
+        ys, grid = pair_kernel_grid_closed(ctx, h)
+        for y, row in zip(ys, grid):
+            for z, v in zip(ys, row):
                 if y == z:
                     assert v == 5
                 elif (h + y + z) % 5 == 0:
                     assert v == 0
                 else:
                     assert abs(abs(v) - math.sqrt(5)) < 1e-12
-
-
-def test_scalar_closed_forms_equal_their_vectorised_forms(ctx_small):
-    """Each scalar entry point is its vectorised closed form, byte for byte:
-    K on the whole (a, b) grid with the b = 0 row, B_h on every admissible
-    (h, y, z), its twist D(Y) B_h(Y-c, Z-c) D(Z) on every admissible
-    (h, Y, Z) and L_h on every (h, r)."""
-    ctx = ctx_small
-    codes = ctx.elements()
-    grid = kernels._quad_kernel(ctx, codes[:, None], codes[None, :])
-    scalars = np.array([[quad_kernel(ctx, a, b) for b in codes] for a in codes])
-    assert scalars.tobytes() == grid.tobytes()
-    for h in ctx.units():
-        ys, grid = pair_kernel_grid_closed(ctx, h)
-        scalars = np.array([[pair_kernel_closed(ctx, h, y, z) for z in ys] for y in ys])
-        assert scalars.tobytes() == grid.tobytes()
-    for h in ctx.units():
-        c = half_shift(ctx, h)
-        Ys = ctx.codes_outside(c, ctx.neg(c))
-        d, ys = kernels._twist(ctx, c, Ys), ctx.sub_vec(Ys, c)
-        grid = d[:, None] * kernels._pair_closed(ctx, h, ys[:, None], ys[None, :]) * d[None, :]
-        scalars = np.array([[twisted_pair_kernel(ctx, h, Y, Z) for Z in Ys] for Y in Ys])
-        assert scalars.tobytes() == grid.tobytes()
-    table = ratio_kernel_table(ctx, ctx.units())
-    scalars = np.array([[ratio_kernel(ctx, h, r) for r in codes] for h in ctx.units()])
-    assert scalars.tobytes() == table.tobytes()
 
 
 def test_pair_kernel_coeffs_reconstruct_brute():
@@ -226,8 +189,9 @@ def test_pair_kernel_coeffs_reconstruct_brute():
             phase = ctx.add(
                 ctx.add(ctx.mul(A, ctx.mul(x, x)), ctx.mul(B, x)), C
             )
-            total += additive_char(ctx, phase)
-        assert abs(total - pair_kernel_brute(ctx, h, y, z)) < 1e-9
+            total += additive_char_table(ctx)[phase]
+        cols = _slice_phase_columns(ctx, h, np.array([y, z]))
+        assert abs(total - cols[:, 0] @ cols[:, 1].conj()) < 1e-9
 
 
 def test_recentering_substitution_identities():
@@ -252,9 +216,8 @@ def test_recentering_substitution_identities():
 def test_ratio_kernel_zeros_and_modulus(ctx_small):
     ctx = ctx_small
     for h in (1, ctx.q - 1):
-        assert ratio_kernel(ctx, h, 1) == 0
-        assert ratio_kernel(ctx, h, ctx.neg(1)) == 0
         tab = ratio_kernel_table(ctx, [h])[0]
+        assert tab[1] == 0 and tab[ctx.neg(1)] == 0
         mods = np.abs(tab)
         for r in range(ctx.q):
             if r in (1, ctx.neg(1)):
@@ -276,9 +239,9 @@ def test_ratio_kernel_f7_value():
     """L_1(2) = sigma chi(1) chi(-3) e(5) in F_7 (1/3 = 5, -3 = 4 a square)."""
     ctx = get_field(7, 1)
     sigma = gauss_sum(ctx).sigma
-    expected = sigma * 1 * additive_char(ctx, 5)
-    assert quadratic_char(ctx, 4) == 1
-    assert abs(ratio_kernel(ctx, 1, 2) - expected) < 1e-12
+    expected = sigma * 1 * additive_char_table(ctx)[5]
+    assert quadratic_char_table(ctx)[4] == 1
+    assert abs(ratio_kernel_table(ctx, [1])[0, 2] - expected) < 1e-12
 
 
 def test_ratio_kernel_from_twisted_kernel():
@@ -286,29 +249,25 @@ def test_ratio_kernel_from_twisted_kernel():
     ctx = get_field(7, 1)
     h = 1
     c = half_shift(ctx, h)
-    for Y in range(1, 7):
-        if Y in (c, ctx.neg(c)):
-            continue
-        for Z in range(1, 7):
-            if Z in (c, ctx.neg(c)) or Z == Y:
-                continue
-            lhs = math.sqrt(7) * ratio_kernel(ctx, h, ctx.div(Z, Y))
-            assert abs(twisted_pair_kernel(ctx, h, Y, Z) - lhs) < 1e-9
+    Ys = ctx.codes_outside(0, c, ctx.neg(c))
+    d, ys = _twist(ctx, c, Ys), ctx.sub_vec(Ys, c)
+    twisted = d[:, None] * _pair_closed(ctx, h, ys[:, None], ys[None, :]) * d[None, :]
+    lhs = math.sqrt(7) * ratio_kernel_table(ctx, [h])[0][ctx.div_vec(Ys[None, :], Ys[:, None])]
+    off = Ys[:, None] != Ys[None, :]
+    assert np.abs(twisted - lhs)[off].max() < 1e-9
 
 
 def test_twisted_kernel_diagonal_and_antidiagonal():
     ctx = get_field(11, 1)
     h = 3
     c = half_shift(ctx, h)
-    for Y in range(ctx.q):
-        if Y in (c, ctx.neg(c)):
-            with pytest.raises(ValueError):
-                twisted_pair_kernel(ctx, h, Y, 1)
-            continue
-        assert abs(twisted_pair_kernel(ctx, h, Y, Y) - ctx.q) < 1e-9
-        negY = ctx.neg(Y)
-        if Y != 0 and negY not in (c, ctx.neg(c)):
-            assert abs(twisted_pair_kernel(ctx, h, Y, negY)) < 1e-9
+    Ys = ctx.codes_outside(c, ctx.neg(c))
+    d, ys = _twist(ctx, c, Ys), ctx.sub_vec(Ys, c)
+    twisted = d[:, None] * _pair_closed(ctx, h, ys[:, None], ys[None, :]) * d[None, :]
+    assert np.abs(np.diag(twisted) - ctx.q).max() < 1e-9
+    nonzero = np.flatnonzero(Ys)
+    neg = np.searchsorted(Ys, ctx.neg_vec(Ys[nonzero]))  # -Y lies outside {c, -c} too
+    assert np.abs(twisted[nonzero, neg]).max() < 1e-9
 
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
@@ -334,4 +293,5 @@ def test_pair_kernel_brute_matches_closed_random(h, y, z):
     ctx = get_field(13, 1)
     if y in (0, ctx.neg(h)) or z in (0, ctx.neg(h)):
         return
-    assert abs(pair_kernel_brute(ctx, h, y, z) - pair_kernel_closed(ctx, h, y, z)) < 1e-9
+    cols = _slice_phase_columns(ctx, h, np.array([y, z]))
+    assert abs(cols[:, 0] @ cols[:, 1].conj() - _pair_closed(ctx, h, y, z)) < 1e-9

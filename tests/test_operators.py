@@ -9,11 +9,13 @@ import pytest
 from qprog.field import build_field, get_field, prime_power
 from qprog.characters import ComplexFn, additive_char_table, random_fn
 from qprog import operators
-from qprog.kernels import pair_kernel_grid_closed, quad_kernel
+from qprog.kernels import _quad_kernel, pair_kernel_grid_closed
 from qprog.weil import weil_orbits, weil_scan
 from qprog.operators import (
-    _kernel_coeffs,
+    _coefficient_pass,
+    _deviation_coeffs,
     _side_image,
+    _slice_norms,
     alternating_max_ratio,
     averaging_apply,
     averaging_apply_fourier,
@@ -22,8 +24,6 @@ from qprog.operators import (
     deviation_norm,
     deviation_scan,
     sliced_norm_scan,
-    sliced_operator_norm,
-    sliced_square_form,
     triple_average_chain,
 )
 
@@ -132,7 +132,7 @@ def test_kernel_coeffs_match_table_oracle(q):
     rng = np.random.default_rng(q)
     for _ in range(2):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-        assert np.abs(_kernel_coeffs(f1, f2) - kernel_coeffs_table(f1, f2)).max() <= 1e-12
+        assert np.abs(_deviation_coeffs(f1, f2) - kernel_coeffs_table(f1, f2)).max() <= 1e-12
 
 
 def test_averaging_on_origin_indicators():
@@ -194,7 +194,7 @@ def test_deviation_of_character_pair():
         vals = e[ctx.mul_vec(xi, ctx.elements())]
         f = ComplexFn(ctx, vals)
         norms = deviation_norm(f, f)
-        expected = abs(quad_kernel(ctx, xi, xi))
+        expected = abs(_quad_kernel(ctx, xi, xi))
         assert abs(norms.direct - expected) < 1e-9
         assert abs(norms.fourier_side - expected) < 1e-9
         assert abs(expected - 1 / math.sqrt(11)) < 1e-12
@@ -220,7 +220,7 @@ def test_sliced_square_form_equals_deviation_square(ctx_medium):
     for _ in range(5):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
         norms = deviation_norm(f1, f2)
-        form = sliced_square_form(f1, f2).sum()
+        form = _coefficient_pass(f1, f2)[1].sum()
         assert abs(form.imag) < 1e-9
         target = norms.fourier_side**2
         assert abs(form.real - target) <= 1e-8 * max(1.0, target)
@@ -232,7 +232,7 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
     from qprog.characters import fourier
 
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    slices = sliced_square_form(f1, f2)
+    slices = _coefficient_pass(f1, f2)[1]
     l1 = (np.abs(fourier(f1).values) ** 2).sum()
     l2 = (np.abs(fourier(f2).values) ** 2).sum()
     assert slices[0].real <= l1 * l2 / ctx.q + 1e-12
@@ -242,10 +242,10 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
 def test_sliced_square_form_of_zero():
     ctx = get_field(5, 1)
     zero = ComplexFn(ctx, np.zeros(5))
-    assert np.abs(sliced_square_form(zero, zero)).max() == 0
+    assert np.abs(_coefficient_pass(zero, zero)[1]).max() == 0
     other = ComplexFn(build_field(5, 1), np.zeros(5))  # the same q, another context
     with pytest.raises(ValueError, match="different fields"):
-        sliced_square_form(zero, other)
+        _coefficient_pass(zero, other)
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
@@ -255,7 +255,7 @@ def test_slices_match_dense_loop_oracle(q):
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    assert np.abs(sliced_square_form(f1, f2) - sliced_square_form_dense(f1, f2)).max() <= 1e-12
+    assert np.abs(_coefficient_pass(f1, f2)[1] - sliced_square_form_dense(f1, f2)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", [243, 729])
@@ -265,9 +265,9 @@ def test_sliced_square_form_is_exact_under_fft_batching(q, monkeypatch):
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    batched = sliced_square_form(f1, f2)
+    batched = _coefficient_pass(f1, f2)[1]
     monkeypatch.setattr(operators, "_SLICE_FFT_BLOCKS", 1)
-    assert np.array_equal(batched, sliced_square_form(f1, f2))
+    assert np.array_equal(batched, _coefficient_pass(f1, f2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +296,9 @@ def test_sliced_apply_point_mass_modulus(ctx_small):
     g = np.zeros(ctx.q)
     g[v0] = 1.0
     out = sliced_operator_apply(ctx, h, ComplexFn(ctx, g)).values
-    expected = np.array(
-        [
-            quad_kernel(ctx, u, v0) * np.conj(quad_kernel(ctx, ctx.sub(u, h), ctx.add(v0, h)))
-            for u in range(ctx.q)
-        ]
-    )
+    codes = ctx.elements()
+    expected = _quad_kernel(ctx, codes, v0) * np.conj(
+        _quad_kernel(ctx, ctx.sub_vec(codes, h), ctx.add(v0, h)))
     assert np.abs(out - expected).max() < 1e-12
     assert np.abs(np.abs(out) - 1.0 / ctx.q).max() < 1e-12
 
@@ -318,7 +315,7 @@ def test_opnorm_matches_brute_svd(q):
         M = K * K[np.ix_(rows, cols)].conj()
         M[:, [0, ctx.neg(h)]] = 0.0
         expected = np.linalg.svd(M, compute_uv=False)[0]
-        assert abs(sliced_operator_norm(ctx, h) - expected) < 1e-10
+        assert abs(_slice_norms(ctx, np.array([h]))[0] - expected) < 1e-10
 
 
 @pytest.mark.parametrize("q", Q_FULL + [125, 127])
@@ -328,7 +325,7 @@ def test_spectral_norms_match_svd_oracle(q):
     norms = np.array(sliced_norm_scan(ctx).norms)
     dense = np.array([sliced_operator_norm_svd(ctx, h) for h in range(1, q)])
     assert np.all(np.abs(norms - dense) <= 1e-12 * dense)
-    assert [sliced_operator_norm(ctx, h) for h in (1, q - 1)] == [norms[0], norms[-1]]
+    assert _slice_norms(ctx, np.array([1, q - 1])).tolist() == [norms[0], norms[-1]]
 
 
 def _pair_kernel_top(ctx, h):
@@ -405,7 +402,7 @@ def test_sliced_operator_norm_is_constant_on_orbits(q):
     rep = weil_orbits(ctx).rep
     for h in range(1, q):
         expected = slice_norms_every_row(ctx, rep[h : h + 1])[0]
-        assert abs(sliced_operator_norm(ctx, h) - expected) <= 1e-12 * expected, h
+        assert abs(_slice_norms(ctx, np.array([h]))[0] - expected) <= 1e-12 * expected, h
 
 
 def test_slice_norms_match_ratio_bisection_route_on_every_field_to_243():
@@ -507,8 +504,7 @@ def test_slice_scan_holds_one_half_size_block():
 
 def test_opnorm_bound_at_q9():
     ctx = get_field(3, 2)
-    for h in range(1, 9):
-        assert sliced_operator_norm(ctx, h) <= 4 / math.sqrt(9)
+    assert _slice_norms(ctx, ctx.units()).max() <= 4 / math.sqrt(9)
 
 
 def test_opnorm_invariant_under_unimodular_column_twist():
@@ -532,7 +528,7 @@ def test_opnorm_invariant_under_unimodular_column_twist():
 def test_opnorm_rejects_h_zero():
     ctx = get_field(5, 1)
     with pytest.raises(ValueError):
-        sliced_operator_norm(ctx, 0)
+        _slice_norms(ctx, np.array([0]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,46 +7,31 @@ import pytest
 
 from qprog import weil
 from qprog.field import get_field
-from qprog.characters import (
-    additive_char,
-    mult_char,
-    quadratic_char,
-    quadratic_char_table,
-    additive_char_table,
-)
+from qprog.characters import quadratic_char_table, additive_char_table
 from qprog.weil import (
+    _char_sums,
+    _mixed_terms,
+    _ratio_terms,
     envelope,
     envelope_check,
-    mixed_char_sum,
-    ratio_char_sum,
     ratio_sum_check,
     substitution_check,
     weil_scan,
 )
-from qprog.kernels import ratio_kernel, twisted_prefactor
+from qprog.kernels import ratio_kernel_table, twisted_prefactor
 
 from conftest import Q_FULL, Q_MEDIUM, field_for
 from kernel_oracles import ratio_kernel_table_by_mul
-from transform_oracles import char_sums_dense, mixed_weights_by_code
+from transform_oracles import char_sums_dense, mult_char_table, mixed_weights_by_code
 from weil_oracles import weil_scan_every_row
 
 
 def test_empty_sum_at_q3():
     ctx = get_field(3, 1)
-    assert mixed_char_sum(ctx, 0, 1) == 0
-    assert mixed_char_sum(ctx, 1, 2) == 0
+    sums = _char_sums(_mixed_terms(ctx, np.array([1, 2])))  # rows t, columns lambda
+    assert sums[0, 0] == 0 and sums[1, 1] == 0
     rep = weil_scan(ctx)
     assert rep.max_abs_sum == 0 and rep.grid_count == 4
-
-
-def test_mixed_sum_rejects_zero_lambda():
-    ctx = get_field(7, 1)
-    with pytest.raises(ValueError):
-        mixed_char_sum(ctx, 1, 0)
-    with pytest.raises(ValueError):
-        mixed_char_sum(ctx, 7, 1)
-    with pytest.raises(ValueError, match="h must be nonzero"):
-        ratio_char_sum(ctx, 0, 1)
 
 
 def test_trivial_character_grouped_oracle(ctx_small):
@@ -54,27 +39,30 @@ def test_trivial_character_grouped_oracle(ctx_small):
     ctx = ctx_small
     if ctx.q == 3:
         return
-    for lam in (1, 2):
-        direct = mixed_char_sum(ctx, 0, lam)
+    chi, e = quadratic_char_table(ctx), additive_char_table(ctx)
+    sums = _char_sums(_mixed_terms(ctx, np.array([1, 2])))
+    for j, lam in enumerate((1, 2)):
+        direct = sums[0, j]
         groups: dict[int, complex] = {}
         for r in range(ctx.q):
             if r in (0, 1, ctx.neg(1)):
                 continue
             s = ctx.div(ctx.sub(r, 1), ctx.add(r, 1))
-            groups[s] = groups.get(s, 0) + quadratic_char(ctx, ctx.sub(1, ctx.mul(r, r)))
-        regrouped = sum(c * additive_char(ctx, ctx.mul(lam, s)) for s, c in groups.items())
+            groups[s] = groups.get(s, 0) + chi[ctx.sub(1, ctx.mul(r, r))]
+        regrouped = sum(c * e[ctx.mul(lam, s)] for s, c in groups.items())
         assert abs(direct - regrouped) < 1e-12
 
 
 def test_every_summand_is_unimodular(ctx_small):
     """Structural check: |eta chi phase| = 1, so |sum| <= q - 3 a priori."""
     ctx = ctx_small
+    eta, chi = mult_char_table(ctx, 1), quadratic_char_table(ctx)
     for r in range(ctx.q):
         if r in (0, 1, ctx.neg(1)):
             continue
-        term = mult_char(ctx, 1, r) * quadratic_char(ctx, ctx.sub(1, ctx.mul(r, r)))
+        term = eta[r] * chi[ctx.sub(1, ctx.mul(r, r))]
         assert abs(abs(term) - 1.0) < 1e-12
-    assert abs(mixed_char_sum(ctx, 1, 1)) <= ctx.q - 3 + 1e-9
+    assert abs(_char_sums(_mixed_terms(ctx, np.array([1])))[1, 0]) <= ctx.q - 3 + 1e-9
 
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
@@ -96,20 +84,13 @@ def test_substitution_single_term_spot_check():
     r, lam, t = 2, 3, 2
     s = ctx.div(ctx.sub(r, 1), ctx.add(r, 1))
     assert s == 5
-    lhs = (
-        mult_char(ctx, t, r)
-        * quadratic_char(ctx, ctx.sub(1, ctx.mul(r, r)))
-        * additive_char(ctx, ctx.mul(lam, s))
-    )
+    eta, chi, e = mult_char_table(ctx, t), quadratic_char_table(ctx), additive_char_table(ctx)
+    lhs = eta[r] * chi[ctx.sub(1, ctx.mul(r, r))] * e[ctx.mul(lam, s)]
     r_back = ctx.div(ctx.add(1, s), ctx.sub(1, s))
     assert r_back == r
     neg4 = ctx.neg(ctx.from_int(4))
     chi_arg = ctx.div(ctx.mul(neg4, s), ctx.mul(ctx.sub(1, s), ctx.sub(1, s)))
-    rhs = (
-        mult_char(ctx, t, r_back)
-        * quadratic_char(ctx, chi_arg)
-        * additive_char(ctx, ctx.mul(lam, s))
-    )
+    rhs = eta[r_back] * chi[chi_arg] * e[ctx.mul(lam, s)]
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -142,7 +123,8 @@ def test_substitution_check_names_first_bad_cell(monkeypatch):
     res = substitution_check(ctx)
     assert not res.passed and res.cases == 36
     assert res.first_failure.startswith("(t=0, lambda=6) ")
-    assert abs(mixed_char_sum(ctx, 1, 1)) > 1e-9  # (t=1, lambda=1) is bad too
+    bad_too = _char_sums(_mixed_terms(ctx, np.array([1])))[1, 0]  # (t=1, lambda=1)
+    assert abs(bad_too) > 1e-9
 
 
 def test_substitution_check_catches_a_summation_fault(monkeypatch):
@@ -172,7 +154,9 @@ def test_ratio_sum_check_names_first_bad_cell(monkeypatch):
     monkeypatch.setattr(weil, "ratio_kernel_table", corrupted)
 
     def err(h, t):
-        return abs(ratio_char_sum(ctx, h, t) - twisted_prefactor(ctx, h) * mixed_char_sum(ctx, t, h))
+        hs = np.array([h])
+        ratio, mixed = _char_sums(_ratio_terms(ctx, hs)), _char_sums(_mixed_terms(ctx, hs))
+        return abs(ratio[t, 0] - twisted_prefactor(ctx, h) * mixed[t, 0])
 
     assert err(1, 0) < 1e-9 and err(1, 1) >= 1e-9 and err(6, 0) >= 1e-9
     res = ratio_sum_check(ctx)
@@ -184,17 +168,14 @@ def test_ratio_char_sum_brute():
     """Scalar oracle: sum the ratio kernel against a character directly."""
     ctx = get_field(9 // 3, 2)
     for h, t in [(1, 0), (2, 3), (5, 7)]:
-        expected = sum(
-            ratio_kernel(ctx, h, r) * mult_char(ctx, t, r) for r in range(1, ctx.q)
-        )
-        assert abs(ratio_char_sum(ctx, h, t) - expected) < 1e-12
+        expected = (ratio_kernel_table(ctx, [h])[0] * mult_char_table(ctx, t)).sum()
+        assert abs(_char_sums(_ratio_terms(ctx, np.array([h])))[t, 0] - expected) < 1e-12
 
 
 def test_ratio_char_sum_envelope(ctx_medium):
     ctx = ctx_medium
-    for h in (1, ctx.q - 1):
-        for t in range(ctx.q - 1):
-            assert abs(ratio_char_sum(ctx, h, t)) <= envelope(ctx.q) + 1e-9
+    sums = _char_sums(_ratio_terms(ctx, np.array([1, ctx.q - 1])))  # every t
+    assert np.abs(sums).max() <= envelope(ctx.q) + 1e-9
 
 
 def test_scan_grid_and_envelope(ctx_medium):
