@@ -18,9 +18,8 @@ tables padded so that neither a reduction mod q-1 nor a test for zero is
 needed; inversion and powers run through the plain log/exp tables.  Addition
 is one gather too, wrapped[offset[a] + offset[b]], from the code tensor
 wrapped once along each digit axis, so digit sums need no reduction mod p.
-``add_rows`` gives whole rows s + x over every x at once: for small fields
-rows of a cached q x q table built from the p x p table of one digit, above
-it windows of the same wrapped tensor.  The
+``add_rows`` gives whole rows s + x over every x at once, as windows of the
+same wrapped tensor; no q x q table is held at any q.  The
 arithmetic is written once, in the vectorised methods (``add_vec`` etc.),
 which accept numpy integer arrays and broadcast; the scalar methods call them
 on single codes.  Per-field tables are built once, by ``per_field``.
@@ -43,11 +42,12 @@ import numpy as np
 #   mul_vec, one gather per product (tables of 5q words)            1 per product
 #   add_vec, one gather per sum (a tensor of (2p-1)^s ints)         1 per sum
 #   e(a b), one phase-table gather (4q complex)                     1 per phase
-#   add_rows: rows of the q x q int16 table, or add_vec's windows   1 per code
+#   add_rows, windows of add_vec's wrapped tensor                   1 per code
 #   log/exp tables by doubling (s x s matrix powers)                q s^2
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   averaging_apply, deviation_norm (rows from add_rows)            q^2
-#   alternating_max_ratio (4 x starts x rounds steps)               q^2 per step
+#   deviation_scan (8 pairs a pass share index rows and K phases)   q^2 per pair
+#   alternating_max_ratio (4 x rounds steps, 8 starts in lock step) q^2 per step and start
 #   averaging_checks, quad_kernel_check (rows of K, FFT per row)    q^2 log q
 #   substitution_check, ratio_sum_check (FFT grids)                 q^2 log q
 #   weil_scan (one FFT row per orbit of lambda, >= (q-1)/2s rows)   q^2 log q / s
@@ -57,11 +57,6 @@ import numpy as np
 #   greedy_progression_free                                         q |A|
 #   plane_census over F_{q^3} (q^2+q+1 functionals on q^3 points)   q^5
 DESK_CAP = 10_000
-
-# Fields up to this size give ``add_rows`` rows of a dense q x q add table
-# (2187^2 int16 is ~9.6 MB), where a row copy beats a gather; larger fields
-# take windows of the wrapped tensor.  ``add_vec`` never builds the table.
-_ADD_TABLE_MAX = 2500
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -358,30 +353,11 @@ class FieldCtx:
         # A second result-sized array is re-faulted per call: 4.1 ms, not 1.2 (256 x 2187, 2 vCPU).
         return wrapped.take(at, out=at, mode="clip") if at.ndim else wrapped[at]
 
-    @property
-    @per_field("add_table")
-    def add_table(self) -> np.ndarray | None:
-        """The q x q table a + b, int16, built digit by digit: the p x p table
-        digit = (i + k) % p, then for each higher digit j the broadcast term
-        digit[:, None, :, None] p^j + tab[None, :, None, :], reshaped."""
-        if self.q > _ADD_TABLE_MAX:
-            return None
-        i = np.arange(self.p, dtype=np.int16)
-        digit = (i[:, None] + i[None, :]) % self.p
-        tab = digit
-        for pj in self._pow_p[1 : self.s]:
-            tab = (digit[:, None, :, None] * pj + tab[None, :, None, :]).reshape(
-                self.p * pj, self.p * pj)
-        return tab
-
     def add_rows(self, shifts) -> np.ndarray:
-        """out[i, x] = shifts[i] + x for every code x, as intp codes: rows of
-        the add table where there is one, else the windows of the wrapped code
-        tensor at the shifts' digits (c + x sits at x's digits past c's)."""
+        """out[i, x] = shifts[i] + x for every code x, as intp codes: the
+        windows of the wrapped code tensor at the shifts' digits (c + x sits
+        at x's digits past c's)."""
         shifts = np.asarray(shifts, dtype=np.int64)
-        tab = self.add_table
-        if tab is not None:
-            return tab[shifts].astype(np.intp)
         wrapped = self._add_gather()[0].reshape((2 * self.p - 1,) * self.s)
         shape = (self.p,) * self.s  # the windows, a view built per call (no q^2 cache)
         windows = np.ndarray(shape * 2, np.intp, wrapped, 0, wrapped.strides * 2)

@@ -64,25 +64,25 @@ def _log_squares(ctx: FieldCtx) -> np.ndarray:
     return ctx.log0[ctx.sq_vec(ctx.elements())]
 
 
-def _quad_rows(ctx: FieldCtx, a: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """K(a, b) from the column parts of b: prefactor(b) e(a^2 (-1/(4b))), the
-    phase read from the phase table at log0(a^2) + log(-1/(4b)).  Columns
-    whose prefactor carries a weight w(b) give w(b) K(a, b)."""
-    prefactor, log_col = columns
-    return prefactor * phase_table(ctx)[_log_squares(ctx)[a] + log_col]
+def _quad_phases(ctx: FieldCtx, a: np.ndarray, log_col: np.ndarray) -> np.ndarray:
+    """K's phase e(a^2 (-1/(4b))) from the log of -1/(4b): the phase table
+    read at log0(a^2) + log(-1/(4b))."""
+    return phase_table(ctx)[_log_squares(ctx)[a] + log_col]
 
 
 def _quad_kernel(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """K(a, b) on broadcast code arrays a and b: sigma q^{-1/2} chi(b)
     e(-a^2/(4b)), whose prefactor vanishes on b = 0, plus the point mass 1
     at (0, 0)."""
-    return _quad_rows(ctx, a, _quad_columns(ctx, b)) + ((a == 0) & (b == 0))
+    prefactor, log_col = _quad_columns(ctx, b)
+    return prefactor * _quad_phases(ctx, a, log_col) + ((a == 0) & (b == 0))
 
 
-def quad_kernel_rows_brute(ctx: FieldCtx, bs: np.ndarray) -> np.ndarray:
+def quad_kernel_rows_brute(ctx: FieldCtx, bs) -> np.ndarray:
     """Literal K, rows b in ``bs`` and columns a: row b is the additive
     inverse transform of y -> e(b y^2)/q.  It never completes the square, so
     it is independent of the closed form."""
+    bs = np.asarray(bs, dtype=np.int64)
     e = additive_char_table(ctx)
     terms = e[ctx.mul_vec(bs[:, None], ctx.sq_vec(ctx.elements()))]
     return fourier_inverse_rows(ctx, terms / ctx.q)

@@ -6,8 +6,11 @@ conventions explicitly):
 * ``averaging_apply`` returns the physical-side average
   (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It and
   the deviation's two adjoints are one blocked gather at the rows x + s(y)
-  of ``FieldCtx.add_rows``, independent of the Fourier route, so
-  ``alternating_max_ratio`` steps in q^2 work, O(q) memory.
+  of ``FieldCtx.add_rows``, independent of the Fourier route.  The gather
+  takes a batch of pairs and builds each block's index rows once for all of
+  them, so ``alternating_max_ratio`` steps 8 starts in lock step, in q^2
+  work per start and O(8q) memory, and ``deviation_scan`` takes its pairs'
+  norms 8 at a time.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -21,9 +24,10 @@ coefficient rows c(m, n) = fhat1(m-n) fhat2(n) K(m-n, n) with column n = 0
 zeroed, built from the closed form of K in blocks of m (O(q) memory per
 row).  The columns are reflected, column j holding n = -j, so that m - n =
 m + j is one row of ``add_rows``; the parts of K that depend on n alone,
-times fhat2(n), are built once per call, and each cell's phase is one
-phase-table gather.  Since K(a, 0) is the point mass at a = 0, the row sums
-are the coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation
+times fhat2(n), are built once per pair, and each block's phases, one
+phase-table gather per cell, once for every pair of a batch.  Since K(a, 0)
+is the point mass at a = 0, the row sums are the coefficients of
+A(f1,f2) - E[f1] E[f2].  Slice h of the deviation
 square is the rows' additive autocorrelation at lag -h (lag h in code
 order): with C_m the inverse transform of row m, every slice is the inverse
 transform of sum_m |C_m|^2 over q, read at -h, so all q slices cost
@@ -69,7 +73,7 @@ import numpy as np
 
 from .field import FieldCtx
 from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
-from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_kernel, _quad_rows, twisted_prefactor
+from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_kernel, _quad_phases, twisted_prefactor
 from .reporting import CheckResult, error_check
 from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
 
@@ -79,55 +83,89 @@ from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
 # ---------------------------------------------------------------------------
 
 
-def _common_field(f1: ComplexFn, f2: ComplexFn) -> FieldCtx:
-    if f2.ctx is not f1.ctx:
+def _common_field(pairs) -> FieldCtx:
+    ctx = pairs[0][0].ctx
+    if any(f.ctx is not ctx for pair in pairs for f in pair):
         raise ValueError("functions live on different fields")
-    return f1.ctx
+    return ctx
+
+
+# pairs that the O(q^2) routes take through one pass: each block's index rows
+# and K phases are built once for them all, and each pair holds a few rows of
+# q.  The 32 alternating starts took 2.37 s one pair a pass, 0.76 s with 8 and
+# 0.43-0.63 s with 16 at q = 243 (10 rounds), and 2.68, 1.1 and 0.97 s at
+# q = 729 (2 rounds), on 2 vCPU with one BLAS thread
+_PAIR_BATCH = 8
 
 
 def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
-    """sum_y v1[x + s1[y]] v2[x + s2[y]] for every x (q^2 work): the rows are
-    gathered through ``add_rows`` in blocks of y and added one y at a time,
-    in y order."""
-    acc = np.zeros(ctx.q, dtype=complex)
-    step = max(1, ROW_BLOCK_CELLS // ctx.q)
+    """sum_y v1[i, x + s1[y]] v2[i, x + s2[y]] for every row i of the (k, q)
+    stacks and every x (q^2 work per row).  Each block of y gathers its index
+    rows through ``add_rows`` once for all rows i.  Row i's products fill rows
+    1.. of a buffer whose row 0 holds its running sum, and one sum over axis 0
+    adds them row after row: in y order, so the sum is the per-y loop's."""
+    acc = np.zeros(v1.shape, dtype=complex)
+    step = min(ctx.q, max(1, ROW_BLOCK_CELLS // ctx.q))
+    buf = np.empty((step + 1, ctx.q), dtype=complex)
+    other = np.empty((step, ctx.q), dtype=complex)
     for y0 in range(0, ctx.q, step):
-        ys = slice(y0, y0 + step)
-        rows = v1[ctx.add_rows(s1[ys])] * v2[ctx.add_rows(s2[ys])]
-        for row in rows:  # one y at a time, in order: the sum is the per-y loop's
-            acc += row
+        at1, at2 = ctx.add_rows(s1[y0 : y0 + step]), ctx.add_rows(s2[y0 : y0 + step])
+        rows, second = buf[: len(at1) + 1], other[: len(at1)]
+        for i in range(len(acc)):  # gathers into the buffers ("clip": "raise" buffers out)
+            v1[i].take(at1, out=rows[1:], mode="clip")
+            rows[1:] *= v2[i].take(at2, out=second, mode="clip")
+            if len(rows) == 2:  # one y a block (q > 2^13): the same sum, without the copy
+                acc[i] += rows[1]
+            else:
+                rows[0] = acc[i]
+                rows.sum(axis=0, out=acc[i])
     return acc
+
+
+def _averages(pairs) -> np.ndarray:
+    """(1/q) sum_y f1(x+y) f2(x+y^2) for every x, row i for the pair i (q^2 work per pair)."""
+    ctx = _common_field(pairs)
+    codes = ctx.elements()
+    v1 = np.array([f1.values for f1, _ in pairs])
+    v2 = np.array([f2.values for _, f2 in pairs])
+    return _shifted_products(ctx, v1, codes, v2, ctx.sq_vec(codes)) / ctx.q
 
 
 def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Direct route: (1/q) sum_y f1(x+y) f2(x+y^2) for every x (q^2 work)."""
-    ctx = _common_field(f1, f2)
-    codes = ctx.elements()
-    acc = _shifted_products(ctx, f1.values, codes, f2.values, ctx.sq_vec(codes))
-    return ComplexFn(ctx, acc / ctx.q)
+    return ComplexFn(f1.ctx, _averages([(f1, f2)])[0])
 
 
-def _coefficient_rows(f1: ComplexFn, f2: ComplexFn):
-    """Yield the deviation's coefficient rows c(m, n) = fhat1(m-n) fhat2(n)
-    K(m-n, n) in blocks of consecutive m from m = 0, with reflected columns:
-    column j holds n = -j, so m - n = m + j is one row of ``add_rows``.
-    Column 0 (n = 0) is zero, since K's prefactor vanishes at b = 0."""
-    ctx = _common_field(f1, f2)
-    fh1, fh2 = fourier(f1).values, fourier(f2).values
+def _coefficient_rows(pairs):
+    """Yield (i, m0, rows): the deviation's coefficient rows c(m, n) =
+    fhat1(m-n) fhat2(n) K(m-n, n) of the pair i, in blocks of consecutive m
+    from m = m0, each block for every pair in turn, with reflected columns: column j
+    holds n = -j, so m - n = m + j is one row of ``add_rows``.  A block's K
+    phases are built once for all the pairs.  Column 0 (n = 0) is zero,
+    since K's prefactor vanishes at b = 0."""
+    ctx = _common_field(pairs)
     ns = ctx.neg_table  # n at every column j
     prefactor, log_col = _quad_columns(ctx, ns)
-    columns = (fh2[ns] * prefactor, log_col)  # fhat2(n) K(a, n) from _quad_rows
-    step = max(1, ROW_BLOCK_CELLS // ctx.q)
+    # fhat1, and fhat2(n) times K's prefactor at n: the rows' column weight
+    spectra = [(fourier(f1).values, fourier(f2).values[ns] * prefactor) for f1, f2 in pairs]
+    step = min(ctx.q, max(1, ROW_BLOCK_CELLS // ctx.q))
+    gathered = np.empty((step, ctx.q), dtype=complex)
     for m0 in range(0, ctx.q, step):
         a = ctx.add_rows(np.arange(m0, min(m0 + step, ctx.q)))  # m - n
-        rows = _quad_rows(ctx, a, columns)
-        rows *= fh1[a]
-        yield rows
+        phases = _quad_phases(ctx, a, log_col)
+        for i, (fh1, weight) in enumerate(spectra):
+            rows = weight * phases
+            rows *= fh1.take(a, out=gathered[: len(a)], mode="clip")
+            yield i, m0, rows
 
 
-def _deviation_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
-    """The coefficients of A(f1,f2) - E[f1] E[f2]: the row sums over n != 0."""
-    return np.concatenate([rows.sum(axis=1) for rows in _coefficient_rows(f1, f2)])
+def _deviation_coeffs(pairs) -> np.ndarray:
+    """The coefficients of A(f1,f2) - E[f1] E[f2], row i for the pair i: the
+    row sums over n != 0."""
+    coeffs = np.empty((len(pairs), pairs[0][0].ctx.q), dtype=complex)
+    for i, m0, rows in _coefficient_rows(pairs):
+        rows.sum(axis=1, out=coeffs[i, m0 : m0 + len(rows)])
+    return coeffs
 
 
 def _synthesize(f1: ComplexFn, f2: ComplexFn, coeffs: np.ndarray) -> ComplexFn:
@@ -140,12 +178,27 @@ def _synthesize(f1: ComplexFn, f2: ComplexFn, coeffs: np.ndarray) -> ComplexFn:
 
 def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n)."""
-    return _synthesize(f1, f2, _deviation_coeffs(f1, f2))
+    return _synthesize(f1, f2, _deviation_coeffs([(f1, f2)])[0])
 
 
 class DeviationNorms(NamedTuple):
     direct: float
     fourier_side: float
+
+
+def _deviation_norms(pairs) -> list[DeviationNorms]:
+    """``deviation_norm`` of every pair, both routes taken in one pass over the pairs."""
+    out = []
+    for (f1, f2), average, coeffs in zip(pairs, _averages(pairs), _deviation_coeffs(pairs)):
+        dev = average - f1.mean() * f2.mean()
+        direct = float(np.sqrt((np.abs(dev) ** 2).mean()))
+        fourier_side = float(np.sqrt((np.abs(coeffs) ** 2).sum()))
+        if abs(direct - fourier_side) > 1e-8 * max(1.0, direct, fourier_side):
+            raise RuntimeError(
+                f"deviation-norm routes disagree: direct={direct!r} fourier={fourier_side!r}"
+            )
+        out.append(DeviationNorms(direct, fourier_side))
+    return out
 
 
 def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
@@ -158,15 +211,7 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
     mismatch beyond 1e-8 raises (internal-consistency failure, not an input
     error).
     """
-    dev = averaging_apply(f1, f2).values - f1.mean() * f2.mean()
-    direct = float(np.sqrt((np.abs(dev) ** 2).mean()))
-    fourier_side = float(np.sqrt((np.abs(_deviation_coeffs(f1, f2)) ** 2).sum()))
-
-    if abs(direct - fourier_side) > 1e-8 * max(1.0, direct, fourier_side):
-        raise RuntimeError(
-            f"deviation-norm routes disagree: direct={direct!r} fourier={fourier_side!r}"
-        )
-    return DeviationNorms(direct, fourier_side)
+    return _deviation_norms([(f1, f2)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +243,7 @@ def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndar
     ctx = f1.ctx
     sums = []
     power = np.zeros(ctx.q)
-    blocks = _coefficient_rows(f1, f2)
+    blocks = (rows for _, _, rows in _coefficient_rows([(f1, f2)]))
     while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
         sums += [rows.sum(axis=1) for rows in batch]
         sq = np.abs(fourier_inverse_rows(ctx, np.concatenate(batch))) ** 2
@@ -210,18 +255,21 @@ def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndar
 def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     """Per seeded random pair: both averaging routes pointwise, and
     the slices' sum against the mean of |direct - E f1 E f2|^2; the Fourier
-    route and the slices read one pass over the coefficient rows.
+    route and the slices read one pass over the coefficient rows, and the
+    direct route takes the pairs ``_PAIR_BATCH`` at a time.
     Then T_1 on a point mass, whose image has modulus 1/q everywhere."""
     rng = np.random.default_rng(seed)
     routes = np.empty(trials)
     form = np.empty(trials)
-    for i in range(trials):
-        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-        direct = averaging_apply(f1, f2).values
-        coeffs, slices = _coefficient_pass(f1, f2)
-        routes[i] = np.abs(direct - _synthesize(f1, f2, coeffs).values).max()
-        square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
-        form[i] = abs(slices.sum() - square)
+    drawn = ((random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(trials))
+    i = 0
+    while pairs := list(islice(drawn, _PAIR_BATCH)):
+        for (f1, f2), direct in zip(pairs, _averages(pairs)):
+            coeffs, slices = _coefficient_pass(f1, f2)
+            routes[i] = np.abs(direct - _synthesize(f1, f2, coeffs).values).max()
+            square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
+            form[i] = abs(slices.sum() - square)
+            i += 1
     # the point mass sits at the first v >= 2 other than -1; F_3 has none,
     # and v = 1 serves there.  Its image under T_1 is K(u, v0) conj(K(u-1, v0+1))
     v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
@@ -548,15 +596,20 @@ class DeviationReport:
 ALTERNATING_STARTS = 32
 
 
-def _side_image(ctx: FieldCtx, g: np.ndarray, pair: list[ComplexFn], side: int) -> np.ndarray:
-    """u with sum_x conj(g(x)) D(x) = sum_a u(a) pair[side](a), D the pair's deviation:
+def _side_images(ctx: FieldCtx, g: np.ndarray, pairs, side: int) -> np.ndarray:
+    """Row i: u with sum_x conj(g[i](x)) D(x) = sum_a u(a) pairs[i][side](a), D
+    the pair's deviation:
     (1/q) sum_y conj(g)(a-y) f2(a-y+y^2) - E f2 sum conj(g)/q for f1, and
     (1/q) sum_y conj(g)(a-y^2) f1(a-y^2+y) - E f1 sum conj(g)/q for f2."""
     codes = ctx.elements()  # f1 sits at x + y and f2 at x + y^2 in A(f1,f2)(x)
     own, their = (codes, ctx.sq_vec(codes)) if side == 0 else (ctx.sq_vec(codes), codes)
-    g_bar, other = np.conj(g), pair[1 - side]
-    sums = _shifted_products(ctx, g_bar, ctx.neg_vec(own), other.values, ctx.sub_vec(their, own))
-    return (sums - other.mean() * g_bar.sum()) / ctx.q
+    g_bar = np.conj(g)
+    others = [pair[1 - side] for pair in pairs]
+    sums = _shifted_products(ctx, g_bar, ctx.neg_vec(own),
+                             np.array([f.values for f in others]), ctx.sub_vec(their, own))
+    for row, gb, other in zip(sums, g_bar, others):
+        row -= other.mean() * gb.sum()
+    return sums / ctx.q
 
 
 def alternating_max_ratio(
@@ -566,18 +619,24 @@ def alternating_max_ratio(
     one-sided maximization of |sum_x conj(g(x)) D(x)|, D = A(f1,f2) - E f1 E f2
     (the higher-order power method).  Each start draws f1, then f2; each round,
     for f1 and then f2, g becomes D, whose ratio is recorded, and that side the
-    normalized conjugate of its image.  No step lowers the ratio; D = 0 ends a start."""
+    normalized conjugate of its image.  No step lowers the ratio; D = 0 ends a start.
+    The starts are drawn in order and stepped in lock step, ``_PAIR_BATCH`` at a time."""
     best = 0.0
-    for _ in range(starts):
-        pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
+    drawn = ([random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(starts))
+    while pairs := list(islice(drawn, _PAIR_BATCH)):
         for step in range(2 * rounds):  # the f1 side, the f2 side, the f1 side, ...
-            f1, f2 = pair
-            dev = ComplexFn(ctx, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
-            best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
-            if not dev.values.any():
+            devs = []
+            for (f1, f2), average in zip(pairs, _averages(pairs)):
+                dev = ComplexFn(ctx, average - f1.mean() * f2.mean())
+                best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
+                devs.append(dev.values)
+            live = [i for i, dev in enumerate(devs) if dev.any()]
+            if not live:
                 break
-            u = _side_image(ctx, dev.values, pair, step % 2)
-            pair[step % 2] = ComplexFn(ctx, np.conj(u) / np.linalg.norm(u))
+            pairs = [pairs[i] for i in live]
+            images = _side_images(ctx, np.array([devs[i] for i in live]), pairs, step % 2)
+            for pair, u in zip(pairs, images):
+                pair[step % 2] = ComplexFn(ctx, np.conj(u) / np.linalg.norm(u))
     return best
 
 
@@ -585,19 +644,26 @@ def deviation_scan(
     ctx: FieldCtx, trials: int, seed: int, include_alternating: bool = False
 ) -> DeviationReport:
     """Random-ensemble (and optionally alternating-maximization) scan of
-    || A(f1,f2) - E f1 E f2 ||_2 / (||f1||_2 ||f2||_2)."""
+    || A(f1,f2) - E f1 E f2 ||_2 / (||f1||_2 ||f2||_2).  The pairs are drawn in
+    trial order and their norms taken ``_PAIR_BATCH`` at a time."""
     rng = np.random.default_rng(seed)
+
+    def draws():
+        for i in range(trials):
+            for kind in ("pm1", "indicator"):
+                f1 = random_fn(ctx, rng, kind)
+                f2 = random_fn(ctx, rng, kind)
+                if f1.norm_avg() * f2.norm_avg() != 0.0:
+                    yield kind, i, f1, f2
+
     per_trial = []
     max_ratio = 0.0
     witness: dict = {}
-    for i in range(trials):
-        for kind in ("pm1", "indicator"):
-            f1 = random_fn(ctx, rng, kind)
-            f2 = random_fn(ctx, rng, kind)
-            denom = f1.norm_avg() * f2.norm_avg()
-            if denom == 0.0:
-                continue
-            ratio = deviation_norm(f1, f2).direct / denom
+    drawn = draws()
+    while batch := list(islice(drawn, _PAIR_BATCH)):
+        norms = _deviation_norms([(f1, f2) for _, _, f1, f2 in batch])
+        for (kind, i, f1, f2), norm in zip(batch, norms):
+            ratio = norm.direct / (f1.norm_avg() * f2.norm_avg())
             per_trial.append((kind, i, ratio))
             if ratio > max_ratio:
                 max_ratio = ratio

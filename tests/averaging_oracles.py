@@ -15,6 +15,15 @@ q x q side matrices: with one argument fixed, the deviation is linear in
 the other, and each half-step takes that matrix's top singular pair.  The
 package runs the same alternation matrix-free, through the adjoint of the
 trilinear form.
+
+``alternating_max_ratio_per_start`` is that matrix-free alternation one start
+at a time, each start drawn just before it runs, with the averages and the
+side images summed one y at a time (``side_image_per_y``).  The package
+draws the same starts in the same order and steps them in lock step, a
+batch at a time, with the same sums in the same y order.
+
+``deviation_per_trial_by_pair`` is the random scan's per-trial record with
+one ``deviation_norm`` call per pair; the package takes the norms in batches.
 """
 
 from __future__ import annotations
@@ -29,8 +38,10 @@ from qprog.characters import (
     fourier,
     gauss_sum,
     quadratic_char_table,
+    random_fn,
 )
 from qprog.field import FieldCtx, sqrt_pairs
+from qprog.operators import deviation_norm
 
 
 def averaging_apply_per_y(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
@@ -105,3 +116,52 @@ def alternating_max_ratio_svd(
             n1 = float(np.sqrt((np.abs(f1) ** 2).mean()))
             best = max(best, s2 / n1)
     return best
+
+
+def side_image_per_y(ctx: FieldCtx, g: np.ndarray, pair: list[ComplexFn], side: int) -> np.ndarray:
+    """u with sum_x conj(g(x)) D(x) = sum_a u(a) pair[side](a), D the pair's
+    deviation, summed one y at a time:
+    (1/q) sum_y conj(g)(a-y) f2(a-y+y^2) - E f2 sum conj(g)/q for f1, and
+    (1/q) sum_y conj(g)(a-y^2) f1(a-y^2+y) - E f1 sum conj(g)/q for f2."""
+    codes = ctx.elements()
+    own, their = (codes, ctx.sq_vec(codes)) if side == 0 else (ctx.sq_vec(codes), codes)
+    s1, s2 = ctx.neg_vec(own), ctx.sub_vec(their, own)
+    g_bar, other = np.conj(g), pair[1 - side]
+    acc = np.zeros(ctx.q, dtype=complex)
+    for y in range(ctx.q):
+        acc += g_bar[ctx.add_vec(codes, s1[y])] * other.values[ctx.add_vec(codes, s2[y])]
+    return (acc - other.mean() * g_bar.sum()) / ctx.q
+
+
+def alternating_max_ratio_per_start(
+    ctx: FieldCtx, rng: np.random.Generator, starts: int = 32, rounds: int = 80
+) -> float:
+    """The alternation one start at a time: per start draw f1, then f2; each
+    round, for f1 and then f2, record the deviation's ratio and replace that
+    side by the normalized conjugate of its image; D = 0 ends a start."""
+    best = 0.0
+    for _ in range(starts):
+        pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
+        for step in range(2 * rounds):
+            f1, f2 = pair
+            dev = ComplexFn(ctx, averaging_apply_per_y(f1, f2).values - f1.mean() * f2.mean())
+            best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
+            if not dev.values.any():
+                break
+            u = side_image_per_y(ctx, dev.values, pair, step % 2)
+            pair[step % 2] = ComplexFn(ctx, np.conj(u) / np.linalg.norm(u))
+    return best
+
+
+def deviation_per_trial_by_pair(ctx: FieldCtx, trials: int, seed: int) -> list:
+    """(kind, trial, ratio) per drawn pair with a nonzero norm product, one
+    ``deviation_norm`` call per pair, in the scan's draw order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(trials):
+        for kind in ("pm1", "indicator"):
+            f1, f2 = random_fn(ctx, rng, kind), random_fn(ctx, rng, kind)
+            denom = f1.norm_avg() * f2.norm_avg()
+            if denom != 0.0:
+                out.append((kind, i, deviation_norm(f1, f2).direct / denom))
+    return out

@@ -1,7 +1,7 @@
 """Field helpers that only the tests use, kept as oracles.
 
 ``add_digitwise`` adds by s passes of digit arithmetic mod p, bypassing
-the gather of ``add_vec`` and the add table.  ``mul_direct`` multiplies by
+the wrapped tensor of ``add_vec`` and ``add_rows``.  ``mul_direct`` multiplies by
 polynomial arithmetic modulo the modulus,
 bypassing the log/exp tables; ``exp_table_by_loop`` builds the exp table
 with it, one power of the generator at a time (the package doubles by

@@ -327,15 +327,14 @@ def test_verify_fourier_at_cap_edge_holds_no_square_table(tmp_path):
 ], ids=["scan-slices", "scan-delta", "verify-operators"])
 def test_scan_slices_holds_no_kernel_table(tmp_path, argv):
     """Slice norms come from the Weil sums, and the deviation's coefficients
-    and slices from blocks of kernel rows: at q = 2187 no cached array but
-    the int16 addition table reaches q^2 entries (the q x q complex
-    quad-kernel table the dense routes built was 76 MB)."""
+    and slices from blocks of kernel rows: at q = 2187 no cached array
+    reaches q^2 entries (the q x q complex quad-kernel table the dense routes
+    built was 76 MB)."""
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 0
     q = 3**7
     cache = get_field(3, 7, DESK_CAP)._cache  # same cache key as the CLI worker
-    assert all(v.size < q * q for k, v in cache.items()
-               if k != "add_table" and isinstance(v, np.ndarray))
+    assert all(v.size < q * q for v in cache.values() if isinstance(v, np.ndarray))
 
 
 def test_out_of_memory_exits_cleanly(tmp_path, monkeypatch, capsys):

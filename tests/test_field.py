@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qprog import field
 from qprog.field import (
     DESK_CAP,
     build_field,
@@ -208,11 +207,14 @@ def test_sqrt_pairs(q):
 
 @pytest.mark.parametrize("p, s", [(7, 1), (3, 4)])
 def test_scalar_add_and_sub_build_no_add_table(p, s):
-    ctx = build_field(p, s)  # a fresh field: no add table yet
+    """Scalar sums and differences leave no q x q array in the field's cache."""
+    ctx = build_field(p, s)
     pairs = [(a, b) for a in (0, 1, 5, ctx.q - 1) for b in (0, 2, ctx.q - 2)]
     sums = [ctx.add(a, b) for a, b in pairs]
     diffs = [ctx.sub(a, b) for a, b in pairs]
-    assert "add_table" not in ctx._cache
+    arrays = [x for v in ctx._cache.values() for x in (v if isinstance(v, tuple) else (v,))
+              if isinstance(x, np.ndarray)]
+    assert all(x.size < ctx.q**2 for x in arrays)
     assert sums == [int(ctx.add_vec(a, b)) for a, b in pairs]
     assert diffs == [int(ctx.sub_vec(a, b)) for a, b in pairs]
 
@@ -233,7 +235,6 @@ def test_per_field_tables_are_built_once():
     ctx = build_field(5, 2)  # a fresh field: only the mul tables and the add gather are built
     tables = {
         "mul_tables": lambda c: c._mul_tables(),
-        "add_table": lambda c: c.add_table,
         "sq_table": lambda c: c._squares(),
         "sqrt_pairs": sqrt_pairs,
         "e_table": additive_char_table,
@@ -339,19 +340,6 @@ def test_cubic_min_poly_rejects_subfield_points():
         cubic_min_poly(quad_emb, 3)
 
 
-@pytest.mark.parametrize("p, s", [(3, 1), (3, 7), (5, 4), (7, 4), (13, 3), (2477, 1)])
-def test_add_table_is_built_from_digits(p, s):
-    """The digit-built table is int16 and equals the digitwise sum, compared
-    in blocks of rows, up to the largest fields that keep a table."""
-    ctx = build_field(p, s)
-    codes = ctx.elements()
-    tab = ctx.add_table
-    assert tab.dtype == np.int16 and tab.shape == (ctx.q, ctx.q)
-    for a0 in range(0, ctx.q, 256):
-        rows = codes[a0 : a0 + 256, None]
-        assert np.array_equal(tab[a0 : a0 + 256], add_digitwise(ctx, rows, codes[None, :]))
-
-
 @pytest.mark.parametrize("q", Q_FULL)
 def test_mul_vec_matches_polynomial_product_on_every_pair(q):
     """The padded-log gather against polynomial products, zeros included, as
@@ -383,15 +371,6 @@ def test_mul_vec_gathers_in_place_without_writing_its_inputs():
     assert ctx.mul_vec(5, 7) == exp_ext[log0[5] + log0[7]] and ctx.mul_vec(0, 7) == 0
 
 
-def test_add_table_matches_digitwise_on_f3_7():
-    """The table is built from its digits; every entry is the digitwise sum."""
-    ctx = build_field(3, 7)
-    codes = ctx.elements()
-    tab = ctx.add_table
-    assert tab.dtype == np.int16
-    assert np.array_equal(tab, add_digitwise(ctx, codes[:, None], codes[None, :]))
-
-
 @pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3), (7, 2), (3, 4), (11, 2),
                                   (5, 3), (3, 7), (3, 8), (97, 2), (9973, 1)])
 def test_exp_table_by_doubling_matches_polynomial_loop(p, s):
@@ -419,7 +398,7 @@ def test_add_vec_matches_digitwise_on_every_pair(q):
 
 @pytest.mark.parametrize("p, s", [(5, 5), (3, 8), (97, 2), (9973, 1)])
 def test_add_vec_above_the_table_matches_digitwise(p, s):
-    """Seeded pairs, 0 and q - 1 included, on fields that keep no add table."""
+    """Seeded pairs, 0 and q - 1 included, on fields with large tensors."""
     ctx = build_field(p, s)
     rng = np.random.default_rng(ctx.q)
     a = np.concatenate([[0, 0, ctx.q - 1, ctx.q - 1], rng.integers(0, ctx.q, 4096)])
@@ -432,13 +411,12 @@ def test_add_vec_above_the_table_matches_digitwise(p, s):
 
 
 def test_add_vec_builds_no_q_squared_array():
-    """Sums over every pair of F_2401, a field that may keep an add table,
-    leave no array of q^2 entries in the field's cache."""
+    """Sums over every pair of F_2401 leave no array of q^2 entries in the
+    field's cache."""
     ctx = build_field(7, 4)
     codes = ctx.elements()
     for a0 in range(0, ctx.q, 256):
         ctx.add_vec(codes[a0 : a0 + 256, None], codes[None, :])
-    assert "add_table" not in ctx._cache
     arrays = [x for v in ctx._cache.values() for x in (v if isinstance(v, tuple) else (v,))
               if isinstance(x, np.ndarray)]
     assert arrays and all(x.size < ctx.q**2 for x in arrays)
@@ -449,25 +427,23 @@ def _add_rows_expected(ctx, shifts):
 
 
 @pytest.mark.parametrize("q", Q_FULL)
-def test_add_rows_match_add_vec_on_both_branches(q, monkeypatch):
-    """Every shift, through the add table and, on a fresh field with no
-    table allowed, through the wrapped windows: exactly add_vec's codes."""
-    codes = field_for(q).elements()
-    expected = _add_rows_expected(field_for(q), codes)
-    rows = field_for(q).add_rows(codes)
+def test_add_rows_match_add_vec_on_both_branches(q):
+    """Every shift, and no shift, through the wrapped windows: exactly the
+    digitwise codes, as intp."""
+    ctx = field_for(q)
+    codes = ctx.elements()
+    expected = _add_rows_expected(ctx, codes)
+    rows = ctx.add_rows(codes)
     assert rows.dtype == np.intp and np.array_equal(rows, expected)
-    monkeypatch.setattr(field, "_ADD_TABLE_MAX", 0)
-    ctx = build_field(*prime_power(q))
-    assert ctx.add_table is None
-    assert np.array_equal(ctx.add_rows(codes), expected)
     assert np.array_equal(ctx.add_rows(codes[:0]), expected[:0])
 
 
-@pytest.mark.parametrize("p, s", [(5, 5), (3, 8), (97, 2), (9973, 1)])
+@pytest.mark.parametrize("p, s", [(p, s) for p, s in map(prime_power, Q_FULL)]
+                         + [(3, 7), (13, 3), (7, 4), (5, 5), (3, 8), (97, 2), (9973, 1)])
 def test_add_rows_above_the_table_match_digitwise(p, s):
-    """Seeded shifts on fields that keep no add table, including 0 and q - 1."""
+    """Seeded shifts, 0 and q - 1 included, on every ladder field and the
+    large ones up to the cap."""
     ctx = build_field(p, s)
-    assert ctx.add_table is None
     shifts = np.concatenate([[0, ctx.q - 1], np.random.default_rng(ctx.q).integers(0, ctx.q, 6)])
     assert np.array_equal(ctx.add_rows(shifts), _add_rows_expected(ctx, shifts))
     assert ctx._add_gather()[0].shape == ((2 * p - 1) ** s,)

@@ -89,6 +89,13 @@ def test_quad_kernel_rows_brute_match_loop_oracle(q):
     assert np.abs(rows.T - quad_kernel_table_brute(ctx)).max() <= 1e-12
 
 
+def test_quad_kernel_rows_brute_takes_a_list():
+    """A plain list of rows b gives the array call's rows."""
+    ctx = get_field(7, 1)
+    assert np.array_equal(quad_kernel_rows_brute(ctx, [1]), quad_kernel_rows_brute(ctx, np.array([1])))
+    assert np.array_equal(quad_kernel_rows_brute(ctx, [0, 3, 6]),
+                          quad_kernel_rows_brute(ctx, np.array([0, 3, 6])))
+
 
 def test_pair_kernel_check_names_the_first_bad_cell_across_h(monkeypatch):
     """The first failing (h, y, z) in h-major order, not the worst one."""

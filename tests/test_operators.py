@@ -14,7 +14,8 @@ from qprog.weil import weil_orbits, weil_scan
 from qprog.operators import (
     _coefficient_pass,
     _deviation_coeffs,
-    _side_image,
+    _shifted_products,
+    _side_images,
     _slice_norms,
     alternating_max_ratio,
     averaging_apply,
@@ -28,9 +29,11 @@ from qprog.operators import (
 )
 
 from averaging_oracles import (
+    alternating_max_ratio_per_start,
     alternating_max_ratio_svd,
     averaging_apply_per_y,
     coefficient_rows_by_code,
+    deviation_per_trial_by_pair,
 )
 from conftest import Q_FULL, field_for
 from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
@@ -96,9 +99,24 @@ def test_averaging_apply_matches_per_y_oracle(q):
         assert np.array_equal(averaging_apply(f1, f2).values, averaging_apply_per_y(f1, f2).values)
 
 
+@pytest.mark.parametrize("q, k", [(27, 9), (243, 9), (2187, 9), (9973, 2)])
+def test_shifted_products_on_a_batch_match_per_y_oracle(q, k):
+    """k pairs through one pass, the index rows of each block of y shared
+    (seven rows a block at 2187, one at 9973): each pair's average is the
+    per-y sum exactly."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(k)]
+    codes = ctx.elements()
+    sums = _shifted_products(ctx, np.array([f1.values for f1, _ in pairs]), codes,
+                             np.array([f2.values for _, f2 in pairs]), ctx.sq_vec(codes))
+    for (f1, f2), row in zip(pairs, sums):
+        assert np.array_equal(row / q, averaging_apply_per_y(f1, f2).values)
+
+
 def test_averaging_apply_holds_no_square_array():
     """At q = 2187 a q x q complex array takes 76 MB; the blocks of y stay far
-    below (the field and its add table are built before tracing starts)."""
+    below (the field's tables are built before tracing starts)."""
     ctx = get_field(3, 7)
     rng = np.random.default_rng(7)
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
@@ -114,15 +132,23 @@ def test_averaging_apply_holds_no_square_array():
 
 @pytest.mark.parametrize("q", Q_ROWS)
 def test_coefficient_rows_are_the_code_order_rows_reflected(q):
-    """Column j of the yielded rows is the code-order oracle's column n = -j,
-    column 0 exactly zero, rows m = 0..q-1 in order."""
+    """Column j of each pair's yielded rows is the code-order oracle's column
+    n = -j, column 0 exactly zero, rows m = 0..q-1 in order; a pair's rows in
+    a batch of three are its rows alone."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    rows = np.concatenate(list(operators._coefficient_rows(f1, f2)))
-    expected = coefficient_rows_by_code(f1, f2)[:, ctx.neg_table]
-    assert rows.shape == (q, q) and not rows[:, 0].any()
-    assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    batch = list(operators._coefficient_rows(pairs))
+    assert [i for i, _, _ in batch] == [0, 1, 2] * (len(batch) // 3)  # each block, pair by pair
+    for k, (f1, f2) in enumerate(pairs):
+        rows = np.concatenate([block for i, _, block in batch if i == k])
+        lengths = [len(block) for i, _, block in batch if i == k]
+        assert [m0 for i, m0, _ in batch if i == k] == np.cumsum([0] + lengths[:-1]).tolist()
+        expected = coefficient_rows_by_code(f1, f2)[:, ctx.neg_table]
+        assert rows.shape == (q, q) and not rows[:, 0].any()
+        assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
+        alone = np.concatenate([block for _, _, block in operators._coefficient_rows([(f1, f2)])])
+        assert np.array_equal(rows, alone)
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
@@ -132,7 +158,7 @@ def test_kernel_coeffs_match_table_oracle(q):
     rng = np.random.default_rng(q)
     for _ in range(2):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-        assert np.abs(_deviation_coeffs(f1, f2) - kernel_coeffs_table(f1, f2)).max() <= 1e-12
+        assert np.abs(_deviation_coeffs([(f1, f2)])[0] - kernel_coeffs_table(f1, f2)).max() <= 1e-12
 
 
 def test_averaging_on_origin_indicators():
@@ -661,6 +687,14 @@ def test_deviation_scan_reproducible_and_monotone():
     assert abs(a.ratio_times_q_delta - a.max_ratio * 25**0.25) < 1e-12
 
 
+@pytest.mark.parametrize("q, trials", [(5, 3), (27, 5), (243, 6)])
+def test_deviation_scan_batches_match_per_pair_norms(q, trials):
+    """Norms taken a batch of pairs at a time (a partial batch last): the
+    per-trial record of one deviation_norm call per pair, exactly."""
+    ctx = field_for(q)
+    assert deviation_scan(ctx, trials, seed=q).per_trial == deviation_per_trial_by_pair(ctx, trials, q)
+
+
 def test_alternating_exceeds_random_lower_bound():
     ctx = get_field(5, 1)
     rng = np.random.default_rng(3)
@@ -669,19 +703,51 @@ def test_alternating_exceeds_random_lower_bound():
     assert alt >= scan.max_ratio * 0.9  # a certified lower envelope, usually larger
 
 
+@pytest.mark.parametrize("q, rounds", [(5, 80), (27, 20), (243, 3)])
+def test_alternating_lock_step_matches_per_start_oracle(q, rounds):
+    """Eleven starts, a full batch and a partial one, stepped in lock step:
+    the per-start route's ratio exactly, and the same draws after it."""
+    ctx = field_for(q)
+    rng, oracle_rng = np.random.default_rng(q), np.random.default_rng(q)
+    alt = alternating_max_ratio(ctx, rng, starts=11, rounds=rounds)
+    assert alt == alternating_max_ratio_per_start(ctx, oracle_rng, starts=11, rounds=rounds)
+    assert rng.random() == oracle_rng.random()
+
+
+def test_alternating_lock_step_drops_vanishing_starts():
+    """Starts 0, 4 and 9 of eleven draw constant f1 and f2, so their deviation
+    is exactly 0 at once and they leave their batches while the others step
+    on: the per-start route's ratio exactly."""
+
+    class PartlyConstantRng:
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(27), 0
+
+        def standard_normal(self, n):  # four calls per start: f1, then f2, each real and imaginary
+            start = self.calls // 4
+            self.calls += 1
+            return np.ones(n) if start in (0, 4, 9) else self.rng.standard_normal(n)
+
+    ctx = field_for(27)
+    alt = alternating_max_ratio(ctx, PartlyConstantRng(), starts=11, rounds=10)
+    assert alt > 0.0
+    assert alt == alternating_max_ratio_per_start(ctx, PartlyConstantRng(), starts=11, rounds=10)
+
+
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
 def test_side_images_are_the_adjoints(q):
     """sum conj(g) D(f1,f2) = sum u1 f1 = sum u2 f2, D the deviation and u the
-    two side images of g, for an arbitrary g."""
+    two side images of g, for an arbitrary g, per pair of a batch of two."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
-    g = random_fn(ctx, rng).values
-    f1, f2 = pair
-    form = np.vdot(g, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
+    pairs = [[random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(2)]
+    g = np.array([random_fn(ctx, rng).values for _ in pairs])
+    forms = [np.vdot(gi, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
+             for gi, (f1, f2) in zip(g, pairs)]
     for side in (0, 1):
-        image = _side_image(ctx, g, pair, side)
-        assert abs(np.sum(image * pair[side].values) - form) <= 1e-12 * abs(form)
+        images = _side_images(ctx, g, pairs, side)
+        for image, pair, form in zip(images, pairs, forms):
+            assert abs(np.sum(image * pair[side].values) - form) <= 1e-12 * abs(form)
 
 
 def test_alternating_is_monotone_in_rounds(monkeypatch):
@@ -690,14 +756,16 @@ def test_alternating_is_monotone_in_rounds(monkeypatch):
     with a fixed seed more rounds never give less."""
     ctx = get_field(3, 3)
     ratios = []
+    averages = operators._averages
 
-    def recording_apply(f1, f2):
-        out = averaging_apply(f1, f2)
-        dev = ComplexFn(ctx, out.values - f1.mean() * f2.mean())
-        ratios.append(dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
+    def recording_averages(pairs):
+        out = averages(pairs)
+        for (f1, f2), average in zip(pairs, out):
+            dev = ComplexFn(ctx, average - f1.mean() * f2.mean())
+            ratios.append(dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
         return out
 
-    monkeypatch.setattr(operators, "averaging_apply", recording_apply)
+    monkeypatch.setattr(operators, "_averages", recording_averages)
     values = [alternating_max_ratio(ctx, np.random.default_rng(5), starts=1, rounds=r)
               for r in (1, 2, 4, 8, 16)]
     assert values == sorted(values), values
@@ -726,6 +794,7 @@ def test_alternating_stops_on_vanishing_deviation():
 
     with np.errstate(all="raise"):
         assert alternating_max_ratio(get_field(7, 1), ConstantRng(), starts=2) == 0.0
+        assert alternating_max_ratio_per_start(get_field(7, 1), ConstantRng(), starts=2) == 0.0
 
 
 def test_alternating_holds_no_square_array():
