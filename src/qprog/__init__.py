@@ -46,7 +46,6 @@ from .constructions import (
     ElementSet,
     Plane,
     PlaneCensus,
-    enumerate_planes,
     greedy_progression_free,
     is_progression_free,
     plane_census,

@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import characters, constructions, kernels, operators, weil
@@ -326,7 +326,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=10_000, help="desk-scale field size cap")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse returns a
+    fresh namespace, and ``main`` changes only the namespace."""
     parser = argparse.ArgumentParser(prog="qprog", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,9 +6,11 @@ Three constructions, in increasing size order:
 * the line omega * F_q inside a quadratic extension, of size exactly q, for
   the least omega outside the subfield whose square lies in it,
 * a plane inside a cubic extension avoiding 1 whose nonzero elements never
-  square back into it, of size exactly q^2 -- found by full census of all
-  q^2 + q + 1 planes, which counts each bad plane's witnesses (nonzero y
-  with y^2 in the plane) in the same pass that classifies it.
+  square back into it, of size exactly q^2 -- found by a census of all
+  q^2 + q + 1 planes in O(q^3): each witness y (nonzero, with y^2 in a plane
+  avoiding 1) is counted at its plane, span(y, y^2), by one bincount, and
+  only the good planes through the least code that any good plane holds are
+  built.  The enumeration of every plane is kept in the tests as the oracle.
 
 Every emitted set is certified once, by ``is_progression_free``, before
 being returned; a certification failure is a bug signal, not a data
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import ROW_BLOCK_CELLS
 from .field import FieldCtx, SubfieldEmbedding, sqrt_pairs
 from .operators import count_progressions, membership_mask
 
@@ -170,9 +173,10 @@ class Plane:
     mask: np.ndarray
 
 
-def _coordinate_codes(emb: SubfieldEmbedding) -> tuple[np.ndarray, ...]:
-    """Big-field codes of c0 + c1 b + c2 b^2 for every coefficient triple,
-    where b is the least code outside the subfield (a cubic generator)."""
+def _coordinates(emb: SubfieldEmbedding) -> np.ndarray:
+    """(c0, c1, c2) at column x, the base-field coordinates of the big-field
+    code x = c0 + c1 b + c2 b^2, where b is the least code outside the
+    subfield (a cubic generator)."""
     cached = emb.big._cache.get(("plane_coords", emb.small.q))
     if cached is None:
         big, q = emb.big, emb.small.q
@@ -184,9 +188,10 @@ def _coordinate_codes(emb: SubfieldEmbedding) -> tuple[np.ndarray, ...]:
             big.add_vec(emb.map_[c0], big.mul_vec(emb.map_[c1], beta)),
             big.mul_vec(emb.map_[c2], beta2),
         )
-        if len(np.unique(codes)) != big.q:
+        cached = np.full((3, big.q), -1)
+        cached[:, codes] = c0, c1, c2
+        if (cached < 0).any():
             raise RuntimeError("coordinate map is not bijective")
-        cached = (c0, c1, c2, codes)
         emb.big._cache[("plane_coords", emb.small.q)] = cached
     return cached
 
@@ -201,37 +206,37 @@ def _canonical_basis(emb: SubfieldEmbedding, mask: np.ndarray) -> tuple[int, int
     return b1, b2
 
 
-def enumerate_planes(emb: SubfieldEmbedding):
-    """Yield each 2-dimensional subspace exactly once (q^2 + q + 1 planes).
+def _on_plane(emb: SubfieldEmbedding, xs, planes) -> np.ndarray:
+    """Whether the code x lies in the plane avoiding 1 at index b q + c, the
+    kernel of the functional (1, b, c) on coordinates; broadcast."""
+    small = emb.small
+    c0, c1, c2 = _coordinates(emb)[:, xs]
+    b, c = np.divmod(planes, small.q)
+    return small.add_vec(small.add_vec(c0, small.mul_vec(b, c1)), small.mul_vec(c, c2)) == 0
 
-    Planes are kernels of nonzero base-linear functionals on coordinates,
-    one per projectively normalized functional.
+
+def _plane_witness_counts(emb: SubfieldEmbedding) -> np.ndarray:
+    """The witnesses (nonzero y with y^2 in the plane) of every plane avoiding
+    1, at the index b q + c of its functional (1, b, c): O(q^3).
+
+    Such a plane holds no nonzero base-field element, since with one it
+    would hold 1.  So a witness y lies outside the subfield, y and y^2 are
+    independent, and the plane is span(y, y^2), whose functional is the
+    cross product of their coordinates.  Conversely span(y, y^2) avoids 1
+    for every y outside the subfield, as {1, y, y^2} is a basis of the cubic
+    extension.  So counting each such y at its span counts every witness once.
     """
-    if emb.degree != 3:
-        raise ValueError("cubic extension required")
     small, big = emb.small, emb.big
-    q = small.q
-    c0, c1, c2, codes = _coordinate_codes(emb)
+    ys = np.flatnonzero(~emb.image_mask)
+    coords = _coordinates(emb)
+    y, z = coords[:, ys], coords[:, big.sq_vec(ys)]
 
-    functionals = [(1, b, c) for b in range(q) for c in range(q)]
-    functionals += [(0, 1, c) for c in range(q)]
-    functionals.append((0, 0, 1))
+    def minor(i, j):
+        return small.sub_vec(small.mul_vec(y[i], z[j]), small.mul_vec(y[j], z[i]))
 
-    for a0, a1, a2 in functionals:
-        val = small.add_vec(
-            small.add_vec(small.mul_vec(a0, c0), small.mul_vec(a1, c1)),
-            small.mul_vec(a2, c2),
-        )
-        members = np.sort(codes[val == 0])
-        mask = np.zeros(big.q, dtype=bool)
-        mask[members] = True
-        yield Plane(_canonical_basis(emb, mask), members, mask)
-
-
-def _witnesses(big: FieldCtx, plane: Plane) -> np.ndarray:
-    """The nonzero y in the plane with y^2 in the plane, ascending."""
-    ys = plane.elements[plane.elements != 0]
-    return ys[plane.mask[big.sq_vec(ys)]]
+    n0 = minor(1, 2)  # nonzero: span(y, y^2) avoids 1 = (1, 0, 0)
+    b, c = small.div_vec(minor(2, 0), n0), small.div_vec(minor(0, 1), n0)
+    return np.bincount(b * small.q + c, minlength=small.q**2)
 
 
 @dataclass
@@ -255,56 +260,57 @@ class PlaneCensus:
 
 
 def plane_census(emb: SubfieldEmbedding) -> PlaneCensus:
-    """Classify every plane; certify the least-basis good plane."""
+    """Count every plane's witnesses by their spans; certify the
+    least-basis good plane.
+
+    The q + 1 planes containing 1 are the functionals (0, 1, c) and
+    (0, 0, 1); the q^2 avoiding it are the (1, b, c).  The least-basis good
+    plane's first basis element is the least nonzero code that lies in a good
+    plane, so only the good planes through that code are built."""
     if emb.degree != 3:
         raise ValueError("cubic extension required")
     q = emb.small.q
     big = emb.big
 
-    total = containing = bad = 0
-    min_witnesses: int | None = None
-    good_planes: list[Plane] = []
-    for plane in enumerate_planes(emb):
-        total += 1
-        if plane.mask[1]:
-            containing += 1
-            continue
-        w = len(_witnesses(big, plane))
-        if w:
-            bad += 1
-            min_witnesses = w if min_witnesses is None else min(min_witnesses, w)
-        else:
-            good_planes.append(plane)
-
-    avoiding = total - containing
-    if total != q * q + q + 1:
-        raise RuntimeError(f"plane total {total} != q^2+q+1 = {q * q + q + 1}")
-    if containing != q + 1:
-        raise RuntimeError(f"planes containing 1: {containing} != q+1 = {q + 1}")
-    if avoiding != q * q:
-        raise RuntimeError(f"planes avoiding 1: {avoiding} != q^2 = {q * q}")
+    witnesses = _plane_witness_counts(emb)
+    bad = int(np.count_nonzero(witnesses))
+    good = np.flatnonzero(witnesses == 0)
+    min_witnesses = int(witnesses[witnesses > 0].min()) if bad else None
     if bad > q * (q + 1) // 2:
         raise RuntimeError(f"bad planes {bad} exceed q(q+1)/2 = {q * (q + 1) // 2}")
     if min_witnesses is not None and min_witnesses < 2 * (q - 1):
         raise RuntimeError(
             f"a bad plane has only {min_witnesses} witnesses (< 2(q-1) = {2 * (q - 1)})"
         )
-    if not good_planes:
+    if not good.size:
         raise RuntimeError("no good plane found, contradicting the counting bound")
 
-    good_planes.sort(key=lambda pl: pl.basis)
-    good = good_planes[0]
-    if len(good.elements) != q * q:
+    # the good planes through the least nonzero code in any good plane; codes
+    # of the subfield lie in none
+    outside = np.flatnonzero(~emb.image_mask)
+    step = max(1, ROW_BLOCK_CELLS // good.size)
+    for i in range(0, outside.size, step):
+        hit = _on_plane(emb, outside[i : i + step, None], good)
+        rows = np.flatnonzero(hit.any(axis=1))
+        if rows.size:
+            break
+    else:
+        raise RuntimeError("no code lies in a good plane")
+    masks = _on_plane(emb, big.elements(), good[hit[rows[0]], None])
+    bases = [_canonical_basis(emb, m) for m in masks]
+    least = bases.index(min(bases))
+    example = Plane(bases[least], np.flatnonzero(masks[least]), masks[least])
+    if len(example.elements) != q * q:
         raise RuntimeError("good plane has wrong cardinality")
-    _certify(ElementSet(big, good.mask), "plane")
+    _certify(ElementSet(big, example.mask), "plane")
 
     return PlaneCensus(
         q=q,
-        total_planes=total,
-        planes_containing_one=containing,
-        planes_avoiding_one=avoiding,
+        total_planes=q * q + q + 1,
+        planes_containing_one=q + 1,
+        planes_avoiding_one=q * q,
         bad_count=bad,
-        good_count=len(good_planes),
+        good_count=int(good.size),
         min_bad_witnesses=min_witnesses,
-        good_example=good,
+        good_example=example,
     )

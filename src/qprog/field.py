@@ -45,17 +45,19 @@ import numpy as np
 #   add_rows, windows of add_vec's wrapped tensor                   1 per code
 #   log/exp tables by doubling (s x s matrix powers)                q s^2
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
+#   fourier_checks (orthogonality; up to 8 seeded trials a pass)    q^2, and q log q per trial
 #   averaging_apply, deviation_norm (rows from add_rows)            q^2
 #   deviation_scan (8 pairs a pass share index rows and K phases)   q^2 per pair
 #   alternating_max_ratio (4 x rounds steps, 8 starts in lock step) q^2 per step and start
-#   averaging_checks, quad_kernel_check (rows of K, FFT per row)    q^2 log q
+#   averaging_checks (8 pairs a pass, FFT per row)                  q^2 log q per pair
+#   quad_kernel_check (rows of K, FFT per row)                      q^2 log q
 #   substitution_check, ratio_sum_check (FFT grids)                 q^2 log q
 #   weil_scan (one FFT row per orbit of lambda, >= (q-1)/2s rows)   q^2 log q / s
 #   sliced_norm_scan (as weil_scan, <= 5 O(q) secular steps/orbit)  q^2 log q / s
 #   pair_kernel_check, decomposition_check                          q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free                                         q |A|
-#   plane_census over F_{q^3} (q^2+q+1 functionals on q^3 points)   q^5
+#   plane_census over F_{q^3} (witness y counted at span(y, y^2))   q^3
 DESK_CAP = 10_000
 
 

@@ -72,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import FieldCtx
-from .characters import ComplexFn, fourier, fourier_inverse, fourier_inverse_rows, random_fn
+from .characters import _PAIR_BATCH, ComplexFn, fourier, fourier_inverse_rows, random_fn
 from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_kernel, _quad_phases, twisted_prefactor
 from .reporting import CheckResult, error_check
 from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
@@ -88,14 +88,6 @@ def _common_field(pairs) -> FieldCtx:
     if any(f.ctx is not ctx for pair in pairs for f in pair):
         raise ValueError("functions live on different fields")
     return ctx
-
-
-# pairs that the O(q^2) routes take through one pass: each block's index rows
-# and K phases are built once for them all, and each pair holds a few rows of
-# q.  The 32 alternating starts took 2.37 s one pair a pass, 0.76 s with 8 and
-# 0.43-0.63 s with 16 at q = 243 (10 rounds), and 2.68, 1.1 and 0.97 s at
-# q = 729 (2 rounds), on 2 vCPU with one BLAS thread
-_PAIR_BATCH = 8
 
 
 def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
@@ -168,17 +160,18 @@ def _deviation_coeffs(pairs) -> np.ndarray:
     return coeffs
 
 
-def _synthesize(f1: ComplexFn, f2: ComplexFn, coeffs: np.ndarray) -> ComplexFn:
-    """A(f1, f2) from the deviation's coefficients: the n = 0 column adds
-    fhat1(0) fhat2(0) = E[f1] E[f2] at m = 0 alone (K(., 0) is a point mass),
-    in place, and sum_m e(mx) coeffs[m] is synthesized."""
-    coeffs[0] += f1.mean() * f2.mean()
-    return fourier_inverse(ComplexFn(f1.ctx, coeffs))
+def _synthesize(pairs, coeffs: np.ndarray) -> np.ndarray:
+    """A(f1, f2) from the deviation's coefficients, row i for the pair i: the
+    n = 0 column adds fhat1(0) fhat2(0) = E[f1] E[f2] at m = 0 alone (K(., 0)
+    is a point mass), in place, and sum_m e(mx) coeffs[i, m] is synthesized."""
+    coeffs[:, 0] += [f1.mean() * f2.mean() for f1, f2 in pairs]
+    return fourier_inverse_rows(pairs[0][0].ctx, coeffs)
 
 
 def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n)."""
-    return _synthesize(f1, f2, _deviation_coeffs([(f1, f2)])[0])
+    pairs = [(f1, f2)]
+    return ComplexFn(f1.ctx, _synthesize(pairs, _deviation_coeffs(pairs))[0])
 
 
 class DeviationNorms(NamedTuple):
@@ -226,10 +219,11 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
 _SLICE_FFT_BLOCKS = 8
 
 
-def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the coefficient rows: the row sums of ``_deviation_coeffs``,
-    from the same blocks by the same operations, and the deviation square
-    expanded over difference slices h, whose entry h is
+def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the coefficient rows of every pair, row i for the pair i:
+    the row sums of ``_deviation_coeffs``, from the same blocks by the same
+    operations, and the deviation square expanded over difference slices h,
+    whose entry h is
 
     sum_{u; v outside {0,-h}} fhat1(u) conj(fhat1(u-h)) fhat2(v)
     conj(fhat2(v+h)) K(u,v) conj(K(u-h, v+h)),
@@ -239,24 +233,33 @@ def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndar
     the inverse transform of their power read at -h.  The slices sum to
     || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged norm squared, which
     matches the counting-norm square of the deviation's coefficients).
+
+    The pairs' blocks come pair after pair, each pair's in m order, and
+    ``_SLICE_FFT_BLOCKS`` consecutive blocks share one FFT call, so at
+    q <= 128, where a pair is one block, one call serves 8 pairs.  Each pair's
+    power is added block by block, and the last inverse transform runs once
+    on the stack of powers.
     """
-    ctx = f1.ctx
-    sums = []
-    power = np.zeros(ctx.q)
-    blocks = (rows for _, _, rows in _coefficient_rows([(f1, f2)]))
+    ctx = _common_field(pairs)
+    sums = np.empty((len(pairs), ctx.q), dtype=complex)
+    power = np.zeros((len(pairs), ctx.q))
+    blocks = ((i, m0, rows) for i, pair in enumerate(pairs)
+              for _, m0, rows in _coefficient_rows([pair]))
     while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
-        sums += [rows.sum(axis=1) for rows in batch]
-        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate(batch))) ** 2
-        for part in np.split(sq, np.cumsum([len(rows) for rows in batch[:-1]])):
-            power += part.sum(axis=0)  # block by block, as unbatched
-    return np.concatenate(sums), fourier_inverse_rows(ctx, power)[ctx.neg_table] / ctx.q
+        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([rows for _, _, rows in batch]))) ** 2
+        r0 = 0
+        for i, m0, rows in batch:
+            rows.sum(axis=1, out=sums[i, m0 : m0 + len(rows)])
+            power[i] += sq[r0 : r0 + len(rows)].sum(axis=0)  # block by block, as unbatched
+            r0 += len(rows)
+    return sums, fourier_inverse_rows(ctx, power).take(ctx.neg_table, axis=-1) / ctx.q
 
 
 def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     """Per seeded random pair: both averaging routes pointwise, and
     the slices' sum against the mean of |direct - E f1 E f2|^2; the Fourier
-    route and the slices read one pass over the coefficient rows, and the
-    direct route takes the pairs ``_PAIR_BATCH`` at a time.
+    route and the slices read one pass over the coefficient rows.  Both
+    routes take the pairs ``_PAIR_BATCH`` at a time.
     Then T_1 on a point mass, whose image has modulus 1/q everywhere."""
     rng = np.random.default_rng(seed)
     routes = np.empty(trials)
@@ -264,12 +267,14 @@ def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]
     drawn = ((random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(trials))
     i = 0
     while pairs := list(islice(drawn, _PAIR_BATCH)):
-        for (f1, f2), direct in zip(pairs, _averages(pairs)):
-            coeffs, slices = _coefficient_pass(f1, f2)
-            routes[i] = np.abs(direct - _synthesize(f1, f2, coeffs).values).max()
-            square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
-            form[i] = abs(slices.sum() - square)
-            i += 1
+        direct = _averages(pairs)
+        coeffs, slices = _coefficient_pass(pairs)
+        i1 = i + len(pairs)
+        routes[i:i1] = np.abs(direct - _synthesize(pairs, coeffs)).max(axis=1)
+        direct -= np.array([[f1.mean() * f2.mean()] for f1, f2 in pairs])
+        gap = slices.sum(axis=1) - (np.abs(direct) ** 2).mean(axis=1)
+        form[i:i1] = np.hypot(gap.real, gap.imag)  # a complex scalar's abs; np.abs may differ by an ulp
+        i = i1
     # the point mass sits at the first v >= 2 other than -1; F_3 has none,
     # and v = 1 serves there.  Its image under T_1 is K(u, v0) conj(K(u-1, v0+1))
     v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
@@ -619,7 +624,8 @@ def alternating_max_ratio(
     one-sided maximization of |sum_x conj(g(x)) D(x)|, D = A(f1,f2) - E f1 E f2
     (the higher-order power method).  Each start draws f1, then f2; each round,
     for f1 and then f2, g becomes D, whose ratio is recorded, and that side the
-    normalized conjugate of its image.  No step lowers the ratio; D = 0 ends a start.
+    normalized conjugate of its image.  No step lowers the ratio; D = 0, or an
+    image that is exactly 0, ends a start.
     The starts are drawn in order and stepped in lock step, ``_PAIR_BATCH`` at a time."""
     best = 0.0
     drawn = ([random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(starts))
@@ -635,8 +641,15 @@ def alternating_max_ratio(
                 break
             pairs = [pairs[i] for i in live]
             images = _side_images(ctx, np.array([devs[i] for i in live]), pairs, step % 2)
+            stepped = []
             for pair, u in zip(pairs, images):
-                pair[step % 2] = ComplexFn(ctx, np.conj(u) / np.linalg.norm(u))
+                norm = np.linalg.norm(u)
+                if norm:  # a rounding-level deviation can have an exactly zero image
+                    pair[step % 2] = ComplexFn(ctx, np.conj(u) / norm)
+                    stepped.append(pair)
+            if not stepped:
+                break
+            pairs = stepped
     return best
 
 

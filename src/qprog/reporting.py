@@ -122,6 +122,6 @@ def fit_slope_vs_logq(qs, values) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def relative_error(a: float, b: float) -> float:
-    denom = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / denom
+def relative_error(a, b):
+    """|a - b| / max(|a|, |b|, 1e-300), elementwise."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)

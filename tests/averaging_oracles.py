@@ -24,6 +24,11 @@ batch at a time, with the same sums in the same y order.
 
 ``deviation_per_trial_by_pair`` is the random scan's per-trial record with
 one ``deviation_norm`` call per pair; the package takes the norms in batches.
+
+``averaging_checks_per_trial`` is the seeded half of ``averaging_checks``
+one pair at a time: one-pair calls of both averaging routes and of the pass
+over the coefficient rows.  The package takes the pairs a batch at a time,
+and its FFT calls and final transforms serve every pair of a batch.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from qprog.characters import (
     random_fn,
 )
 from qprog.field import FieldCtx, sqrt_pairs
-from qprog.operators import deviation_norm
+from qprog.operators import _coefficient_pass, averaging_apply, averaging_apply_fourier, deviation_norm
+from qprog.reporting import CheckResult, error_check
 
 
 def averaging_apply_per_y(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
@@ -138,7 +144,8 @@ def alternating_max_ratio_per_start(
 ) -> float:
     """The alternation one start at a time: per start draw f1, then f2; each
     round, for f1 and then f2, record the deviation's ratio and replace that
-    side by the normalized conjugate of its image; D = 0 ends a start."""
+    side by the normalized conjugate of its image; D = 0, or an image that
+    is exactly 0, ends a start."""
     best = 0.0
     for _ in range(starts):
         pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
@@ -149,7 +156,10 @@ def alternating_max_ratio_per_start(
             if not dev.values.any():
                 break
             u = side_image_per_y(ctx, dev.values, pair, step % 2)
-            pair[step % 2] = ComplexFn(ctx, np.conj(u) / np.linalg.norm(u))
+            norm = np.linalg.norm(u)
+            if not norm:
+                break
+            pair[step % 2] = ComplexFn(ctx, np.conj(u) / norm)
     return best
 
 
@@ -165,3 +175,22 @@ def deviation_per_trial_by_pair(ctx: FieldCtx, trials: int, seed: int) -> list:
             if denom != 0.0:
                 out.append((kind, i, deviation_norm(f1, f2).direct / denom))
     return out
+
+
+def averaging_checks_per_trial(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
+    """``averaging_checks``' two seeded checks, one pair at a time: the
+    direct and Fourier routes pointwise, and the slices' sum against the
+    mean of |direct - E f1 E f2|^2."""
+    rng = np.random.default_rng(seed)
+    routes = np.empty(trials)
+    form = np.empty(trials)
+    for i in range(trials):
+        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+        direct = averaging_apply(f1, f2).values
+        routes[i] = np.abs(direct - averaging_apply_fourier(f1, f2).values).max()
+        square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
+        form[i] = abs(_coefficient_pass([(f1, f2)])[1][0].sum() - square)
+    return [
+        error_check("averaging-two-routes", routes, 1e-8, lambda i: f"(trial={i})"),
+        error_check("slice-expansion-identity", form, 1e-8, lambda i: f"(trial={i})"),
+    ]

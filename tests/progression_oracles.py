@@ -1,15 +1,20 @@
-"""Slow field-scan routes for the progression search, kept as test oracles.
+"""Slow routes for the progression search and the plane census, kept as
+test oracles.
 
-They loop over every element of the field, O(q^2) for a count and O(q) per
-greedy candidate, whatever the size of the set; the package enumerates
-members instead.  Two-route tests compare the two on small fields.
+The field scans loop over every element of the field, O(q^2) for a count
+and O(q) per greedy candidate, whatever the size of the set; the package
+enumerates members instead.  ``plane_census_by_enumeration`` builds every
+one of the q^2 + q + 1 planes of a cubic extension and tests each of its
+q^2 members, O(q^5); the package counts each witness at its span instead.
+Two-route tests compare the two on small fields.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qprog.field import FieldCtx, sqrt_pairs
+from qprog.constructions import Plane, _canonical_basis, _coordinates
+from qprog.field import FieldCtx, SubfieldEmbedding, sqrt_pairs
 from qprog.operators import membership_mask
 
 
@@ -64,3 +69,63 @@ def greedy_field_scan(ctx: FieldCtx) -> np.ndarray:
         if not addition_blocked_field_scan(ctx, mask, e):
             mask[e] = True
     return mask
+
+
+def enumerate_planes(emb: SubfieldEmbedding):
+    """Yield each 2-dimensional subspace exactly once (q^2 + q + 1 planes).
+
+    Planes are kernels of nonzero base-linear functionals on coordinates,
+    one per projectively normalized functional: (1, b, c) for every b, c,
+    then (0, 1, c) for every c, then (0, 0, 1).
+    """
+    if emb.degree != 3:
+        raise ValueError("cubic extension required")
+    small = emb.small
+    q = small.q
+    c0, c1, c2 = _coordinates(emb)
+
+    functionals = [(1, b, c) for b in range(q) for c in range(q)]
+    functionals += [(0, 1, c) for c in range(q)]
+    functionals.append((0, 0, 1))
+
+    for a0, a1, a2 in functionals:
+        val = small.add_vec(
+            small.add_vec(small.mul_vec(a0, c0), small.mul_vec(a1, c1)),
+            small.mul_vec(a2, c2),
+        )
+        mask = val == 0
+        yield Plane(_canonical_basis(emb, mask), np.flatnonzero(mask), mask)
+
+
+def witnesses(big: FieldCtx, plane: Plane) -> np.ndarray:
+    """The nonzero y in the plane with y^2 in the plane, ascending."""
+    ys = plane.elements[plane.elements != 0]
+    return ys[plane.mask[big.sq_vec(ys)]]
+
+
+def plane_census_by_enumeration(emb: SubfieldEmbedding) -> dict:
+    """The census of every plane, one plane at a time: the counts, the
+    least witness count of a bad plane, each avoiding plane's witness count
+    in enumeration order, and the least-basis good plane."""
+    total = containing = 0
+    counts, good = [], []
+    for plane in enumerate_planes(emb):
+        total += 1
+        if plane.mask[1]:
+            containing += 1
+            continue
+        w = len(witnesses(emb.big, plane))
+        counts.append(w)
+        if not w:
+            good.append(plane)
+    bad = [w for w in counts if w]
+    return {
+        "total": total,
+        "containing_one": containing,
+        "avoiding_one": total - containing,
+        "bad": len(bad),
+        "good": len(good),
+        "min_bad_witnesses": min(bad, default=None),
+        "witness_counts": counts,
+        "good_example": min(good, key=lambda pl: pl.basis),
+    }

@@ -11,6 +11,7 @@ from qprog.characters import (
     ComplexFn,
     additive_char_table,
     fourier,
+    fourier_checks,
     fourier_inverse,
     gauss_sum,
     mult_fourier,
@@ -27,6 +28,7 @@ from transform_oracles import (
     complexfn_to_json,
     fourier_dense,
     fourier_inverse_dense,
+    fourier_trial_checks_per_trial,
     mult_fourier_dense,
     mult_char_table,
     mult_fourier_inverse_dense,
@@ -297,3 +299,13 @@ def test_gauss_sum_unimodular_everywhere():
         info = gauss_sum(field_for(q))
         assert abs(abs(info.sigma) - 1.0) < 1e-9
         assert abs(info.raw_sum - info.sigma * math.sqrt(q)) < 1e-9
+
+
+@pytest.mark.parametrize("q", [3, 9, 27, 49])
+def test_fourier_checks_batches_match_the_per_trial_loop(q):
+    """Eleven trials, a full batch and a partial one, transformed a batch at
+    a time: the one-trial-at-a-time Parseval and round-trip checks exactly."""
+    ctx = field_for(q)
+    checks = {c.name: c for c in fourier_checks(ctx, seed=q, trials=11)}
+    for oracle in fourier_trial_checks_per_trial(ctx, q, 11):
+        assert checks[oracle.name] == oracle

@@ -9,6 +9,7 @@ import pytest
 
 from qprog import characters, constructions, kernels, operators, weil
 from qprog.characters import ComplexFn
+from qprog import cli
 from qprog.cli import main
 from qprog.field import DESK_CAP, get_field
 from qprog.reporting import fit_slope_vs_logq
@@ -275,8 +276,8 @@ def _corrupt_coefficient_pass(monkeypatch, part: int):
     1 + 1e-6: the Fourier route's coefficients (0) or the slices (1)."""
     one_pass = operators._coefficient_pass
 
-    def corrupted(f1, f2):
-        out = list(one_pass(f1, f2))
+    def corrupted(pairs):
+        out = list(one_pass(pairs))
         out[part] = out[part] * (1 + 1e-6)
         return tuple(out)
 
@@ -367,3 +368,27 @@ def test_each_set_certified_once(tmp_path, monkeypatch, argv, sets):
     monkeypatch.setattr(constructions, "count_progressions", counting)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert len(calls) == sets
+
+
+def test_main_reuses_one_parser_with_a_fresh_namespace(tmp_path, monkeypatch):
+    """Two calls in a row share the cached parser; the second call's
+    namespace holds nothing of the first (``scan delta --alternating``) and
+    equals a new parser's."""
+    parser = cli.build_parser()
+    parsed = []
+
+    def recording_parse(argv=None):
+        args = parse(argv)
+        parsed.append(dict(vars(args)))
+        return args
+
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", recording_parse)
+    first = ["scan", "delta", "--alternating", "--q-list", "3", "--trials", "1",
+             "--seed", "7", "--out", str(tmp_path)]
+    second = ["verify", "fourier", "--p", "5", "--trials", "2", "--out", str(tmp_path)]
+    assert main(first) == 0 and main(second) == 0
+    assert cli.build_parser() is parser and len(parsed) == 2
+    assert parsed[0]["alternating"] and parsed[0]["seed"] == 7
+    assert "alternating" not in parsed[1] and "kind" not in parsed[1]
+    assert parsed[1] == vars(cli.build_parser.__wrapped__().parse_args(second))

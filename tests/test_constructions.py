@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from qprog.field import get_field, subfield_embed
+from qprog.field import get_field, prime_power, subfield_embed
 from qprog.constructions import (
     ElementSet,
-    _witnesses,
-    enumerate_planes,
+    _plane_witness_counts,
     greedy_progression_free,
     is_progression_free,
     plane_census,
@@ -16,7 +15,13 @@ from qprog.constructions import (
 
 from conftest import Q_FULL, Q_SMALL, field_for
 from field_oracles import cubic_min_poly
-from progression_oracles import addition_blocked_field_scan, greedy_field_scan
+from progression_oracles import (
+    addition_blocked_field_scan,
+    enumerate_planes,
+    greedy_field_scan,
+    plane_census_by_enumeration,
+    witnesses,
+)
 
 # frozen greedy calibration: min of size/sqrt(q) over the prime fields q <= 121
 # (attained at q = 3 with ratio 1/sqrt(3) = 0.577)
@@ -109,8 +114,6 @@ def test_greedy_size_at_4999():
 
 @pytest.mark.parametrize("q", Q_SMALL)
 def test_line_certified(q):
-    from qprog.field import prime_power
-
     p, s = prime_power(q)
     emb = _embedding(p, s, 2)
     line = quadratic_extension_line(emb)
@@ -178,7 +181,7 @@ def test_bad_plane_from_squaring_pair():
         if mask[1]:
             continue
         plane = next(pl for pl in enumerate_planes(emb) if np.array_equal(pl.mask, mask))
-        assert y in _witnesses(big, plane)  # the plane is bad, with witness y
+        assert y in witnesses(big, plane)  # the plane is bad, with witness y
         A, _, _ = cubic_min_poly(emb, y)
         half_a = small.div(A, small.from_int(2))
         z = big.sub(y2, big.mul(emb.map_[half_a], y))
@@ -194,8 +197,6 @@ def test_bad_plane_from_squaring_pair():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_plane_census_counts(q):
-    from qprog.field import prime_power
-
     p, s = prime_power(q)
     emb = _embedding(p, s, 3)
     census = plane_census(emb)
@@ -209,18 +210,40 @@ def test_plane_census_counts(q):
     assert is_progression_free(ElementSet(emb.big, good.mask))[0]
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19])
+def test_plane_census_equals_the_enumeration_oracle(q):
+    """Every cubic extension of the ladder under the default cap (q = 9 has a
+    non-prime base): the counts, the least bad witness count, the good
+    example and each plane's witness count, by spans and by enumeration."""
+    p, s = prime_power(q)
+    emb = _embedding(p, s, 3)
+    census = plane_census(emb)
+    oracle = plane_census_by_enumeration(emb)
+    assert {
+        "total": census.total_planes,
+        "containing_one": census.planes_containing_one,
+        "avoiding_one": census.planes_avoiding_one,
+        "bad": census.bad_count,
+        "good": census.good_count,
+        "min_bad_witnesses": census.min_bad_witnesses,
+    } == {k: oracle[k] for k in ("total", "containing_one", "avoiding_one", "bad", "good",
+                                 "min_bad_witnesses")}
+    assert census.good_example.basis == oracle["good_example"].basis
+    assert np.array_equal(census.good_example.elements, oracle["good_example"].elements)
+    assert np.array_equal(census.good_example.mask, oracle["good_example"].mask)
+    assert _plane_witness_counts(emb).tolist() == oracle["witness_counts"]
+
+
 def test_good_plane_is_not_bad():
     emb = _embedding(5, 1, 3)
     census = plane_census(emb)
-    assert not _witnesses(emb.big, census.good_example).size
+    assert not witnesses(emb.big, census.good_example).size
 
 
 @pytest.mark.parametrize("q", Q_SMALL)
 def test_one_y_squared_independence(q):
     """{1, y, y^2} is linearly independent over the base field for y outside
     it: y^2 never lands in the plane spanned by {1, y} (10^3 random y)."""
-    from qprog.field import prime_power
-
     p, s = prime_power(q)
     emb = _embedding(p, s, 3)
     big = emb.big

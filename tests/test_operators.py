@@ -20,6 +20,7 @@ from qprog.operators import (
     alternating_max_ratio,
     averaging_apply,
     averaging_apply_fourier,
+    averaging_checks,
     count_progressions,
     density_threshold,
     deviation_norm,
@@ -32,6 +33,7 @@ from averaging_oracles import (
     alternating_max_ratio_per_start,
     alternating_max_ratio_svd,
     averaging_apply_per_y,
+    averaging_checks_per_trial,
     coefficient_rows_by_code,
     deviation_per_trial_by_pair,
 )
@@ -246,7 +248,7 @@ def test_sliced_square_form_equals_deviation_square(ctx_medium):
     for _ in range(5):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
         norms = deviation_norm(f1, f2)
-        form = _coefficient_pass(f1, f2)[1].sum()
+        form = _coefficient_pass([(f1, f2)])[1][0].sum()
         assert abs(form.imag) < 1e-9
         target = norms.fourier_side**2
         assert abs(form.real - target) <= 1e-8 * max(1.0, target)
@@ -258,7 +260,7 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
     from qprog.characters import fourier
 
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    slices = _coefficient_pass(f1, f2)[1]
+    slices = _coefficient_pass([(f1, f2)])[1][0]
     l1 = (np.abs(fourier(f1).values) ** 2).sum()
     l2 = (np.abs(fourier(f2).values) ** 2).sum()
     assert slices[0].real <= l1 * l2 / ctx.q + 1e-12
@@ -268,10 +270,10 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
 def test_sliced_square_form_of_zero():
     ctx = get_field(5, 1)
     zero = ComplexFn(ctx, np.zeros(5))
-    assert np.abs(_coefficient_pass(zero, zero)[1]).max() == 0
+    assert np.abs(_coefficient_pass([(zero, zero)])[1]).max() == 0
     other = ComplexFn(build_field(5, 1), np.zeros(5))  # the same q, another context
     with pytest.raises(ValueError, match="different fields"):
-        _coefficient_pass(zero, other)
+        _coefficient_pass([(zero, other)])
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
@@ -281,19 +283,33 @@ def test_slices_match_dense_loop_oracle(q):
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    assert np.abs(_coefficient_pass(f1, f2)[1] - sliced_square_form_dense(f1, f2)).max() <= 1e-12
+    assert np.abs(_coefficient_pass([(f1, f2)])[1][0] - sliced_square_form_dense(f1, f2)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", [243, 729])
 def test_sliced_square_form_is_exact_under_fft_batching(q, monkeypatch):
-    """Several coefficient blocks per FFT call give the one-block-per-call
-    slices bit for bit: the power is still added block by block."""
+    """Several coefficient blocks per FFT call, some of them across the
+    boundary between two pairs, give each pair's one-pair pass with one
+    block per call bit for bit: each pair's power is still added block by
+    block."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    batched = _coefficient_pass(f1, f2)[1]
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    sums, slices = _coefficient_pass(pairs)
     monkeypatch.setattr(operators, "_SLICE_FFT_BLOCKS", 1)
-    assert np.array_equal(batched, _coefficient_pass(f1, f2)[1])
+    for i, pair in enumerate(pairs):
+        one_sums, one_slices = _coefficient_pass([pair])
+        assert np.array_equal(sums[i], one_sums[0]) and np.array_equal(slices[i], one_slices[0])
+
+
+@pytest.mark.parametrize("q", [3, 9, 27, 49])
+def test_averaging_checks_batches_match_the_per_trial_loop(q):
+    """Eleven pairs, a full batch and a partial one, through both routes a
+    batch at a time: the one-pair-at-a-time checks exactly."""
+    ctx = field_for(q)
+    checks = {c.name: c for c in averaging_checks(ctx, seed=q, trials=11)}
+    for oracle in averaging_checks_per_trial(ctx, q, 11):
+        assert checks[oracle.name] == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +811,26 @@ def test_alternating_stops_on_vanishing_deviation():
     with np.errstate(all="raise"):
         assert alternating_max_ratio(get_field(7, 1), ConstantRng(), starts=2) == 0.0
         assert alternating_max_ratio_per_start(get_field(7, 1), ConstantRng(), starts=2) == 0.0
+
+
+def test_alternating_drops_a_start_whose_image_vanishes():
+    """f2 = 1 + i everywhere, f1 Gaussian: the deviation is rounding noise,
+    not exactly 0, and its f1-side image is exactly 0.  The start ends there,
+    with no division by the zero norm, in both routes alike."""
+
+    class OnesForF2:
+        def __init__(self):
+            self.rng, self.calls = np.random.default_rng(27), 0
+
+        def standard_normal(self, n):  # per start: f1's real and imaginary draws, then f2's
+            self.calls += 1
+            return np.ones(n) if (self.calls - 1) // 2 % 2 else self.rng.standard_normal(n)
+
+    ctx = field_for(27)
+    with np.errstate(all="raise"):
+        alt = alternating_max_ratio(ctx, OnesForF2(), starts=11, rounds=3)
+        assert alt == alternating_max_ratio_per_start(ctx, OnesForF2(), starts=11, rounds=3)
+    assert 0.0 < alt < 1e-12
 
 
 def test_alternating_holds_no_square_array():

@@ -9,6 +9,11 @@ same objects by FFT; two-route tests compare the two on small fields.
 order, computed by division and ``mul_vec``; the package builds them by
 discrete log.
 
+``fourier_trial_checks_per_trial`` is the seeded half of
+``fourier_checks`` one trial at a time, through the one-function
+transforms; the package draws the same functions in the same order and
+transforms them a batch of trials at a time.
+
 Also here: ``mult_char_table``, one multiplicative character on every code,
 and a JSON round trip for ``ComplexFn`` values; only tests use them.
 """
@@ -22,10 +27,16 @@ from qprog.characters import (
     MULTIPLICATIVE,
     ComplexFn,
     additive_char_table,
+    fourier,
+    fourier_inverse,
+    mult_fourier,
+    mult_fourier_inverse,
     quadratic_char_table,
+    random_fn,
     unit_root_powers,
 )
 from qprog.field import FieldCtx
+from qprog.reporting import TOLERANCE_REL, CheckResult, error_check, relative_error
 
 
 def mult_char_table(ctx: FieldCtx, t: int) -> np.ndarray:
@@ -103,3 +114,32 @@ def mixed_weights_by_code(ctx: FieldCtx, lams: np.ndarray) -> np.ndarray:
     phases = additive_char_table(ctx)[ctx.mul_vec(lams[:, None], u[None, :])]
     out[:, rs] = phases * chi_part.astype(complex)[None, :]
     return out
+
+
+def fourier_trial_checks_per_trial(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
+    """``fourier_checks``' Parseval and round-trip checks, one trial at a
+    time: per trial a random f for the additive transform, then a random g,
+    zeroed at 0, for the multiplicative one."""
+    n = ctx.q - 1
+    rng = np.random.default_rng(seed)
+    parseval = np.empty((trials, 2))
+    round_trip = np.empty((trials, 2))
+    for i in range(trials):
+        f = random_fn(ctx, rng)
+        fh = fourier(f)
+        parseval[i, 0] = relative_error(f.norm_avg(), fh.norm_count())
+        round_trip[i, 0] = np.abs(fourier_inverse(fh).values - f.values).max()
+        g = random_fn(ctx, rng).values
+        g[0] = 0.0
+        coeffs = mult_fourier(ComplexFn(ctx, g))
+        lhs = float((np.abs(coeffs) ** 2).sum() / n)
+        parseval[i, 1] = relative_error(lhs, float((np.abs(g) ** 2).sum()))
+        round_trip[i, 1] = np.abs(mult_fourier_inverse(ctx, coeffs).values - g).max()
+
+    def sampled(i, j):
+        return f"(trial={i}, {('additive', 'multiplicative')[j]})"
+
+    return [
+        error_check("parseval-both-conventions", parseval, TOLERANCE_REL, sampled),
+        error_check("transform-round-trip", round_trip, 1e-9, sampled),
+    ]
