@@ -35,10 +35,10 @@ from .reporting import TOLERANCE_ABS, TOLERANCE_REL, CheckResult, error_check, r
 TAU = 2.0 * math.pi
 
 # cells in one block of rows, for the orthogonality sums here, the kernel
-# rows, the deviation's coefficient rows and the direct averaging route's rows
-# of y: int64 temporaries under 128 KiB are reused, not fresh pages; at
-# q = 2187 (2 vCPU) a coefficient call took 0.04-0.06 s in such blocks, 0.12 s
-# in 2^16 cells
+# rows, the deviation's coefficient rows and its adjoints' rows of y (the
+# direct averaging route's blocks are twice as large): int64 temporaries
+# under 128 KiB are reused, not fresh pages; at q = 2187 (2 vCPU) a
+# coefficient call took 0.04-0.06 s in such blocks, 0.12 s in 2^16 cells
 ROW_BLOCK_CELLS = 1 << 14
 
 # pairs (or trials) that the O(q^2) routes and the seeded checks take through

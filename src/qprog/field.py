@@ -46,7 +46,7 @@ import numpy as np
 #   log/exp tables by doubling (s x s matrix powers)                q s^2
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   fourier_checks (orthogonality; up to 8 seeded trials a pass)    q^2, and q log q per trial
-#   averaging_apply, deviation_norm (rows from add_rows)            q^2
+#   averaging_apply, deviation_norm (a BLAS product per block)      q^2
 #   deviation_scan (8 pairs a pass share index rows and K phases)   q^2 per pair
 #   alternating_max_ratio (4 x rounds steps, 8 starts in lock step) q^2 per step and start
 #   averaging_checks (8 pairs a pass, FFT per row)                  q^2 log q per pair

@@ -4,13 +4,13 @@ Normalization bookkeeping (every cross-route comparison below states its
 conventions explicitly):
 
 * ``averaging_apply`` returns the physical-side average
-  (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It and
-  the deviation's two adjoints are one blocked gather at the rows x + s(y)
-  of ``FieldCtx.add_rows``, independent of the Fourier route.  The gather
-  takes a batch of pairs and builds each block's index rows once for all of
-  them, so ``alternating_max_ratio`` steps 8 starts in lock step, in q^2
-  work per start and O(8q) memory, and ``deviation_scan`` takes its pairs'
-  norms 8 at a time.
+  (1/q) sum_y f1(x+y) f2(x+y^2) = (1/q) sum_u f1(u) f2(x+(u-x)^2); its
+  norms are the averaged ||.||_2.  Per block of rows u, f2 is gathered at
+  index rows built once for a batch of pairs and summed against f1 by one
+  BLAS product; the deviation's two adjoints are blocked gathers at the rows
+  x + s(y) of ``FieldCtx.add_rows``, added in y order.  So
+  ``alternating_max_ratio`` steps 8 starts in lock step, in q^2 work per
+  start and O(8q) memory, and ``deviation_scan`` takes 8 pairs a pass.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -23,17 +23,16 @@ The Fourier route and the slice expansion read one builder, the deviation's
 coefficient rows c(m, n) = fhat1(m-n) fhat2(n) K(m-n, n) with column n = 0
 zeroed, built from the closed form of K in blocks of m (O(q) memory per
 row).  The columns are reflected, column j holding n = -j, so that m - n =
-m + j is one row of ``add_rows``; the parts of K that depend on n alone,
-times fhat2(n), are built once per pair, and each block's phases, one
-phase-table gather per cell, once for every pair of a batch.  Since K(a, 0)
-is the point mass at a = 0, the row sums are the coefficients of
-A(f1,f2) - E[f1] E[f2].  Slice h of the deviation
-square is the rows' additive autocorrelation at lag -h (lag h in code
-order): with C_m the inverse transform of row m, every slice is the inverse
-transform of sum_m |C_m|^2 over q, read at -h, so all q slices cost
-O(q^2 log q); consecutive blocks of rows share one FFT call.  The suite
-builds the rows once per trial: one pass gives both the row sums and the
-slices.
+m + j is one row of ``add_rows``; each block's phases, one phase-table
+gather per cell, are built once for every pair of a batch, and a block's
+row sums are one BLAS product with the column weight fhat2(n) times K's
+prefactor.  Since K(a, 0) is the point mass at a = 0, the row sums are the
+coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation square is
+the rows' additive autocorrelation at lag -h (lag h in code order): with C_m
+the inverse transform of row m, every slice is the inverse transform of
+sum_m |C_m|^2 over q, read at -h, so all q slices cost O(q^2 log q);
+consecutive blocks of rows share one FFT call.  The suite builds the rows
+once per trial: one pass gives both the row sums and the slices.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
@@ -114,13 +113,34 @@ def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
     return acc
 
 
+# cells per block of rows u in ``_averages``: at q = 9973 (2 vCPU, one BLAS
+# thread) a pair took 0.61 s in blocks of 2^14 cells (one row), 0.46 s in
+# 2^15; 2^16 raised the peak RSS of a q = 2187 scan by 0.4 MB
+_AVERAGE_BLOCK_CELLS = 1 << 15
+
+
 def _averages(pairs) -> np.ndarray:
-    """(1/q) sum_y f1(x+y) f2(x+y^2) for every x, row i for the pair i (q^2 work per pair)."""
+    """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for
+    the pair i, column j at x = -j.  Each block of rows u builds its index
+    rows once for all the pairs; each pair's is one vector-matrix product."""
     ctx = _common_field(pairs)
-    codes = ctx.elements()
+    wrapped, offset = ctx._add_gather()  # a + b = wrapped[offset[a] + offset[b]]
+    sq_offset = offset[ctx.sq_vec(wrapped)]  # offset[(a + b)^2] at offset[a] + offset[b]
+    neg_offset = offset[ctx.neg_table]
     v1 = np.array([f1.values for f1, _ in pairs])
-    v2 = np.array([f2.values for _, f2 in pairs])
-    return _shifted_products(ctx, v1, codes, v2, ctx.sq_vec(codes)) / ctx.q
+    acc = np.zeros(v1.shape, dtype=complex)
+    step = min(ctx.q, max(1, _AVERAGE_BLOCK_CELLS // ctx.q))
+    index, gathered = np.empty((step, ctx.q), dtype=np.intp), np.empty((step, ctx.q), dtype=complex)
+    for u0 in range(0, ctx.q, step):
+        us = offset[u0 : u0 + step, None]
+        at = np.add(us, offset, out=index[: len(us)])  # u - x = u + j
+        sq_offset.take(at, out=at, mode="clip")
+        at += neg_offset
+        wrapped.take(at, out=at, mode="clip")  # x + (u-x)^2 = -j + (u+j)^2
+        rows = gathered[: len(us)]
+        for i, (_, f2) in enumerate(pairs):
+            acc[i] += v1[i, u0 : u0 + len(us)] @ f2.values.take(at, out=rows, mode="clip")
+    return acc.take(ctx.neg_table, axis=1) / ctx.q
 
 
 def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
@@ -129,16 +149,16 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
 
 
 def _coefficient_rows(pairs):
-    """Yield (i, m0, rows): the deviation's coefficient rows c(m, n) =
-    fhat1(m-n) fhat2(n) K(m-n, n) of the pair i, in blocks of consecutive m
-    from m = m0, each block for every pair in turn, with reflected columns: column j
-    holds n = -j, so m - n = m + j is one row of ``add_rows``.  A block's K
-    phases are built once for all the pairs.  Column 0 (n = 0) is zero,
-    since K's prefactor vanishes at b = 0."""
+    """Yield (i, m0, rows, weight): the deviation's coefficient rows c(m, n) =
+    fhat1(m-n) fhat2(n) K(m-n, n) of the pair i are rows * weight, in blocks
+    of consecutive m from m = m0, each block for every pair in turn, with
+    reflected columns: column j holds n = -j, so m - n = m + j is one row of
+    ``add_rows``.  ``rows``, fhat1(m-n) times K's phase, is one buffer that the
+    next block overwrites; ``weight`` is fhat2(n) times K's prefactor, which
+    vanishes at n = 0.  A block's phases are built once for all the pairs."""
     ctx = _common_field(pairs)
     ns = ctx.neg_table  # n at every column j
     prefactor, log_col = _quad_columns(ctx, ns)
-    # fhat1, and fhat2(n) times K's prefactor at n: the rows' column weight
     spectra = [(fourier(f1).values, fourier(f2).values[ns] * prefactor) for f1, f2 in pairs]
     step = min(ctx.q, max(1, ROW_BLOCK_CELLS // ctx.q))
     gathered = np.empty((step, ctx.q), dtype=complex)
@@ -146,17 +166,17 @@ def _coefficient_rows(pairs):
         a = ctx.add_rows(np.arange(m0, min(m0 + step, ctx.q)))  # m - n
         phases = _quad_phases(ctx, a, log_col)
         for i, (fh1, weight) in enumerate(spectra):
-            rows = weight * phases
-            rows *= fh1.take(a, out=gathered[: len(a)], mode="clip")
-            yield i, m0, rows
+            rows = fh1.take(a, out=gathered[: len(a)], mode="clip")
+            rows *= phases
+            yield i, m0, rows, weight
 
 
 def _deviation_coeffs(pairs) -> np.ndarray:
     """The coefficients of A(f1,f2) - E[f1] E[f2], row i for the pair i: the
-    row sums over n != 0."""
+    row sums over n != 0, each block's as one matrix-vector product."""
     coeffs = np.empty((len(pairs), pairs[0][0].ctx.q), dtype=complex)
-    for i, m0, rows in _coefficient_rows(pairs):
-        rows.sum(axis=1, out=coeffs[i, m0 : m0 + len(rows)])
+    for i, m0, rows, weight in _coefficient_rows(pairs):
+        np.matmul(rows, weight, out=coeffs[i, m0 : m0 + len(rows)])
     return coeffs
 
 
@@ -243,15 +263,20 @@ def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     ctx = _common_field(pairs)
     sums = np.empty((len(pairs), ctx.q), dtype=complex)
     power = np.zeros((len(pairs), ctx.q))
-    blocks = ((i, m0, rows) for i, pair in enumerate(pairs)
-              for _, m0, rows in _coefficient_rows([pair]))
+
+    def scaled():  # each block's sums, then a copy of its coefficient rows
+        for i, pair in enumerate(pairs):
+            for _, m0, rows, weight in _coefficient_rows([pair]):
+                np.matmul(rows, weight, out=sums[i, m0 : m0 + len(rows)])
+                yield i, rows * weight
+
+    blocks = scaled()
     while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
-        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([rows for _, _, rows in batch]))) ** 2
+        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([c for _, c in batch]))) ** 2
         r0 = 0
-        for i, m0, rows in batch:
-            rows.sum(axis=1, out=sums[i, m0 : m0 + len(rows)])
-            power[i] += sq[r0 : r0 + len(rows)].sum(axis=0)  # block by block, as unbatched
-            r0 += len(rows)
+        for i, c in batch:
+            power[i] += sq[r0 : r0 + len(c)].sum(axis=0)  # block by block, as unbatched
+            r0 += len(c)
     return sums, fourier_inverse_rows(ctx, power).take(ctx.neg_table, axis=-1) / ctx.q
 
 

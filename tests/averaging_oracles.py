@@ -1,9 +1,10 @@
 """Slow averaging routes kept as test oracles.
 
 ``averaging_apply_per_y`` adds the row y -> f1(x+y) f2(x+y^2) for one y per
-step, with two scalar-offset additions of length q each.  The package
-gathers the same rows in blocks of y and adds them in the same y order, so
-the two agree bit for bit.
+step, with two scalar-offset additions of length q each.  The package sums
+over u = x + y in blocks of rows u, by BLAS products: on +-1 and 0/1 inputs
+every partial sum is an exact integer and the two agree bit for bit, on
+Gaussian inputs to rounding.
 
 ``coefficient_rows_by_code`` is the deviation's coefficient rows on the whole
 q x q grid, columns n in code order, with K's phase e(a^2 (-1/(4b))) read
@@ -17,10 +18,12 @@ package runs the same alternation matrix-free, through the adjoint of the
 trilinear form.
 
 ``alternating_max_ratio_per_start`` is that matrix-free alternation one start
-at a time, each start drawn just before it runs, with the averages and the
-side images summed one y at a time (``side_image_per_y``).  The package
-draws the same starts in the same order and steps them in lock step, a
-batch at a time, with the same sums in the same y order.
+at a time, each start drawn just before it runs, with the one-pair
+``averaging_apply`` and the side images summed one y at a time
+(``side_image_per_y``).  The package draws the same starts in the same order
+and steps them in lock step, a batch at a time: each pair's average is its
+one-pair average bit for bit, and the side images are the same sums in the
+same y order.
 
 ``deviation_per_trial_by_pair`` is the random scan's per-trial record with
 one ``deviation_norm`` call per pair; the package takes the norms in batches.
@@ -151,7 +154,7 @@ def alternating_max_ratio_per_start(
         pair = [random_fn(ctx, rng), random_fn(ctx, rng)]
         for step in range(2 * rounds):
             f1, f2 = pair
-            dev = ComplexFn(ctx, averaging_apply_per_y(f1, f2).values - f1.mean() * f2.mean())
+            dev = ComplexFn(ctx, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
             best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
             if not dev.values.any():
                 break

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qprog import characters, constructions, kernels, operators, weil
-from qprog.characters import ComplexFn
+from qprog.characters import ComplexFn, random_fn
 from qprog import cli
 from qprog.cli import main
 from qprog.field import DESK_CAP, get_field
@@ -296,6 +296,25 @@ def test_verify_operators_catches_a_wrong_averaging_route(tmp_path, monkeypatch)
     rc, first, passed = _verify_operators_failure(tmp_path)
     assert (rc, first) == (1, "averaging-two-routes")
     assert passed["slice-expansion-identity"]
+
+
+def test_a_wrong_direct_route_fails_the_two_route_checks(tmp_path, monkeypatch):
+    """One cell of the direct route's output, pair 0 at x = 1, moved by 1e-3:
+    the suite's route comparison fails, and so does ``deviation_norm``'s."""
+    averages = operators._averages
+
+    def corrupted(pairs):
+        out = averages(pairs)
+        out[0, 1] += 1e-3
+        return out
+
+    monkeypatch.setattr(operators, "_averages", corrupted)
+    rc, first, passed = _verify_operators_failure(tmp_path)
+    assert (rc, first) == (1, "averaging-two-routes")
+    assert not passed["averaging-two-routes"]
+    ctx, rng = get_field(7, 1), np.random.default_rng(7)
+    with pytest.raises(RuntimeError, match="deviation-norm routes disagree"):
+        operators.deviation_norm(random_fn(ctx, rng), random_fn(ctx, rng))
 
 
 def test_verify_fourier_names_the_first_bad_trial(tmp_path, monkeypatch):

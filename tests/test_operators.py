@@ -93,12 +93,29 @@ def test_averaging_two_routes_random(ctx_medium):
 
 @pytest.mark.parametrize("q", Q_ROWS)
 def test_averaging_apply_matches_per_y_oracle(q):
-    """Rows gathered in blocks of y and added in y order: the per-y sum exactly."""
+    """Summed over u = x + y in blocks: on +-1 and 0/1 inputs every partial
+    sum is an exact integer, so any order gives the per-y sum exactly and a
+    wrong index cannot hide; on Gaussian inputs the sum moves only at
+    rounding level (at most 7.4e-16 max|A| measured on these fields)."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    for _ in range(2):
-        f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+    for kind in ("pm1", "indicator"):
+        f1, f2 = random_fn(ctx, rng, kind), random_fn(ctx, rng, kind)
         assert np.array_equal(averaging_apply(f1, f2).values, averaging_apply_per_y(f1, f2).values)
+    f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
+    oracle = averaging_apply_per_y(f1, f2).values
+    assert np.abs(averaging_apply(f1, f2).values - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("q, k", [(27, 9), (243, 9), (2187, 9), (9973, 2)])
+def test_averages_on_a_batch_match_one_pair_at_a_time(q, k):
+    """k pairs through one pass, the index rows of each block of u shared:
+    each pair's average is its one-pair average bit for bit."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(k)]
+    for pair, row in zip(pairs, operators._averages(pairs)):
+        assert np.array_equal(row, operators._averages([pair])[0])
 
 
 @pytest.mark.parametrize("q, k", [(27, 9), (243, 9), (2187, 9), (9973, 2)])
@@ -117,7 +134,7 @@ def test_shifted_products_on_a_batch_match_per_y_oracle(q, k):
 
 
 def test_averaging_apply_holds_no_square_array():
-    """At q = 2187 a q x q complex array takes 76 MB; the blocks of y stay far
+    """At q = 2187 a q x q complex array takes 76 MB; the blocks of u stay far
     below (the field's tables are built before tracing starts)."""
     ctx = get_field(3, 7)
     rng = np.random.default_rng(7)
@@ -140,7 +157,11 @@ def test_coefficient_rows_are_the_code_order_rows_reflected(q):
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
-    batch = list(operators._coefficient_rows(pairs))
+
+    def blocks(pairs):  # each block's coefficient rows, copied out of the reused buffer
+        return [(i, m0, rows * weight) for i, m0, rows, weight in operators._coefficient_rows(pairs)]
+
+    batch = blocks(pairs)
     assert [i for i, _, _ in batch] == [0, 1, 2] * (len(batch) // 3)  # each block, pair by pair
     for k, (f1, f2) in enumerate(pairs):
         rows = np.concatenate([block for i, _, block in batch if i == k])
@@ -149,8 +170,18 @@ def test_coefficient_rows_are_the_code_order_rows_reflected(q):
         expected = coefficient_rows_by_code(f1, f2)[:, ctx.neg_table]
         assert rows.shape == (q, q) and not rows[:, 0].any()
         assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
-        alone = np.concatenate([block for _, _, block in operators._coefficient_rows([(f1, f2)])])
+        alone = np.concatenate([block for _, _, block in blocks([(f1, f2)])])
         assert np.array_equal(rows, alone)
+
+
+@pytest.mark.parametrize("q", [27, 243, 729])
+def test_coefficient_pass_sums_are_the_deviation_coeffs(q):
+    """The suite's one pass takes each block's row sums as ``_deviation_coeffs``
+    does, one pair at a time where it takes a batch: the same bits."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    assert np.array_equal(_coefficient_pass(pairs)[0], _deviation_coeffs(pairs))
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
