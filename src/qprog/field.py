@@ -43,6 +43,7 @@ import numpy as np
 #   add_vec, one gather per sum (a tensor of (2p-1)^s ints)         1 per sum
 #   e(a b), one phase-table gather (4q complex)                     1 per phase
 #   add_rows, windows of add_vec's wrapped tensor                   1 per code
+#   square_rows, rows (u + j)^2 - j by offset gathers               3 per code
 #   log/exp tables by doubling (s x s matrix powers)                q s^2
 #   fourier, mult_fourier and their inverses (FFTs)                 q log q
 #   fourier_checks (orthogonality; up to 8 seeded trials a pass)    q^2, and q log q per trial
@@ -364,6 +365,23 @@ class FieldCtx:
         shape = (self.p,) * self.s  # the windows, a view built per call (no q^2 cache)
         windows = np.ndarray(shape * 2, np.intp, wrapped, 0, wrapped.strides * 2)
         return windows[np.unravel_index(shifts, shape)].reshape(len(shifts), self.q)
+
+    @per_field("square_gather")
+    def _square_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sq_offset, neg_offset): the add gather's offsets of c^2 and of -c at every code c."""
+        offset = self._add_gather()[1]
+        return offset[self._squares()], offset[self.neg_table]
+
+    def square_rows(self, shifts, out: np.ndarray) -> np.ndarray:
+        """out[i, j] = (shifts[i] + j)^2 - j for every code j, in the intp buffer ``out``
+        (with x = -j, the rows x + (u - x)^2 at u = shifts[i]), by in-place gathers."""
+        wrapped, offset = self._add_gather()
+        sq_offset, neg_offset = self._square_gather()
+        at = np.add(offset[np.asarray(shifts, dtype=np.int64), None], offset, out=out)
+        wrapped.take(at, out=at, mode="clip")  # u + j
+        sq_offset.take(at, out=at, mode="clip")
+        at += neg_offset
+        return wrapped.take(at, out=at, mode="clip")
 
     def neg_vec(self, a) -> np.ndarray:
         return self.neg_table[np.asarray(a, dtype=np.int64)]

@@ -4,13 +4,12 @@ Normalization bookkeeping (every cross-route comparison below states its
 conventions explicitly):
 
 * ``averaging_apply`` returns the physical-side average
-  (1/q) sum_y f1(x+y) f2(x+y^2) = (1/q) sum_u f1(u) f2(x+(u-x)^2); its
-  norms are the averaged ||.||_2.  Per block of rows u, f2 is gathered at
-  index rows built once for a batch of pairs and summed against f1 by one
-  BLAS product; the deviation's two adjoints are blocked gathers at the rows
-  x + s(y) of ``FieldCtx.add_rows``, added in y order.  So
-  ``alternating_max_ratio`` steps 8 starts in lock step, in q^2 work per
-  start and O(8q) memory, and ``deviation_scan`` takes 8 pairs a pass.
+  (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It
+  sums over u = x + y, per block of u one gather at ``FieldCtx.square_rows``
+  and one BLAS product a pair; the deviation's two adjoints gather at the rows
+  x + s(y) of ``FieldCtx.add_rows``.  A block's index rows serve a batch of
+  pairs, so ``alternating_max_ratio`` steps 8 starts in lock step, in q^2
+  work per start and O(8q) memory, and ``deviation_scan`` takes 8 pairs a pass.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -113,31 +112,17 @@ def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
     return acc
 
 
-# cells per block of rows u in ``_averages``: at q = 9973 (2 vCPU, one BLAS
-# thread) a pair took 0.61 s in blocks of 2^14 cells (one row), 0.46 s in
-# 2^15; 2^16 raised the peak RSS of a q = 2187 scan by 0.4 MB
-_AVERAGE_BLOCK_CELLS = 1 << 15
-
-
 def _averages(pairs) -> np.ndarray:
-    """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for
-    the pair i, column j at x = -j.  Each block of rows u builds its index
-    rows once for all the pairs; each pair's is one vector-matrix product."""
+    """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for the pair i;
+    a block's index rows (``square_rows``, column j at x = -j) serve all the pairs."""
     ctx = _common_field(pairs)
-    wrapped, offset = ctx._add_gather()  # a + b = wrapped[offset[a] + offset[b]]
-    sq_offset = offset[ctx.sq_vec(wrapped)]  # offset[(a + b)^2] at offset[a] + offset[b]
-    neg_offset = offset[ctx.neg_table]
     v1 = np.array([f1.values for f1, _ in pairs])
     acc = np.zeros(v1.shape, dtype=complex)
-    step = min(ctx.q, max(1, _AVERAGE_BLOCK_CELLS // ctx.q))
+    step = min(ctx.q, 2 * ROW_BLOCK_CELLS // ctx.q)  # 2^15 cells: one-row products are slower
     index, gathered = np.empty((step, ctx.q), dtype=np.intp), np.empty((step, ctx.q), dtype=complex)
     for u0 in range(0, ctx.q, step):
-        us = offset[u0 : u0 + step, None]
-        at = np.add(us, offset, out=index[: len(us)])  # u - x = u + j
-        sq_offset.take(at, out=at, mode="clip")
-        at += neg_offset
-        wrapped.take(at, out=at, mode="clip")  # x + (u-x)^2 = -j + (u+j)^2
-        rows = gathered[: len(us)]
+        us = np.arange(u0, min(u0 + step, ctx.q))
+        at, rows = ctx.square_rows(us, out=index[: len(us)]), gathered[: len(us)]
         for i, (_, f2) in enumerate(pairs):
             acc[i] += v1[i, u0 : u0 + len(us)] @ f2.values.take(at, out=rows, mode="clip")
     return acc.take(ctx.neg_table, axis=1) / ctx.q
@@ -150,12 +135,11 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
 
 def _coefficient_rows(pairs):
     """Yield (i, m0, rows, weight): the deviation's coefficient rows c(m, n) =
-    fhat1(m-n) fhat2(n) K(m-n, n) of the pair i are rows * weight, in blocks
-    of consecutive m from m = m0, each block for every pair in turn, with
-    reflected columns: column j holds n = -j, so m - n = m + j is one row of
-    ``add_rows``.  ``rows``, fhat1(m-n) times K's phase, is one buffer that the
-    next block overwrites; ``weight`` is fhat2(n) times K's prefactor, which
-    vanishes at n = 0.  A block's phases are built once for all the pairs."""
+    fhat1(m-n) fhat2(n) K(m-n, n) of the pair i are rows * weight, in blocks of
+    consecutive m from m = m0, each block for every pair in turn, with reflected
+    columns: column j holds n = -j, so m - n = m + j is one row of ``add_rows``.
+    ``rows`` (fhat1(m-n) times K's phase, built once a block for all pairs) is a
+    buffer the next block overwrites; ``weight``, fhat2(n) times K's prefactor, is 0 at n = 0."""
     ctx = _common_field(pairs)
     ns = ctx.neg_table  # n at every column j
     prefactor, log_col = _quad_columns(ctx, ns)
@@ -263,18 +247,16 @@ def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     ctx = _common_field(pairs)
     sums = np.empty((len(pairs), ctx.q), dtype=complex)
     power = np.zeros((len(pairs), ctx.q))
-
-    def scaled():  # each block's sums, then a copy of its coefficient rows
-        for i, pair in enumerate(pairs):
-            for _, m0, rows, weight in _coefficient_rows([pair]):
-                np.matmul(rows, weight, out=sums[i, m0 : m0 + len(rows)])
-                yield i, rows * weight
-
-    blocks = scaled()
+    # freeing a 4 MiB block raises glibc's mmap threshold over the FFT's per-row scratch and
+    # the batches (mallopt(3)); at q = 9973 these were fresh mappings: 1.6 M faults, not 15 K
+    np.empty(1 << 22, np.uint8)
+    # a block's sums are taken as it is drawn, before the next block reuses its buffer
+    blocks = ((i, rows * weight, np.matmul(rows, weight, out=sums[i, m0 : m0 + len(rows)]))
+              for i, pair in enumerate(pairs) for _, m0, rows, weight in _coefficient_rows([pair]))
     while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
-        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([c for _, c in batch]))) ** 2
+        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([c for _, c, _ in batch]))) ** 2
         r0 = 0
-        for i, c in batch:
+        for i, c, _ in batch:
             power[i] += sq[r0 : r0 + len(c)].sum(axis=0)  # block by block, as unbatched
             r0 += len(c)
     return sums, fourier_inverse_rows(ctx, power).take(ctx.neg_table, axis=-1) / ctx.q

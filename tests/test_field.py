@@ -245,6 +245,7 @@ def test_per_field_tables_are_built_once():
         "phase_table": phase_table,
         "log_squares": _log_squares,
         "add_gather": lambda c: c._add_gather(),
+        "square_gather": lambda c: c._square_gather(),
     }
     for key, table in tables.items():
         first = table(ctx)
@@ -447,3 +448,15 @@ def test_add_rows_above_the_table_match_digitwise(p, s):
     shifts = np.concatenate([[0, ctx.q - 1], np.random.default_rng(ctx.q).integers(0, ctx.q, 6)])
     assert np.array_equal(ctx.add_rows(shifts), _add_rows_expected(ctx, shifts))
     assert ctx._add_gather()[0].shape == ((2 * p - 1) ** s,)
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 2), (3, 5), (3, 8), (97, 2), (9973, 1)])
+def test_square_rows_match_digitwise(p, s):
+    """(u + j)^2 - j for seeded shifts u, 0 and q - 1 included, against digitwise
+    sums, written into the given buffer."""
+    ctx = build_field(p, s)
+    shifts = np.concatenate([[0, ctx.q - 1], np.random.default_rng(ctx.q).integers(0, ctx.q, 6)])
+    sums = _add_rows_expected(ctx, shifts)
+    expected = add_digitwise(ctx, ctx.sq_vec(sums), ctx.neg_vec(ctx.elements())[None, :])
+    out = np.empty((len(shifts), ctx.q), dtype=np.intp)
+    assert ctx.square_rows(shifts, out=out) is out and np.array_equal(out, expected)
