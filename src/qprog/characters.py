@@ -29,17 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldCtx, per_field
+from . import field
+from .field import FieldCtx, per_field, row_blocks
 from .reporting import TOLERANCE_ABS, TOLERANCE_REL, CheckResult, error_check, relative_error
 
 TAU = 2.0 * math.pi
-
-# cells in one block of rows, for the orthogonality sums here, the kernel
-# rows, the deviation's coefficient rows and its adjoints' rows of y (the
-# direct averaging route's blocks are twice as large): int64 temporaries
-# under 128 KiB are reused, not fresh pages; at q = 2187 (2 vCPU) a
-# coefficient call took 0.04-0.06 s in such blocks, 0.12 s in 2^16 cells
-ROW_BLOCK_CELLS = 1 << 14
 
 # pairs (or trials) that the O(q^2) routes and the seeded checks take through
 # one pass: each block's index rows and K phases are built once for them all,
@@ -264,32 +258,27 @@ def fourier_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     roots = unit_root_powers(ctx)
     logs = ctx.log_table[ctx.units()]
     ts = np.arange(n)
-    step = max(1, ROW_BLOCK_CELLS // q)  # rows a, or rows t, per block
-    additive = _gathered_row_sums(e, (ctx.mul_vec(codes[i : i + step, None], codes)
-                                      for i in range(0, q, step)))
+    additive = _gathered_row_sums(e, (ctx.mul_vec(codes[a, None], codes) for a in row_blocks(q, q)))
     additive[0] -= q
-    multiplicative = _gathered_row_sums(roots, (ts[i : i + step, None] * logs % n
-                                                for i in range(0, n, step)))
+    multiplicative = _gathered_row_sums(roots, (ts[t, None] * logs % n for t in row_blocks(n, q)))
     multiplicative[0] -= n
     rng = np.random.default_rng(seed)
     parseval = np.empty((trials, 2))
     round_trip = np.empty((trials, 2))
-    # trials per pass, at most one block of cells each: at q = 9973 a pass of 8
-    # traced 10.8 MB at its peak, one 2.3 MB, in the same time
-    batch = max(1, min(_PAIR_BATCH, ROW_BLOCK_CELLS // q))
-    for i0 in range(0, trials, batch):  # f, then g, per trial, as drawn one by one
-        draws = np.array([random_fn(ctx, rng).values for _ in range(2 * min(batch, trials - i0))])
+    # _PAIR_BATCH trials (f, then g, per trial, as drawn one by one) per pass, at most a
+    # block of cells: at q = 9973 a pass of 8 traced 10.8 MB at its peak, one 2.3 MB, as fast
+    for i in row_blocks(trials, q, min(_PAIR_BATCH * q, field.ROW_BLOCK_CELLS)):
+        draws = np.array([random_fn(ctx, rng).values for _ in range(2 * (i.stop - i.start))])
         f, g = ComplexFn(ctx, draws[0::2]), draws[1::2]
         g[:, 0] = 0.0
-        i1 = i0 + len(g)
         fh = fourier(f)
-        parseval[i0:i1, 0] = relative_error(np.sqrt((np.abs(f.values) ** 2).mean(axis=1)),
-                                            np.sqrt((np.abs(fh.values) ** 2).sum(axis=1)))
-        round_trip[i0:i1, 0] = np.abs(fourier_inverse(fh).values - f.values).max(axis=1)
+        parseval[i, 0] = relative_error(np.sqrt((np.abs(f.values) ** 2).mean(axis=1)),
+                                        np.sqrt((np.abs(fh.values) ** 2).sum(axis=1)))
+        round_trip[i, 0] = np.abs(fourier_inverse(fh).values - f.values).max(axis=1)
         coeffs = mult_fourier(ComplexFn(ctx, g))
-        parseval[i0:i1, 1] = relative_error((np.abs(coeffs) ** 2).sum(axis=1) / n,
-                                            (np.abs(g) ** 2).sum(axis=1))
-        round_trip[i0:i1, 1] = np.abs(mult_fourier_inverse(ctx, coeffs).values - g).max(axis=1)
+        parseval[i, 1] = relative_error((np.abs(coeffs) ** 2).sum(axis=1) / n,
+                                        (np.abs(g) ** 2).sum(axis=1))
+        round_trip[i, 1] = np.abs(mult_fourier_inverse(ctx, coeffs).values - g).max(axis=1)
 
     def sampled(i, j):
         return f"(trial={i}, {('additive', 'multiplicative')[j]})"

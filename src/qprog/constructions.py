@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import ROW_BLOCK_CELLS
-from .field import FieldCtx, SubfieldEmbedding, sqrt_pairs
+from .field import FieldCtx, SubfieldEmbedding, row_blocks, sqrt_pairs
 from .operators import count_progressions, membership_mask
 
 
@@ -288,9 +287,8 @@ def plane_census(emb: SubfieldEmbedding) -> PlaneCensus:
     # the good planes through the least nonzero code in any good plane; codes
     # of the subfield lie in none
     outside = np.flatnonzero(~emb.image_mask)
-    step = max(1, ROW_BLOCK_CELLS // good.size)
-    for i in range(0, outside.size, step):
-        hit = _on_plane(emb, outside[i : i + step, None], good)
+    for i in row_blocks(outside.size, good.size):
+        hit = _on_plane(emb, outside[i, None], good)
         rows = np.flatnonzero(hit.any(axis=1))
         if rows.size:
             break

@@ -61,6 +61,25 @@ import numpy as np
 #   plane_census over F_{q^3} (witness y counted at span(y, y^2))   q^3
 DESK_CAP = 10_000
 
+# cells in one block of rows by default: fourier_checks' orthogonality sums and
+# trial batches, the kernel rows, the deviation's coefficient rows, its adjoints'
+# rows of y and the plane search.  int64 temporaries under 128 KiB are reused, not
+# fresh pages: at q = 2187 (2 vCPU) a coefficient call took 0.04-0.06 s, 0.12 s in 2^16 cells
+ROW_BLOCK_CELLS = 1 << 14
+
+# freeing one 4 MiB block raises glibc's mmap threshold (mallopt(3)) over every
+# blocked pass's temporaries, once per process, so they reuse heap pages, not
+# fresh mappings: at q = 9973 quad_kernel_check took 0.8 K minor faults, not 4.0 M
+np.empty(1 << 22, np.uint8)
+
+
+def row_blocks(n: int, width: int, cells: int | None = None):
+    """Slices of max(1, min(n, cells // width)) rows over range(n), in order;
+    ``cells`` is ROW_BLOCK_CELLS, read at the call, unless given."""
+    step = max(1, min(n, (ROW_BLOCK_CELLS if cells is None else cells) // max(width, 1)))
+    for i in range(0, n, step):
+        yield slice(i, min(i + step, n))
+
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale inputs only)."""

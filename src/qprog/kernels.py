@@ -31,9 +31,8 @@ import math
 
 import numpy as np
 
-from .field import FieldCtx, per_field
+from .field import FieldCtx, per_field, row_blocks
 from .characters import (
-    ROW_BLOCK_CELLS,
     additive_char_table,
     fourier_inverse_rows,
     gauss_sum,
@@ -194,14 +193,12 @@ def _twist(ctx: FieldCtx, c: int, Y: np.ndarray) -> np.ndarray:
 def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
     """Closed form vs literal average on every (a, b) pair, in blocks of rows b."""
     codes = ctx.elements()
-    step = max(1, ROW_BLOCK_CELLS // ctx.q)
 
     def blocks():
-        for b0 in range(0, ctx.q, step):
-            bs = codes[b0 : b0 + step]
-            closed = _quad_kernel(ctx, codes[None, :], bs[:, None])  # rows b, columns a
-            err = np.abs(closed - quad_kernel_rows_brute(ctx, bs))
-            yield err, lambda i, a, b0=b0: f"(a={a}, b={b0 + i})"
+        for b in row_blocks(ctx.q, ctx.q):
+            closed = _quad_kernel(ctx, codes[None, :], codes[b, None])  # rows b, columns a
+            err = np.abs(closed - quad_kernel_rows_brute(ctx, codes[b]))
+            yield err, lambda i, a, b0=b.start: f"(a={a}, b={b0 + i})"
 
     return stacked_error_check("quad-kernel-equivalence", blocks(), TOLERANCE_ABS)
 

@@ -69,9 +69,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, row_blocks
 from .characters import _PAIR_BATCH, ComplexFn, fourier, fourier_inverse_rows, random_fn
-from .kernels import ROW_BLOCK_CELLS, _quad_columns, _quad_kernel, _quad_phases, twisted_prefactor
+from .kernels import _quad_columns, _quad_kernel, _quad_phases, twisted_prefactor
 from .reporting import CheckResult, error_check
 from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
 
@@ -95,11 +95,11 @@ def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
     1.. of a buffer whose row 0 holds its running sum, and one sum over axis 0
     adds them row after row: in y order, so the sum is the per-y loop's."""
     acc = np.zeros(v1.shape, dtype=complex)
-    step = min(ctx.q, max(1, ROW_BLOCK_CELLS // ctx.q))
-    buf = np.empty((step + 1, ctx.q), dtype=complex)
-    other = np.empty((step, ctx.q), dtype=complex)
-    for y0 in range(0, ctx.q, step):
-        at1, at2 = ctx.add_rows(s1[y0 : y0 + step]), ctx.add_rows(s2[y0 : y0 + step])
+    buf = other = None
+    for y in row_blocks(ctx.q, ctx.q):
+        at1, at2 = ctx.add_rows(s1[y]), ctx.add_rows(s2[y])
+        if buf is None:  # the first block is the largest
+            buf, other = (np.empty((len(at1) + j, ctx.q), dtype=complex) for j in (1, 0))
         rows, second = buf[: len(at1) + 1], other[: len(at1)]
         for i in range(len(acc)):  # gathers into the buffers ("clip": "raise" buffers out)
             v1[i].take(at1, out=rows[1:], mode="clip")
@@ -112,19 +112,23 @@ def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
     return acc
 
 
+_AVERAGE_BLOCK_CELLS = 1 << 15  # cells per block of rows u: one-row products are slower
+
+
 def _averages(pairs) -> np.ndarray:
     """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for the pair i;
     a block's index rows (``square_rows``, column j at x = -j) serve all the pairs."""
     ctx = _common_field(pairs)
     v1 = np.array([f1.values for f1, _ in pairs])
     acc = np.zeros(v1.shape, dtype=complex)
-    step = min(ctx.q, 2 * ROW_BLOCK_CELLS // ctx.q)  # 2^15 cells: one-row products are slower
-    index, gathered = np.empty((step, ctx.q), dtype=np.intp), np.empty((step, ctx.q), dtype=complex)
-    for u0 in range(0, ctx.q, step):
-        us = np.arange(u0, min(u0 + step, ctx.q))
+    index = gathered = None
+    for u in row_blocks(ctx.q, ctx.q, _AVERAGE_BLOCK_CELLS):
+        us = np.arange(u.start, u.stop)
+        if index is None:  # the first block is the largest
+            index, gathered = (np.empty((len(us), ctx.q), dtype=t) for t in (np.intp, complex))
         at, rows = ctx.square_rows(us, out=index[: len(us)]), gathered[: len(us)]
         for i, (_, f2) in enumerate(pairs):
-            acc[i] += v1[i, u0 : u0 + len(us)] @ f2.values.take(at, out=rows, mode="clip")
+            acc[i] += v1[i, u] @ f2.values.take(at, out=rows, mode="clip")
     return acc.take(ctx.neg_table, axis=1) / ctx.q
 
 
@@ -144,15 +148,16 @@ def _coefficient_rows(pairs):
     ns = ctx.neg_table  # n at every column j
     prefactor, log_col = _quad_columns(ctx, ns)
     spectra = [(fourier(f1).values, fourier(f2).values[ns] * prefactor) for f1, f2 in pairs]
-    step = min(ctx.q, max(1, ROW_BLOCK_CELLS // ctx.q))
-    gathered = np.empty((step, ctx.q), dtype=complex)
-    for m0 in range(0, ctx.q, step):
-        a = ctx.add_rows(np.arange(m0, min(m0 + step, ctx.q)))  # m - n
+    gathered = None
+    for m in row_blocks(ctx.q, ctx.q):
+        a = ctx.add_rows(np.arange(m.start, m.stop))  # m - n
+        if gathered is None:  # the first block is the largest
+            gathered = np.empty(a.shape, dtype=complex)
         phases = _quad_phases(ctx, a, log_col)
         for i, (fh1, weight) in enumerate(spectra):
             rows = fh1.take(a, out=gathered[: len(a)], mode="clip")
             rows *= phases
-            yield i, m0, rows, weight
+            yield i, m.start, rows, weight
 
 
 def _deviation_coeffs(pairs) -> np.ndarray:
@@ -247,9 +252,6 @@ def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     ctx = _common_field(pairs)
     sums = np.empty((len(pairs), ctx.q), dtype=complex)
     power = np.zeros((len(pairs), ctx.q))
-    # freeing a 4 MiB block raises glibc's mmap threshold over the FFT's per-row scratch and
-    # the batches (mallopt(3)); at q = 9973 these were fresh mappings: 1.6 M faults, not 15 K
-    np.empty(1 << 22, np.uint8)
     # a block's sums are taken as it is drawn, before the next block reuses its buffer
     blocks = ((i, rows * weight, np.matmul(rows, weight, out=sums[i, m0 : m0 + len(rows)]))
               for i, pair in enumerate(pairs) for _, m0, rows, weight in _coefficient_rows([pair]))
@@ -493,9 +495,8 @@ def count_progressions(ctx: FieldCtx, members) -> tuple[int, tuple[int, int] | N
     n = len(codes)
     count = 0
     witness: tuple[int, int] | None = None
-    rows = max(1, _PAIR_BLOCK // max(n, 1))
-    for i0 in range(0, n, rows):
-        x = codes[i0 : i0 + rows, None]
+    for i in row_blocks(n, n, _PAIR_BLOCK):
+        x = codes[i, None]
         y = ctx.sub_vec(codes[None, :], x)
         hit = (y != 0) & mask[ctx.add_vec(x, ctx.sq_vec(y))]
         count += int(hit.sum())

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import FieldCtx, per_field
+from .field import FieldCtx, per_field, row_blocks
 from .characters import fourier_inverse_rows, phase_table, quadratic_char_table, unit_root_powers
 from .kernels import _ratio_parts, ratio_kernel_table, twisted_prefactor
 from .reporting import CheckResult, error_check
@@ -77,11 +77,9 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray, cells: int):
-    """Yield (i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))) for blocks of
-    k = max(1, cells // q) weight rows, in order."""
-    k = max(1, cells // ctx.q)
-    for i0 in range(0, len(rows), k):
-        yield i0, _char_sums(terms(ctx, rows[i0 : i0 + k]))
+    """Yield (i.start, _char_sums(terms(ctx, rows[i]))) for the row_blocks i of ``rows``."""
+    for i in row_blocks(len(rows), ctx.q, cells):
+        yield i.start, _char_sums(terms(ctx, rows[i]))
 
 
 def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> np.ndarray:
@@ -166,9 +164,7 @@ def _orbit_grid(ctx: FieldCtx, orbits: Orbits, reps: np.ndarray, rep_grid: np.nd
     mults = np.where(orbits.neg[lams], n - pj, pj)
     grid = np.empty((n, n))
     t = np.arange(n)[:, None]
-    step = max(1, _BLOCK_CELLS // ctx.q)
-    for c0 in range(0, n, step):
-        cs = slice(c0, c0 + step)
+    for cs in row_blocks(n, ctx.q, _BLOCK_CELLS):
         grid[:, cs] = rep_grid[t * mults[cs] % n, col[cs]]
     return grid
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qprog import kernels
+from qprog import field, kernels
 from qprog.field import get_field
 from qprog.characters import additive_char_table, gauss_sum, quadratic_char_table
 from qprog.kernels import (
@@ -64,16 +64,19 @@ def test_quad_kernel_check_names_the_first_bad_cell(monkeypatch):
     """The first failing cell in (b, a) order, not the worst one (nor the
     first in (a, b) order), named across blocks of two rows b."""
     brute = kernels.quad_kernel_rows_brute
+    blocks = []
 
     def perturbed(ctx, bs):
+        blocks.append(bs.tolist())
         rows = brute(ctx, bs)
         rows[bs == 3, 2] += 1e-3
         rows[bs == 4, 1] += 1.0
         return rows
 
     monkeypatch.setattr(kernels, "quad_kernel_rows_brute", perturbed)
-    monkeypatch.setattr(kernels, "ROW_BLOCK_CELLS", 10)  # rows b in {0, 1}, {2, 3}, {4}
+    monkeypatch.setattr(field, "ROW_BLOCK_CELLS", 10)
     res = quad_kernel_check(get_field(5, 1))
+    assert blocks == [[0, 1], [2, 3], [4]]
     assert not res.passed
     assert res.cases == 25
     assert res.first_failure.startswith("(a=2, b=3) err=1.000e-03")

@@ -118,6 +118,18 @@ def test_averages_on_a_batch_match_one_pair_at_a_time(q, k):
         assert np.array_equal(row, operators._averages([pair])[0])
 
 
+@pytest.mark.parametrize("q", [7, 27])
+def test_averages_take_one_row_when_a_row_exceeds_the_budget(q, monkeypatch):
+    """A budget under one row of q cells (the default's case above q = 2^15)
+    still takes one row u a block, to the default budget's averages."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    default = operators._averages(pairs)
+    monkeypatch.setattr(operators, "_AVERAGE_BLOCK_CELLS", q - 1)
+    assert np.abs(operators._averages(pairs) - default).max() <= 1e-12 * np.abs(default).max()
+
+
 @pytest.mark.parametrize("q, k", [(27, 9), (243, 9), (2187, 9), (9973, 2)])
 def test_shifted_products_on_a_batch_match_per_y_oracle(q, k):
     """k pairs through one pass, the index rows of each block of y shared
@@ -450,11 +462,19 @@ def test_slice_norms_from_mixed_sums_match_ratio_sum_route(q):
 def test_slice_norms_across_blocks_match_ratio_sum_route(q, rows_per_block, monkeypatch):
     """Blocks of one and of three h: each block's prefactor and norms land at
     its own offset, against the ratio-sum route and the bisection."""
-    monkeypatch.setattr(operators, "_SLICE_BLOCK_CELLS", rows_per_block * q)
     ctx = field_for(q)
     hs = ctx.units()
     old = slice_norms_by_ratio_sums(ctx, hs)
+    blocks, mixed = [], operators._mixed_terms
+
+    def counted(ctx, lams):
+        blocks.append(len(lams))
+        return mixed(ctx, lams)
+
+    monkeypatch.setattr(operators, "_mixed_terms", counted)
+    monkeypatch.setattr(operators, "_SLICE_BLOCK_CELLS", rows_per_block * q)
     assert np.all(np.abs(operators._slice_norms(ctx, hs) - old) <= 1e-12 * old)
+    assert blocks[:-1] == [rows_per_block] * (len(blocks) - 1) and 0 < blocks[-1] <= rows_per_block
 
 
 @pytest.mark.parametrize("q", Q_FULL + [125, 243, 2187])
