@@ -62,9 +62,10 @@ import numpy as np
 DESK_CAP = 10_000
 
 # cells in one block of rows by default: fourier_checks' orthogonality sums and
-# trial batches, the kernel rows, the deviation's coefficient rows, its adjoints'
-# rows of y and the plane search.  int64 temporaries under 128 KiB are reused, not
-# fresh pages: at q = 2187 (2 vCPU) a coefficient call took 0.04-0.06 s, 0.12 s in 2^16 cells
+# trial batches, the kernel rows, the deviation's coefficient rows (which its
+# f2-side adjoint reads too) and the plane search.  int64 temporaries under
+# 128 KiB are reused, not fresh pages: at q = 2187 (2 vCPU) a coefficient call
+# took 0.04-0.06 s, 0.12 s in 2^16 cells
 ROW_BLOCK_CELLS = 1 << 14
 
 # freeing one 4 MiB block raises glibc's mmap threshold (mallopt(3)) over every
@@ -308,12 +309,6 @@ class FieldCtx:
         self.trace_table = tr
 
     # -- scalar arithmetic ----------------------------------------------------
-
-    def check_element(self, a: int) -> int:
-        a = int(a)
-        if not 0 <= a < self.q:
-            raise ValueError(f"element code {a} out of range for q={self.q}")
-        return a
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_vec(a, b))

@@ -5,11 +5,11 @@ conventions explicitly):
 
 * ``averaging_apply`` returns the physical-side average
   (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It
-  sums over u = x + y, per block of u one gather at ``FieldCtx.square_rows``
-  and one BLAS product a pair; the deviation's two adjoints gather at the rows
-  x + s(y) of ``FieldCtx.add_rows``.  A block's index rows serve a batch of
-  pairs, so ``alternating_max_ratio`` steps 8 starts in lock step, in q^2
-  work per start and O(8q) memory, and ``deviation_scan`` takes 8 pairs a pass.
+  sums over u = x + y, per block of u one gather at ``FieldCtx.square_rows`` and
+  one BLAS product a pair, as the f1-side adjoint of the deviation does; its
+  f2-side adjoint sums the coefficient rows below down their columns.  Index
+  rows serve a batch of pairs: ``alternating_max_ratio`` steps 8 starts in lock
+  step (q^2 work per start, O(8q) memory), ``deviation_scan`` 8 pairs a pass.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -88,47 +88,31 @@ def _common_field(pairs) -> FieldCtx:
     return ctx
 
 
-def _shifted_products(ctx: FieldCtx, v1, s1, v2, s2) -> np.ndarray:
-    """sum_y v1[i, x + s1[y]] v2[i, x + s2[y]] for every row i of the (k, q)
-    stacks and every x (q^2 work per row).  Each block of y gathers its index
-    rows through ``add_rows`` once for all rows i.  Row i's products fill rows
-    1.. of a buffer whose row 0 holds its running sum, and one sum over axis 0
-    adds them row after row: in y order, so the sum is the per-y loop's."""
-    acc = np.zeros(v1.shape, dtype=complex)
-    buf = other = None
-    for y in row_blocks(ctx.q, ctx.q):
-        at1, at2 = ctx.add_rows(s1[y]), ctx.add_rows(s2[y])
-        if buf is None:  # the first block is the largest
-            buf, other = (np.empty((len(at1) + j, ctx.q), dtype=complex) for j in (1, 0))
-        rows, second = buf[: len(at1) + 1], other[: len(at1)]
-        for i in range(len(acc)):  # gathers into the buffers ("clip": "raise" buffers out)
-            v1[i].take(at1, out=rows[1:], mode="clip")
-            rows[1:] *= v2[i].take(at2, out=second, mode="clip")
-            if len(rows) == 2:  # one y a block (q > 2^13): the same sum, without the copy
-                acc[i] += rows[1]
-            else:
-                rows[0] = acc[i]
-                rows.sum(axis=0, out=acc[i])
-    return acc
-
-
 _AVERAGE_BLOCK_CELLS = 1 << 15  # cells per block of rows u: one-row products are slower
 
 
-def _averages(pairs) -> np.ndarray:
-    """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for the pair i;
-    a block's index rows (``square_rows``, column j at x = -j) serve all the pairs."""
-    ctx = _common_field(pairs)
-    v1 = np.array([f1.values for f1, _ in pairs])
-    acc = np.zeros(v1.shape, dtype=complex)
+def _square_gathers(ctx: FieldCtx, values):
+    """Yield (i, u, rows), rows[r, j] = values[i]((u.start + r + j)^2 - j), the
+    value at x + (u - x)^2 for x = -j: blocks of u in order, each gathered at one
+    ``square_rows`` block for every row i in turn, into a buffer the next reuses."""
     index = gathered = None
     for u in row_blocks(ctx.q, ctx.q, _AVERAGE_BLOCK_CELLS):
         us = np.arange(u.start, u.stop)
         if index is None:  # the first block is the largest
             index, gathered = (np.empty((len(us), ctx.q), dtype=t) for t in (np.intp, complex))
         at, rows = ctx.square_rows(us, out=index[: len(us)]), gathered[: len(us)]
-        for i, (_, f2) in enumerate(pairs):
-            acc[i] += v1[i, u] @ f2.values.take(at, out=rows, mode="clip")
+        for i, v in enumerate(values):
+            yield i, u, v.take(at, out=rows, mode="clip")
+
+
+def _averages(pairs) -> np.ndarray:
+    """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for the pair i;
+    a block's index rows (column j at x = -j) serve all the pairs."""
+    ctx = _common_field(pairs)
+    v1 = np.array([f1.values for f1, _ in pairs])
+    acc = np.zeros(v1.shape, dtype=complex)
+    for i, u, rows in _square_gathers(ctx, [f2.values for _, f2 in pairs]):
+        acc[i] += v1[i, u] @ rows
     return acc.take(ctx.neg_table, axis=1) / ctx.q
 
 
@@ -137,35 +121,41 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     return ComplexFn(f1.ctx, _averages([(f1, f2)])[0])
 
 
-def _coefficient_rows(pairs):
-    """Yield (i, m0, rows, weight): the deviation's coefficient rows c(m, n) =
-    fhat1(m-n) fhat2(n) K(m-n, n) of the pair i are rows * weight, in blocks of
-    consecutive m from m = m0, each block for every pair in turn, with reflected
-    columns: column j holds n = -j, so m - n = m + j is one row of ``add_rows``.
-    ``rows`` (fhat1(m-n) times K's phase, built once a block for all pairs) is a
-    buffer the next block overwrites; ``weight``, fhat2(n) times K's prefactor, is 0 at n = 0."""
-    ctx = _common_field(pairs)
-    ns = ctx.neg_table  # n at every column j
-    prefactor, log_col = _quad_columns(ctx, ns)
-    spectra = [(fourier(f1).values, fourier(f2).values[ns] * prefactor) for f1, f2 in pairs]
+def _coefficient_rows(ctx: FieldCtx, fhat1s):
+    """Yield (i, m0, rows): rows[r, j] = fhat1s[i](m-n) times K's phase at (m-n, n),
+    m = m0 + r, with reflected columns (n = -j at column j, so m - n = m + j is one
+    row of ``add_rows``), in blocks of m, each for every i in turn; the phases are
+    built once a block.  Times the column weights of ``_spectra`` they are the
+    rows c(m, n); ``rows`` is a buffer the next block overwrites."""
+    log_col = _quad_columns(ctx, ctx.neg_table)[1]
     gathered = None
     for m in row_blocks(ctx.q, ctx.q):
         a = ctx.add_rows(np.arange(m.start, m.stop))  # m - n
         if gathered is None:  # the first block is the largest
             gathered = np.empty(a.shape, dtype=complex)
         phases = _quad_phases(ctx, a, log_col)
-        for i, (fh1, weight) in enumerate(spectra):
+        for i, fh1 in enumerate(fhat1s):
             rows = fh1.take(a, out=gathered[: len(a)], mode="clip")
             rows *= phases
-            yield i, m.start, rows, weight
+            yield i, m.start, rows
+
+
+def _spectra(pairs):
+    """(ctx, fhat1s, weights): each pair's fhat1, and its column weight at
+    column j (n = -j), fhat2(n) times K's prefactor, which is 0 at n = 0."""
+    ctx = _common_field(pairs)
+    prefactor = _quad_columns(ctx, ctx.neg_table)[0]
+    return (ctx, [fourier(f1).values for f1, _ in pairs],
+            [fourier(f2).values[ctx.neg_table] * prefactor for _, f2 in pairs])
 
 
 def _deviation_coeffs(pairs) -> np.ndarray:
     """The coefficients of A(f1,f2) - E[f1] E[f2], row i for the pair i: the
     row sums over n != 0, each block's as one matrix-vector product."""
-    coeffs = np.empty((len(pairs), pairs[0][0].ctx.q), dtype=complex)
-    for i, m0, rows, weight in _coefficient_rows(pairs):
-        np.matmul(rows, weight, out=coeffs[i, m0 : m0 + len(rows)])
+    ctx, fhat1s, weights = _spectra(pairs)
+    coeffs = np.empty((len(pairs), ctx.q), dtype=complex)
+    for i, m0, rows in _coefficient_rows(ctx, fhat1s):
+        np.matmul(rows, weights[i], out=coeffs[i, m0 : m0 + len(rows)])
     return coeffs
 
 
@@ -249,12 +239,13 @@ def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     power is added block by block, and the last inverse transform runs once
     on the stack of powers.
     """
-    ctx = _common_field(pairs)
+    ctx, fhat1s, weights = _spectra(pairs)
     sums = np.empty((len(pairs), ctx.q), dtype=complex)
     power = np.zeros((len(pairs), ctx.q))
     # a block's sums are taken as it is drawn, before the next block reuses its buffer
-    blocks = ((i, rows * weight, np.matmul(rows, weight, out=sums[i, m0 : m0 + len(rows)]))
-              for i, pair in enumerate(pairs) for _, m0, rows, weight in _coefficient_rows([pair]))
+    blocks = ((i, rows * w, np.matmul(rows, w, out=sums[i, m0 : m0 + len(rows)]))
+              for i, (fh1, w) in enumerate(zip(fhat1s, weights))
+              for _, m0, rows in _coefficient_rows(ctx, [fh1]))
     while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
         sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([c for _, c, _ in batch]))) ** 2
         r0 = 0
@@ -610,19 +601,23 @@ ALTERNATING_STARTS = 32
 
 
 def _side_images(ctx: FieldCtx, g: np.ndarray, pairs, side: int) -> np.ndarray:
-    """Row i: u with sum_x conj(g[i](x)) D(x) = sum_a u(a) pairs[i][side](a), D
-    the pair's deviation:
-    (1/q) sum_y conj(g)(a-y) f2(a-y+y^2) - E f2 sum conj(g)/q for f1, and
-    (1/q) sum_y conj(g)(a-y^2) f1(a-y^2+y) - E f1 sum conj(g)/q for f2."""
-    codes = ctx.elements()  # f1 sits at x + y and f2 at x + y^2 in A(f1,f2)(x)
-    own, their = (codes, ctx.sq_vec(codes)) if side == 0 else (ctx.sq_vec(codes), codes)
-    g_bar = np.conj(g)
-    others = [pair[1 - side] for pair in pairs]
-    sums = _shifted_products(ctx, g_bar, ctx.neg_vec(own),
-                             np.array([f.values for f in others]), ctx.sub_vec(their, own))
-    for row, gb, other in zip(sums, g_bar, others):
-        row -= other.mean() * gb.sum()
-    return sums / ctx.q
+    """Row i: u with sum_x conj(g[i](x)) D(x) = sum_a u(a) pairs[i][side](a), D the
+    pair's deviation, by one gather and one BLAS product per block and pair.  For
+    f1, u(a) = (1/q) sum_x conj(g)(x) (f2 - E f2)(x + (a-x)^2) over ``square_rows``;
+    for f2, u is the transform of w(n) = q prefactor(n) sum_m conj(ghat(m)) fhat1(m-n)
+    phase(m-n, n), n != 0 (K = prefactor times phase): the coefficient rows' column sums."""
+    out = np.zeros(g.shape, dtype=complex)
+    if side == 0:
+        g_bar = np.conj(g).take(ctx.neg_table, axis=1)  # at x = -j
+        centred = [f2.values - f2.mean() for _, f2 in pairs]  # f2 = 1 + i gives exact zeros
+        for i, a, rows in _square_gathers(ctx, centred):
+            np.matmul(rows, g_bar[i], out=out[i, a])
+        return out / ctx.q
+    g_hat = np.conj(fourier(ComplexFn(ctx, g)).values)
+    for i, m0, rows in _coefficient_rows(ctx, [fourier(f1).values for f1, _ in pairs]):
+        out[i] += np.dot(g_hat[i, m0 : m0 + len(rows)], rows)  # half of @'s time on one row
+    # n = -j at column j, so the transform of w is the inverse transform of w / q
+    return fourier_inverse_rows(ctx, out * _quad_columns(ctx, ctx.neg_table)[0])
 
 
 def alternating_max_ratio(

@@ -17,13 +17,15 @@ the other, and each half-step takes that matrix's top singular pair.  The
 package runs the same alternation matrix-free, through the adjoint of the
 trilinear form.
 
+``side_image_per_y`` sums each side image of the deviation one y at a time,
+over the rows x + s(y).  The package sums the f1 side over the square rows
+and the f2 side down the columns of the coefficient rows, by BLAS products.
+
 ``alternating_max_ratio_per_start`` is that matrix-free alternation one start
 at a time, each start drawn just before it runs, with the one-pair
-``averaging_apply`` and the side images summed one y at a time
-(``side_image_per_y``).  The package draws the same starts in the same order
-and steps them in lock step, a batch at a time: each pair's average is its
-one-pair average bit for bit, and the side images are the same sums in the
-same y order.
+``averaging_apply`` and ``_side_images``.  The package draws the same starts
+in the same order and steps them in lock step, a batch at a time: each
+pair's average and side image are its one-pair ones bit for bit.
 
 ``deviation_per_trial_by_pair`` is the random scan's per-trial record with
 one ``deviation_norm`` call per pair; the package takes the norms in batches.
@@ -49,7 +51,13 @@ from qprog.characters import (
     random_fn,
 )
 from qprog.field import FieldCtx, sqrt_pairs
-from qprog.operators import _coefficient_pass, averaging_apply, averaging_apply_fourier, deviation_norm
+from qprog.operators import (
+    _coefficient_pass,
+    _side_images,
+    averaging_apply,
+    averaging_apply_fourier,
+    deviation_norm,
+)
 from qprog.reporting import CheckResult, error_check
 
 
@@ -158,7 +166,7 @@ def alternating_max_ratio_per_start(
             best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
             if not dev.values.any():
                 break
-            u = side_image_per_y(ctx, dev.values, pair, step % 2)
+            u = _side_images(ctx, dev.values[None], [pair], step % 2)[0]
             norm = np.linalg.norm(u)
             if not norm:
                 break

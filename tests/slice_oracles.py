@@ -33,7 +33,7 @@ from kernel_oracles import quad_kernel_table
 
 def sliced_operator_matrix(ctx: FieldCtx, h: int) -> np.ndarray:
     """Matrix of K(u, v) conj(K(u-h, v+h)) with columns v in {0, -h} zeroed."""
-    h = ctx.check_element(h)
+    h = int(h)
     Kt = quad_kernel_table(ctx)
     codes = ctx.elements()
     rows = ctx.sub_vec(codes, h)
@@ -46,7 +46,7 @@ def sliced_operator_matrix(ctx: FieldCtx, h: int) -> np.ndarray:
 
 def sliced_operator_apply(ctx: FieldCtx, h: int, G: ComplexFn) -> ComplexFn:
     """T_h G at u: sum over v outside {0, -h} of G(v) K(u,v) conj(K(u-h, v+h))."""
-    h = ctx.check_element(h)
+    h = int(h)
     if h == 0:
         raise ValueError("T_h is defined for h != 0 only")
     return ComplexFn(ctx, sliced_operator_matrix(ctx, h) @ G.values)

@@ -36,11 +36,10 @@ def _pairs(ctx, k=3):
     return [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(k)]
 
 
-def _shifted_products(ctx):
-    rng = np.random.default_rng(ctx.q)
-    v1, v2 = (rng.standard_normal((2, ctx.q)) + 1j * rng.standard_normal((2, ctx.q)) for _ in "12")
-    codes = ctx.elements()
-    return [operators._shifted_products(ctx, v1, ctx.neg_vec(codes), v2, ctx.sq_vec(codes))]
+def _side_images(ctx, side):
+    rng = np.random.default_rng(ctx.q + 1)
+    g = rng.standard_normal((3, ctx.q)) + 1j * rng.standard_normal((3, ctx.q))
+    return [operators._side_images(ctx, g, _pairs(ctx), side)]
 
 
 def _fourier_checks(ctx):
@@ -91,7 +90,6 @@ def _plane_search(ctx):
 
 
 EXACT = {
-    "shifted-products": _shifted_products,
     "fourier-checks": _fourier_checks,
     "weil-rows": _weil_scan,
     "quad-kernel-check": _quad_kernel_check,
@@ -102,6 +100,8 @@ ROUNDED = {
     "averages": lambda ctx: [operators._averages(_pairs(ctx))],
     "coefficient-pass": lambda ctx: list(operators._coefficient_pass(_pairs(ctx))),
     "slice-norms": lambda ctx: [operators._slice_norms(ctx, ctx.units())],
+    "f1-side-images": lambda ctx: _side_images(ctx, 0),
+    "f2-side-images": lambda ctx: _side_images(ctx, 1),
 }
 
 

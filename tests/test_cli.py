@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -92,6 +93,25 @@ def test_scan_weil_writes_reports_and_csv(tmp_path):
     csv_text = (tmp_path / "scan-weil-5-1.csv").read_text().splitlines()
     assert csv_text[0] == "q,t,lambda,abs_sum,ratio"
     assert len(csv_text) == 1 + (5 - 1) ** 2
+
+
+def test_scan_weil_csv_rows_are_not_held_at_once(tmp_path, monkeypatch):
+    """At q = 729 a list of the (q-1)^2 CSV rows takes about 70 MB; the rows
+    reach ``write_csv`` one at a time, next to a 4.2 MB grid (the field's
+    tables are built before tracing starts).  The writer here only counts
+    the rows, so that the trace times no float formatting."""
+    counted = []
+    monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: counted.append(sum(1 for _ in rows)))
+    argv = ["scan", "weil", "--q-list", "729", "--format", "csv", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == [728**2] * 2
+    assert peak < 25e6, peak
 
 
 def test_scan_and_verify_weil_report_the_orbit_rows(tmp_path):
@@ -252,6 +272,16 @@ def test_verify_parallel_jobs_matches_serial(tmp_path):
         a = _scrub(json.loads((serial / name).read_text()))
         b = _scrub(json.loads((parallel / name).read_text()))
         assert a == b
+
+
+def test_scan_parallel_jobs_write_the_serial_csv(tmp_path):
+    """--jobs workers write their own CSVs, whose rows are made one at a time."""
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    for d, jobs in ((serial, "1"), (parallel, "2")):
+        assert main(["scan", "weil", "--q-list", "5,7", "--format", "csv", "--jobs", jobs,
+                     "--out", str(d)]) == 0
+    for name in ("scan-weil-5-1.csv", "scan-weil-7-1.csv"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
 def test_verify_operators_at_q3(tmp_path):

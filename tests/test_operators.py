@@ -14,7 +14,6 @@ from qprog.weil import weil_orbits, weil_scan
 from qprog.operators import (
     _coefficient_pass,
     _deviation_coeffs,
-    _shifted_products,
     _side_images,
     _slice_norms,
     alternating_max_ratio,
@@ -36,6 +35,7 @@ from averaging_oracles import (
     averaging_checks_per_trial,
     coefficient_rows_by_code,
     deviation_per_trial_by_pair,
+    side_image_per_y,
 )
 from conftest import Q_FULL, field_for
 from kernel_oracles import kernel_coeffs_table, quad_kernel_table_brute
@@ -130,21 +130,6 @@ def test_averages_take_one_row_when_a_row_exceeds_the_budget(q, monkeypatch):
     assert np.abs(operators._averages(pairs) - default).max() <= 1e-12 * np.abs(default).max()
 
 
-@pytest.mark.parametrize("q, k", [(27, 9), (243, 9), (2187, 9), (9973, 2)])
-def test_shifted_products_on_a_batch_match_per_y_oracle(q, k):
-    """k pairs through one pass, the index rows of each block of y shared
-    (seven rows a block at 2187, one at 9973): each pair's average is the
-    per-y sum exactly."""
-    ctx = field_for(q)
-    rng = np.random.default_rng(q)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(k)]
-    codes = ctx.elements()
-    sums = _shifted_products(ctx, np.array([f1.values for f1, _ in pairs]), codes,
-                             np.array([f2.values for _, f2 in pairs]), ctx.sq_vec(codes))
-    for (f1, f2), row in zip(pairs, sums):
-        assert np.array_equal(row / q, averaging_apply_per_y(f1, f2).values)
-
-
 def test_averaging_apply_holds_no_square_array():
     """At q = 2187 a q x q complex array takes 76 MB; the blocks of u stay far
     below (the field's tables are built before tracing starts)."""
@@ -171,7 +156,8 @@ def test_coefficient_rows_are_the_code_order_rows_reflected(q):
     pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
 
     def blocks(pairs):  # each block's coefficient rows, copied out of the reused buffer
-        return [(i, m0, rows * weight) for i, m0, rows, weight in operators._coefficient_rows(pairs)]
+        _, fhat1s, weights = operators._spectra(pairs)
+        return [(i, m0, rows * weights[i]) for i, m0, rows in operators._coefficient_rows(ctx, fhat1s)]
 
     batch = blocks(pairs)
     assert [i for i, _, _ in batch] == [0, 1, 2] * (len(batch) // 3)  # each block, pair by pair
@@ -801,10 +787,25 @@ def test_alternating_lock_step_drops_vanishing_starts():
     assert alt == alternating_max_ratio_per_start(ctx, PartlyConstantRng(), starts=11, rounds=10)
 
 
-@pytest.mark.parametrize("q", Q_FULL + [125, 243])
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 2187])
+def test_side_images_match_per_y_oracle(q):
+    """Both side images of a batch of two, through the square rows and the
+    coefficient rows, against the sums taken one y at a time."""
+    ctx = field_for(q)
+    rng = np.random.default_rng(q)
+    pairs = [[random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(2)]
+    g = np.array([random_fn(ctx, rng).values for _ in pairs])
+    for side in (0, 1):
+        for image, gi, pair in zip(_side_images(ctx, g, pairs, side), g, pairs):
+            expected = side_image_per_y(ctx, gi, pair, side)
+            assert np.abs(image - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 9409])
 def test_side_images_are_the_adjoints(q):
     """sum conj(g) D(f1,f2) = sum u1 f1 = sum u2 f2, D the deviation and u the
-    two side images of g, for an arbitrary g, per pair of a batch of two."""
+    two side images of g, for an arbitrary g, per pair of a batch of two (at
+    9409 each coefficient block is one row)."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     pairs = [[random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(2)]
@@ -886,7 +887,7 @@ def test_alternating_drops_a_start_whose_image_vanishes():
 
 def test_alternating_holds_no_square_array():
     """At q = 729 a q x q complex array takes 8.1 MB; every step gathers in
-    blocks of y (the first call fills the per-field tables)."""
+    blocks of rows (the first call fills the per-field tables)."""
     ctx = get_field(3, 6)
     alternating_max_ratio(ctx, np.random.default_rng(1), starts=1, rounds=1)
     tracemalloc.start()
