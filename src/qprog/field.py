@@ -50,7 +50,7 @@ import numpy as np
 #   averaging_apply, deviation_norm (a BLAS product per block)      q^2
 #   deviation_scan (8 pairs a pass share index rows and K phases)   q^2 per pair
 #   alternating_max_ratio (4 x rounds steps, 8 starts in lock step) q^2 per step and start
-#   averaging_checks (8 pairs a pass, FFT per row)                  q^2 log q per pair
+#   averaging_checks (8 pairs a pass, FFT per block of rows)        q^2 log q per pair
 #   quad_kernel_check (rows of K, FFT per row)                      q^2 log q
 #   substitution_check, ratio_sum_check (FFT grids)                 q^2 log q
 #   weil_scan (one FFT row per orbit of lambda, >= (q-1)/2s rows)   q^2 log q / s
@@ -62,10 +62,11 @@ import numpy as np
 DESK_CAP = 10_000
 
 # cells in one block of rows by default: fourier_checks' orthogonality sums and
-# trial batches, the kernel rows, the deviation's coefficient rows (which its
-# f2-side adjoint reads too) and the plane search.  int64 temporaries under
-# 128 KiB are reused, not fresh pages: at q = 2187 (2 vCPU) a coefficient call
-# took 0.04-0.06 s, 0.12 s in 2^16 cells
+# trial batches, the kernel rows, the deviation's coefficient rows (at least 8
+# rows; its f2-side adjoint and the slice pass read them too) and the plane
+# search.  It bounds the memory of the matrix-free passes: at q = 729 one
+# alternating start peaked at 1.1 MB traced, 4.3 MB in 2^16 cells, while 8
+# pairs' coefficients at q = 2187 (2 vCPU) took 0.12-0.19 s in either
 ROW_BLOCK_CELLS = 1 << 14
 
 # freeing one 4 MiB block raises glibc's mmap threshold (mallopt(3)) over every

@@ -29,9 +29,9 @@ prefactor.  Since K(a, 0) is the point mass at a = 0, the row sums are the
 coefficients of A(f1,f2) - E[f1] E[f2].  Slice h of the deviation square is
 the rows' additive autocorrelation at lag -h (lag h in code order): with C_m
 the inverse transform of row m, every slice is the inverse transform of
-sum_m |C_m|^2 over q, read at -h, so all q slices cost O(q^2 log q);
-consecutive blocks of rows share one FFT call.  The suite builds the rows
-once per trial: one pass gives both the row sums and the slices.
+sum_m |C_m|^2 over q, read at -h, so all q slices cost O(q^2 log q), one
+FFT call per block of rows (at least 8 rows).  The suite reads the rows once
+per batch of trials: one pass gives both the row sums and the slices.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
@@ -69,6 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import field
 from .field import FieldCtx, row_blocks
 from .characters import _PAIR_BATCH, ComplexFn, fourier, fourier_inverse_rows, random_fn
 from .kernels import _quad_columns, _quad_kernel, _quad_phases, twisted_prefactor
@@ -121,6 +122,13 @@ def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
     return ComplexFn(f1.ctx, _averages([(f1, f2)])[0])
 
 
+# least rows in a block of ``_coefficient_rows`` (ROW_BLOCK_CELLS alone gives
+# fewer above q = 2048, one above 2^13): each block is one FFT call of the slice
+# pass, and one prime-length call per row is its largest cost; at q = 9973
+# (2 vCPU) a pass took 16.5-18.5 s with 8, 13 or 26 rows per call, 27.7 s with one
+_COEFFICIENT_ROWS = 8
+
+
 def _coefficient_rows(ctx: FieldCtx, fhat1s):
     """Yield (i, m0, rows): rows[r, j] = fhat1s[i](m-n) times K's phase at (m-n, n),
     m = m0 + r, with reflected columns (n = -j at column j, so m - n = m + j is one
@@ -129,7 +137,7 @@ def _coefficient_rows(ctx: FieldCtx, fhat1s):
     rows c(m, n); ``rows`` is a buffer the next block overwrites."""
     log_col = _quad_columns(ctx, ctx.neg_table)[1]
     gathered = None
-    for m in row_blocks(ctx.q, ctx.q):
+    for m in row_blocks(ctx.q, ctx.q, max(field.ROW_BLOCK_CELLS, _COEFFICIENT_ROWS * ctx.q)):
         a = ctx.add_rows(np.arange(m.start, m.stop))  # m - n
         if gathered is None:  # the first block is the largest
             gathered = np.empty(a.shape, dtype=complex)
@@ -211,13 +219,6 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
 # ---------------------------------------------------------------------------
 
 
-# coefficient blocks joined into one FFT call of ``_coefficient_pass`` (at
-# most 2^17 cells): above q = 2^13 a block is one row, and one prime-length
-# FFT call per row was its largest cost; at q = 9973 (2 vCPU) one call took
-# 16.5-18.5 s with 8, 13 or 26 rows per FFT call, 27.7 s with one
-_SLICE_FFT_BLOCKS = 8
-
-
 def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the coefficient rows of every pair, row i for the pair i:
     the row sums of ``_deviation_coeffs``, from the same blocks by the same
@@ -233,25 +234,18 @@ def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     || A(f1,f2) - E[f1] E[f2] ||_2^2 exactly (the averaged norm squared, which
     matches the counting-norm square of the deviation's coefficients).
 
-    The pairs' blocks come pair after pair, each pair's in m order, and
-    ``_SLICE_FFT_BLOCKS`` consecutive blocks share one FFT call, so at
-    q <= 128, where a pair is one block, one call serves 8 pairs.  Each pair's
-    power is added block by block, and the last inverse transform runs once
-    on the stack of powers.
+    Each block of rows comes once for every pair, as in ``_deviation_coeffs``:
+    its sums are taken, the rows scaled by the column weight in place, and the
+    power of their inverse transforms, one FFT call a block, added to the
+    pair's; the last inverse transform runs once on the stack of powers.
     """
     ctx, fhat1s, weights = _spectra(pairs)
     sums = np.empty((len(pairs), ctx.q), dtype=complex)
     power = np.zeros((len(pairs), ctx.q))
-    # a block's sums are taken as it is drawn, before the next block reuses its buffer
-    blocks = ((i, rows * w, np.matmul(rows, w, out=sums[i, m0 : m0 + len(rows)]))
-              for i, (fh1, w) in enumerate(zip(fhat1s, weights))
-              for _, m0, rows in _coefficient_rows(ctx, [fh1]))
-    while batch := list(islice(blocks, _SLICE_FFT_BLOCKS)):
-        sq = np.abs(fourier_inverse_rows(ctx, np.concatenate([c for _, c, _ in batch]))) ** 2
-        r0 = 0
-        for i, c, _ in batch:
-            power[i] += sq[r0 : r0 + len(c)].sum(axis=0)  # block by block, as unbatched
-            r0 += len(c)
+    for i, m0, rows in _coefficient_rows(ctx, fhat1s):
+        np.matmul(rows, weights[i], out=sums[i, m0 : m0 + len(rows)])
+        rows *= weights[i]
+        power[i] += (np.abs(fourier_inverse_rows(ctx, rows)) ** 2).sum(axis=0)
     return sums, fourier_inverse_rows(ctx, power).take(ctx.neg_table, axis=-1) / ctx.q
 
 
@@ -615,7 +609,7 @@ def _side_images(ctx: FieldCtx, g: np.ndarray, pairs, side: int) -> np.ndarray:
         return out / ctx.q
     g_hat = np.conj(fourier(ComplexFn(ctx, g)).values)
     for i, m0, rows in _coefficient_rows(ctx, [fourier(f1).values for f1, _ in pairs]):
-        out[i] += np.dot(g_hat[i, m0 : m0 + len(rows)], rows)  # half of @'s time on one row
+        out[i] += g_hat[i, m0 : m0 + len(rows)] @ rows
     # n = -j at column j, so the transform of w is the inverse transform of w / q
     return fourier_inverse_rows(ctx, out * _quad_columns(ctx, ctx.neg_table)[0])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,7 +101,7 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -16,7 +16,8 @@ from qprog.weil import weil_scan
 from conftest import field_for
 
 BUDGETS = [(field, "ROW_BLOCK_CELLS"), (operators, "_AVERAGE_BLOCK_CELLS"),
-           (operators, "_SLICE_BLOCK_CELLS"), (operators, "_PAIR_BLOCK"), (weil, "_BLOCK_CELLS")]
+           (operators, "_COEFFICIENT_ROWS"), (operators, "_SLICE_BLOCK_CELLS"),
+           (operators, "_PAIR_BLOCK"), (weil, "_BLOCK_CELLS")]
 
 
 def test_row_blocks_cover_the_rows_in_order():

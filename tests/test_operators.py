@@ -8,7 +8,7 @@ import pytest
 
 from qprog.field import build_field, get_field, prime_power
 from qprog.characters import ComplexFn, additive_char_table, random_fn
-from qprog import operators
+from qprog import field, operators
 from qprog.kernels import _quad_kernel, pair_kernel_grid_closed
 from qprog.weil import weil_orbits, weil_scan
 from qprog.operators import (
@@ -172,7 +172,7 @@ def test_coefficient_rows_are_the_code_order_rows_reflected(q):
         assert np.array_equal(rows, alone)
 
 
-@pytest.mark.parametrize("q", [27, 243, 729])
+@pytest.mark.parametrize("q", [27, 243, 729, 2401])
 def test_coefficient_pass_sums_are_the_deviation_coeffs(q):
     """The suite's one pass takes each block's row sums as ``_deviation_coeffs``
     does, one pair at a time where it takes a batch: the same bits."""
@@ -316,19 +316,52 @@ def test_slices_match_dense_loop_oracle(q):
 
 
 @pytest.mark.parametrize("q", [243, 729])
-def test_sliced_square_form_is_exact_under_fft_batching(q, monkeypatch):
-    """Several coefficient blocks per FFT call, some of them across the
-    boundary between two pairs, give each pair's one-pair pass with one
-    block per call bit for bit: each pair's power is still added block by
-    block."""
+def test_sliced_square_form_of_a_batch_is_each_pair_alone(q):
+    """Each pair's sums and slices in a pass over three pairs are its
+    one-pair pass bit for bit: each pair's power is added block by block."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
     sums, slices = _coefficient_pass(pairs)
-    monkeypatch.setattr(operators, "_SLICE_FFT_BLOCKS", 1)
     for i, pair in enumerate(pairs):
         one_sums, one_slices = _coefficient_pass([pair])
         assert np.array_equal(sums[i], one_sums[0]) and np.array_equal(slices[i], one_slices[0])
+
+
+def test_coefficient_pass_holds_no_square_array():
+    """At q = 729 a q x q complex array takes 8.5 MB; the pass transforms its
+    rows a block at a time (the first call fills the per-field tables)."""
+    ctx = get_field(3, 6)
+    rng = np.random.default_rng(1)
+    pair = (random_fn(ctx, rng), random_fn(ctx, rng))
+    _coefficient_pass([pair])
+    tracemalloc.start()
+    try:
+        _coefficient_pass([pair])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+def test_coefficient_rows_come_in_blocks_of_at_least_eight(monkeypatch):
+    """Where ROW_BLOCK_CELLS holds fewer than 8 rows, a pass over three pairs
+    draws one run of blocks, 8 rows each but the last."""
+    ctx = field_for(27)
+    rng = np.random.default_rng(27)
+    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    runs = []
+
+    def spy(n, width, cells=None):
+        runs.append([])
+        for rows in field.row_blocks(n, width, cells):
+            runs[-1].append(rows.stop - rows.start)
+            yield rows
+
+    monkeypatch.setattr(field, "ROW_BLOCK_CELLS", 27)
+    monkeypatch.setattr(operators, "row_blocks", spy)
+    _coefficient_pass(pairs)
+    assert runs == [[8, 8, 8, 3]]
 
 
 @pytest.mark.parametrize("q", [3, 9, 27, 49])
