@@ -78,52 +78,72 @@ def _certify(eset: ElementSet, label: str) -> ElementSet:
 # ---------------------------------------------------------------------------
 
 
-def _addition_blocked(
-    ctx: FieldCtx, mask: np.ndarray, e: int, members: np.ndarray | None = None
-) -> bool:
-    """Would adding e to a progression-free set create a progression?
+# Candidates tested per call of ``_additions_blocked``.  The batch must stay
+# small: early on the set is tiny, so a batch sized to fill a block of cells
+# spans much of the field and is redone after every addition.  Greedy at
+# q = 4999 on a warm field (2 vCPU, certification included) took
+# 0.023/0.020/0.020/0.024/0.035 s with 16/32/64/128/256 candidates a batch,
+# against 0.052 s one candidate at a time and 0.048 s with ROW_BLOCK_CELLS // |A|.
+_GREEDY_BATCH = 32
+
+
+def _additions_blocked(
+    ctx: FieldCtx, mask: np.ndarray, members: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """Would adding e to the set ``mask`` create a progression, for each
+    candidate e outside the set?  One bool per candidate.
 
     The new element must occupy one of the three positions; the other two
     entries are drawn from the set including e itself.  Since y != 0, the
-    entry x or x + y next to e is always a member other than e, so only the
-    members are enumerated (``members`` lists them, e excluded, when the
-    caller keeps them): O(|A|) per candidate, not O(q).  ``mask`` is left
-    as it was.
+    entry x or x + y next to e is always a member (``members`` lists them),
+    so the test runs on the (candidates, members) grid d = e - m, never 0:
+    O(|A|) per candidate, not O(q).  A third entry equal to e counts as a
+    member.  It arises only at d = 1, as (m, m + 1, m + 1), which holds e
+    in the middle and the last position both; the middle case counts it.
     """
-    if members is None:
-        members = np.flatnonzero(mask)
-        members = members[members != e]
-    had = mask[e]
-    mask[e] = True
-    try:
-        d = ctx.sub_vec(e, members)  # never 0
-        d2 = ctx.sq_vec(d)
-        # (e, e + y, e + y^2) with e + y a member (y = -d), or
-        # (x, e, x + y^2) with x a member (y = d)
-        if np.any(mask[ctx.add_vec(e, d2)] | mask[ctx.add_vec(members, d2)]):
-            return True
-        # (x, x + y, e) with x a member and y^2 = d
-        r1, r2 = sqrt_pairs(ctx)
-        roots = np.stack((r1[d], r2[d]))  # -1 where d is not a square
-        usable = roots > 0
-        return bool(np.any(usable & mask[ctx.add_vec(members, np.where(usable, roots, 0))]))
-    finally:
-        mask[e] = had
+    e = candidates[:, None]
+    d = ctx.sub_vec(e, members)
+    d2 = ctx.sq_vec(d)
+    r1, r2 = sqrt_pairs(ctx)
+    roots = np.stack((r1[d], r2[d]))  # -1 where d is not a square
+    usable = roots > 0
+    # (e, e + y, e + y^2) with e + y a member (y = -d), (x, e, x + y^2) with
+    # x a member (y = d), and (x, x + y, e) with x a member and y^2 = d
+    first = mask[ctx.add_vec(e, d2)]  # never e, as d != 0
+    middle = ctx.add_vec(members, d2)
+    last = mask[ctx.add_vec(members, np.where(usable, roots, 0))]
+    hit = first | mask[middle] | (middle == e) | (usable & last).any(axis=0)
+    return hit.any(axis=1)
 
 
 def greedy_progression_free(ctx: FieldCtx) -> ElementSet:
     """Greedily add elements, in ascending code order, whose addition keeps
-    the set progression-free.  Each of the q candidates is tested against the
-    members only: O(q |A|) in all.
+    the set progression-free.
+
+    Candidates are tested ``_GREEDY_BATCH`` at a time against the members
+    only, O(q |A|) in all.  A candidate blocked by the set stays blocked by
+    every larger set, so it is marked and never tested again; the first free
+    candidate of a batch joins the set and the next batch starts just past
+    it, which adds the same codes as testing one candidate at a time.
     """
     mask = np.zeros(ctx.q, dtype=bool)
+    blocked = np.zeros(ctx.q, dtype=bool)
     members = np.empty(ctx.q, dtype=np.int64)
-    size = 0
-    for e in range(ctx.q):
-        if not _addition_blocked(ctx, mask, e, members[:size]):
-            mask[e] = True
-            members[size] = e
+    size = start = 0
+    while True:
+        batch = start + np.flatnonzero(~blocked[start:])[:_GREEDY_BATCH]
+        if not batch.size:
+            break
+        hit = _additions_blocked(ctx, mask, members[:size], batch)
+        blocked[batch[hit]] = True
+        free = batch[~hit]
+        if free.size:
+            mask[free[0]] = True
+            members[size] = free[0]
             size += 1
+            start = int(free[0]) + 1
+        else:
+            start = int(batch[-1]) + 1
     return _certify(ElementSet(ctx, mask), "greedy")
 
 

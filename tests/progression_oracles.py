@@ -3,9 +3,12 @@ test oracles.
 
 The field scans loop over every element of the field, O(q^2) for a count
 and O(q) per greedy candidate, whatever the size of the set; the package
-enumerates members instead.  ``plane_census_by_enumeration`` builds every
-one of the q^2 + q + 1 planes of a cubic extension and tests each of its
-q^2 members, O(q^5); the package counts each witness at its span instead.
+enumerates members instead.  ``greedy_one_at_a_time`` tests each greedy
+candidate against the members in its own call, where the package tests a
+batch of candidates at once and never retests a blocked one.
+``plane_census_by_enumeration`` builds every one of the q^2 + q + 1 planes
+of a cubic extension and tests each of its q^2 members, O(q^5); the package
+counts each witness at its span instead.
 Two-route tests compare the two on small fields.
 """
 
@@ -67,6 +70,40 @@ def greedy_field_scan(ctx: FieldCtx) -> np.ndarray:
     mask = np.zeros(ctx.q, dtype=bool)
     for e in range(ctx.q):
         if not addition_blocked_field_scan(ctx, mask, e):
+            mask[e] = True
+    return mask
+
+
+def addition_blocked_by_members(ctx: FieldCtx, mask: np.ndarray, e: int) -> bool:
+    """Would adding e create a progression?  The entry next to e is always
+    a member other than e, so only the members are enumerated: O(|A|).
+    ``mask`` is left as it was."""
+    members = np.flatnonzero(mask)
+    members = members[members != e]
+    had = mask[e]
+    mask[e] = True
+    try:
+        d = ctx.sub_vec(e, members)  # never 0
+        d2 = ctx.sq_vec(d)
+        # (e, e + y, e + y^2) with e + y a member (y = -d), or
+        # (x, e, x + y^2) with x a member (y = d)
+        if np.any(mask[ctx.add_vec(e, d2)] | mask[ctx.add_vec(members, d2)]):
+            return True
+        # (x, x + y, e) with x a member and y^2 = d
+        r1, r2 = sqrt_pairs(ctx)
+        roots = np.stack((r1[d], r2[d]))  # -1 where d is not a square
+        usable = roots > 0
+        return bool(np.any(usable & mask[ctx.add_vec(members, np.where(usable, roots, 0))]))
+    finally:
+        mask[e] = had
+
+
+def greedy_one_at_a_time(ctx: FieldCtx) -> np.ndarray:
+    """The greedy set's mask, in ascending code order, each candidate tested
+    against the members in its own call."""
+    mask = np.zeros(ctx.q, dtype=bool)
+    for e in range(ctx.q):
+        if not addition_blocked_by_members(ctx, mask, e):
             mask[e] = True
     return mask
 

@@ -6,6 +6,7 @@ import pytest
 from qprog.field import get_field, prime_power, subfield_embed
 from qprog.constructions import (
     ElementSet,
+    _additions_blocked,
     _plane_witness_counts,
     greedy_progression_free,
     is_progression_free,
@@ -19,6 +20,7 @@ from progression_oracles import (
     addition_blocked_field_scan,
     enumerate_planes,
     greedy_field_scan,
+    greedy_one_at_a_time,
     plane_census_by_enumeration,
     witnesses,
 )
@@ -68,14 +70,12 @@ def test_greedy_certified_and_calibrated(p):
 
 
 def test_greedy_maximality():
-    """No element outside the greedy set can be added back (local maximality)."""
-    from qprog.constructions import _addition_blocked
-
-    ctx = get_field(11, 1)
-    out = greedy_progression_free(ctx)
-    for e in range(11):
-        if not out.mask[e]:
-            assert _addition_blocked(ctx, out.mask, e)
+    """No element outside the greedy set can be added back (local maximality),
+    every non-member tested in one call."""
+    for q in (11, 2187, 4999):
+        ctx = field_for(q)
+        out = greedy_progression_free(ctx)
+        assert _additions_blocked(ctx, out.mask, out.codes(), np.flatnonzero(~out.mask)).all(), q
 
 
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
@@ -87,18 +87,33 @@ def test_greedy_matches_field_scan(q):
     assert out.codes().tolist() == np.flatnonzero(greedy_field_scan(ctx)).tolist()
 
 
+@pytest.mark.parametrize("q", Q_FULL + [125, 243, 4999, 9409])
+def test_greedy_matches_one_candidate_at_a_time(q):
+    """Batches of candidates, with blocked ones never retested, build the same
+    greedy set as testing each candidate in its own call."""
+    ctx = field_for(q)
+    out = greedy_progression_free(ctx)
+    assert out.codes().tolist() == np.flatnonzero(greedy_one_at_a_time(ctx)).tolist()
+
+
 @pytest.mark.parametrize("q", [9, 11, 25, 27])
 def test_addition_blocked_matches_field_scan(q):
-    """On arbitrary sets (not only progression-free ones, e inside or not)."""
-    from qprog.constructions import _addition_blocked
-
+    """On arbitrary sets, not only progression-free ones: the codes outside
+    the set in one call, and each code inside it with it taken out (the scan
+    puts e in the set either way)."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     for density in (0.05, 0.2, 0.5):
         mask = rng.random(q) < density
         before = mask.copy()
-        for e in range(q):
-            assert _addition_blocked(ctx, mask, e) == addition_blocked_field_scan(ctx, mask, e)
+        outside = np.flatnonzero(~mask)
+        blocked = _additions_blocked(ctx, mask, np.flatnonzero(mask), outside)
+        assert blocked.tolist() == [addition_blocked_field_scan(ctx, mask, e) for e in outside]
+        for e in np.flatnonzero(mask):
+            rest = mask.copy()
+            rest[e] = False
+            blocked = _additions_blocked(ctx, rest, np.flatnonzero(rest), np.array([e]))
+            assert blocked.tolist() == [addition_blocked_field_scan(ctx, mask, e)]
         assert np.array_equal(mask, before)
 
 

@@ -1,11 +1,17 @@
 """Field construction, arithmetic axioms, traces, embeddings, minimal polynomials."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qprog
 from qprog.field import (
     DESK_CAP,
+    _check_embedding,
     build_field,
     factorize,
     get_field,
@@ -305,6 +311,31 @@ def test_subfield_embed_rejections():
         subfield_embed(get_field(3, 1), get_field(5, 2))  # wrong characteristic
     with pytest.raises(ValueError):
         subfield_embed(get_field(3, 2), get_field(3, 3))  # not an extension of F_9
+
+
+def test_embedding_check_rejects_a_map_that_is_not_injective():
+    small, big = get_field(3, 1), get_field(3, 2)
+    emb = subfield_embed(small, big)
+    emb.map_ = np.array([0, 1, 1])
+    with pytest.raises(RuntimeError, match="embedding is not injective"):
+        _check_embedding(emb)
+
+
+def test_subfield_embed_leaves_numpy_ma_and_random_unimported():
+    """np.unique imports numpy.ma on its first call, 10-14 ms cold, and
+    numpy.random takes 16 ms to import; the embedding check needs neither."""
+    script = (
+        "import sys\n"
+        "from qprog.field import get_field, subfield_embed\n"
+        "subfield_embed(get_field(7, 1), get_field(7, 2))\n"
+        "print(sorted({'numpy.ma', 'numpy.random'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(qprog.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cubic_min_poly_of_modulus_root():
