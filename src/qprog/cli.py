@@ -106,8 +106,7 @@ def _suite_constructions(ctx, args) -> list[CheckResult]:
 _SUITES = {
     "kernels": lambda ctx, args: [
         kernels.quad_kernel_check(ctx),
-        kernels.pair_kernel_check(ctx),
-        kernels.decomposition_check(ctx),
+        *kernels.pair_kernel_checks(ctx),
     ],
     "fourier": lambda ctx, args: characters.fourier_checks(ctx, args.seed, args.trials),
     "operators": lambda ctx, args: operators.averaging_checks(ctx, args.seed, args.trials),

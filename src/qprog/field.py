@@ -55,7 +55,7 @@ import numpy as np
 #   substitution_check, ratio_sum_check (FFT grids)                 q^2 log q
 #   weil_scan (one FFT row per orbit of lambda, >= (q-1)/2s rows)   q^2 log q / s
 #   sliced_norm_scan (as weil_scan, <= 5 O(q) secular steps/orbit)  q^2 log q / s
-#   pair_kernel_check, decomposition_check                          q^4
+#   pair_kernel_checks (one Gram grid per h serves both checks)     q^4
 #   count_progressions on a set A                                   |A|^2
 #   greedy_progression_free (32 candidates a call, each once)       q |A|
 #   plane_census over F_{q^3} (witness y counted at span(y, y^2))   q^3

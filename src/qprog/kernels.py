@@ -21,8 +21,9 @@ arrays (``_quad_kernel``, ``_pair_closed``, ``ratio_kernel_table``) that
 carries its special cases: K's point mass at (0, 0), B_h's diagonal and
 vanishing antidiagonal, L_h's zeros at r = +-1.  The grids and the checks
 index into it.  No q x q table of K is held: both routes of its check run
-in blocks of rows b.  The closed forms of K and of the ratio kernel read
-their phases from the phase table at a sum of discrete logs.
+in blocks of rows b.  K reads its phases at a sum of discrete logs; the ratio
+kernel is field arithmetic, so ``weil.ratio_sum_check`` compares two routes.
+One literal B_h per h serves the pair and the decomposition checks.
 """
 
 from __future__ import annotations
@@ -134,12 +135,6 @@ def _pair_closed(ctx: FieldCtx, h: int, y: np.ndarray, z: np.ndarray) -> np.ndar
     return np.where(ymz == 0, complex(ctx.q), sigma * math.sqrt(ctx.q) * chi[chi_arg] * e[phase])
 
 
-def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form grid over all admissible (y, z) for one h."""
-    ys = admissible_codes(ctx, h)
-    return ys, _pair_closed(ctx, h, ys[:, None], ys[None, :])
-
-
 # ---------------------------------------------------------------------------
 # twisted kernel and its ratio profile
 # ---------------------------------------------------------------------------
@@ -154,24 +149,17 @@ def twisted_prefactor(ctx: FieldCtx, h):
     return gauss_sum(ctx).sigma * quadratic_char_table(ctx)[h]
 
 
-def _ratio_parts(ctx: FieldCtx, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The h-free parts at codes r: chi(1 - r^2), which is 0 at r = +-1, and
-    the log of (r-1)/(r+1), log(r-1) - log(r+1) mod q-1 (some unit's log at
-    r = +-1, where chi(1 - r^2) zeroes the term)."""
-    chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
-    log0 = ctx.log0
-    return chi_part, (log0[ctx.sub_vec(rs, 1)] - log0[ctx.add_vec(rs, 1)]) % (ctx.q - 1)
-
-
 def ratio_kernel_table(ctx: FieldCtx, hs) -> np.ndarray:
     """L_h(r) = sigma chi(h) chi(1 - r^2) e(h (r-1)/(r+1)) for every h in
-    ``hs`` (nonzero codes) and every code r: rows h, columns r, zeros at
-    r = +-1.  The h-free parts are built once for all rows, and
-    e(h (r-1)/(r+1)) is one phase-table gather per cell."""
+    ``hs`` (nonzero codes) and every code r, by field arithmetic: rows h,
+    columns r, zeros at r = +-1 from chi (the quotient read at r + 1 = 1)."""
     hs = np.asarray(hs, dtype=np.int64)
     prefactor = twisted_prefactor(ctx, hs)  # rejects h = 0 and codes out of range
-    chi_part, log_u = _ratio_parts(ctx, ctx.elements())
-    phase = phase_table(ctx)[ctx.log0[hs][:, None] + log_u[None, :]]
+    rs = ctx.elements()
+    chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
+    rp1 = ctx.add_vec(rs, 1)
+    u = ctx.div_vec(ctx.sub_vec(rs, 1), np.where(rp1 == 0, 1, rp1))
+    phase = additive_char_table(ctx)[ctx.mul_vec(hs[:, None], u[None, :])]
     return prefactor[:, None] * chi_part[None, :] * phase
 
 
@@ -203,37 +191,30 @@ def quad_kernel_check(ctx: FieldCtx) -> CheckResult:
     return stacked_error_check("quad-kernel-equivalence", blocks(), TOLERANCE_ABS)
 
 
-def pair_kernel_check(ctx: FieldCtx) -> CheckResult:
-    """Closed form vs literal sum on every admissible (h, y, z) triple."""
-
-    def blocks():  # one (q-2)^2 grid per h
-        for h in range(1, ctx.q):
-            ys, brute = pair_kernel_grid_brute(ctx, h)
-            err = np.abs(pair_kernel_grid_closed(ctx, h)[1] - brute)
-            yield err, lambda j, k, h=h, ys=ys: f"(h={h}, y={int(ys[j])}, z={int(ys[k])})"
-
-    return stacked_error_check("pair-kernel-equivalence", blocks(), TOLERANCE_ABS)
-
-
-def decomposition_check(ctx: FieldCtx) -> CheckResult:
-    """Twisted kernel (built on the brute pair kernel) against the rank-one
-    profile: B_{h,0}(Y,Z) = q 1_{Y=Z} + sqrt(q) L_h(Z/Y) for Y, Z outside
-    {0, c, -c}."""
+def pair_kernel_checks(ctx: FieldCtx) -> list[CheckResult]:
+    """Two checks from one literal Gram grid per h: the closed form against it
+    on every admissible (h, y, z) triple, and the twisted kernel built on it
+    against the rank-one profile, B_{h,0}(Y,Z) = q 1_{Y=Z} + sqrt(q) L_h(Z/Y)
+    for Y = y + c, Z = z + c outside {0, c, -c}."""
     q = ctx.q
     ratio_tables = ratio_kernel_table(ctx, ctx.units())  # row h - 1 is L_h
 
-    def blocks():  # one (q-3)^2 grid per h
+    def blocks():  # per h, a (q-2)^2 pair grid and its (q-3)^2 twisted sub-grid
         for h in range(1, q):
+            ys, brute = pair_kernel_grid_brute(ctx, h)
+            pair_err = np.abs(_pair_closed(ctx, h, ys[:, None], ys[None, :]) - brute)
             c = half_shift(ctx, h)
-            Ys = ctx.codes_outside(0, c, ctx.neg(c))  # none at q = 3
-            cols = _slice_phase_columns(ctx, h, ctx.sub_vec(Ys, c))  # admissible for B_h
+            shifted = ctx.add_vec(ys, c)  # y = -c gives Y = 0, the least code
+            order = np.argsort(shifted)[1:]  # Y outside {0, c, -c}, ascending; none at q = 3
+            Ys = shifted[order]
             d = _twist(ctx, c, Ys)
-            twisted = d[:, None] * (cols.T @ cols.conj()) * d[None, :]
-
+            twisted = d[:, None] * brute[np.ix_(order, order)] * d[None, :]
             ratios = ctx.div_vec(Ys[None, :], Ys[:, None])  # r = Z/Y at [i, j] = (Y, Z)
             predicted = math.sqrt(q) * ratio_tables[h - 1][ratios]
             predicted[Ys[:, None] == Ys[None, :]] += q
-            err = np.abs(twisted - predicted)
-            yield err, lambda j, k, h=h, Ys=Ys: f"(h={h}, Y={int(Ys[j])}, Z={int(Ys[k])})"
+            yield ((pair_err, lambda j, k, h=h, ys=ys: f"(h={h}, y={int(ys[j])}, z={int(ys[k])})"),
+                   (np.abs(twisted - predicted),
+                    lambda j, k, h=h, Ys=Ys: f"(h={h}, Y={int(Ys[j])}, Z={int(Ys[k])})"))
 
-    return stacked_error_check("twisted-decomposition", blocks(), TOLERANCE_ABS)
+    return stacked_error_check(("pair-kernel-equivalence", "twisted-decomposition"), blocks(),
+                               TOLERANCE_ABS)

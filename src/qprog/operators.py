@@ -35,7 +35,7 @@ per batch of trials: one pass gives both the row sums and the slices.
 
 Slice norms come from the Weil sums, not from the slice matrix.  With
 h' = h/4, q^2 ||T_h||^2 is the top eigenvalue of the pair-kernel Gram matrix
-B_{h'} (``kernels.pair_kernel_grid_closed``).  Twisted by a +-1 diagonal, B_{h'}
+B_{h'} (``kernels._pair_closed``).  Twisted by a +-1 diagonal, B_{h'}
 is the compression, to the complement of {c, -c} (c = h'/2), of an operator
 N on {0} and the units: q 1_{Y=Z} + sqrt(q) L_{h'}(Z/Y) between units, q at
 (0, 0) and a constant of modulus sqrt(q) on the rest of row and column 0.
@@ -301,10 +301,11 @@ def _top_secular_root(lam: np.ndarray, tail_w: np.ndarray) -> tuple[np.ndarray, 
     the top pole exact and models the other poles by a + s / (lam_2 - x),
     with their sum's value and slope at x; the model's root is the root of a
     quadratic in the step, taken in its stable form.  The sign of f at x
-    narrows the bracket, and a model root outside it is replaced by the
-    midpoint.  A row stops once its step is within a few ulps of x, or when
-    no float lies strictly inside its bracket (a repeated top eigenvalue
-    starts so and returns it), so f is never evaluated at a pole.
+    narrows the bracket.  A model root at or above the bracket is replaced
+    by the float just below its top, one below it by the midpoint.  A row
+    stops once its step is within a few ulps of x, or when no float lies
+    strictly inside its bracket (a repeated top eigenvalue starts so and
+    returns it), so f is never evaluated at a pole.
     """
     k, m = lam.shape
     bulk = m - tail_w.shape[1]
@@ -352,7 +353,8 @@ def _top_secular_root(lam: np.ndarray, tail_w: np.ndarray) -> tuple[np.ndarray, 
         tau = np.divide(num, den, out=np.full(len(act), np.inf), where=den != 0)
         done = np.abs(tau) <= _SECULAR_ULPS * np.finfo(float).eps * np.abs(x)
         step = x + tau
-        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        x = np.where((lo < step) & (step < hi), step,
+                     np.where(step >= hi, np.nextafter(hi, lo), 0.5 * (lo + hi)))
         stuck = ~done & ~((lo < x) & (x < hi))
         leave = done | stuck
         if leave.any():

@@ -1,9 +1,9 @@
 """Report plumbing: check results, run manifests, JSON/CSV output, trend fits.
 
 Every two-route comparison builds its ``CheckResult`` through ``error_check``
-(or ``stacked_error_check`` for one error grid per h), which names the first
-failing entry in index order.  Tolerances are constants,
-recorded in every manifest.
+(or ``stacked_error_check`` for one error grid per h, and for several checks
+that one pass serves), which names the first failing entry in index order.
+Tolerances are constants, recorded in every manifest.
 
 JSON payloads are dumped with sorted keys so that re-running a command with
 the same inputs and seed reproduces byte-identical files (wall-time fields in
@@ -50,20 +50,26 @@ def error_check(name: str, err, tol: float, cell) -> CheckResult:
     return stacked_error_check(name, [(err, cell)], tol)
 
 
-def stacked_error_check(name: str, blocks, tol: float) -> CheckResult:
+def stacked_error_check(name, blocks, tol: float):
     """``error_check`` on error arrays stacked along a new leading axis, read
     one at a time so that only one is held: ``blocks`` yields ``(err, cell)``
-    pairs, each ``cell`` naming an index of its own ``err``."""
-    cases, max_err, first = 0, 0.0, None
-    for err, cell in blocks:
-        err = np.asarray(err, dtype=float)
-        cases += err.size
-        max_err = float(np.max([max_err, err.max(initial=0.0)]))  # a NaN stays NaN
-        bad = np.flatnonzero(~(err < tol))
-        if first is None and bad.size:
-            index = np.unravel_index(int(bad[0]), err.shape)
-            first = f"{cell(*map(int, index))} err={err[index]:.3e}"
-    return CheckResult(name, max_err < tol, cases, max_err, first)
+    pairs, each ``cell`` naming an index of its own ``err``.  For several
+    checks reduced from one pass, ``name`` is a tuple of names, each block
+    yields one pair per name, and the results come back in that order."""
+    single = isinstance(name, str)
+    names = (name,) if single else tuple(name)
+    tallies = [[0, 0.0, None] for _ in names]  # cases, max_err, first failure
+    for pairs in blocks:
+        for tally, (err, cell) in zip(tallies, (pairs,) if single else pairs, strict=True):
+            err = np.asarray(err, dtype=float)
+            tally[0] += err.size
+            tally[1] = float(np.max([tally[1], err.max(initial=0.0)]))  # a NaN stays NaN
+            bad = np.flatnonzero(~(err < tol))
+            if tally[2] is None and bad.size:
+                index = np.unravel_index(int(bad[0]), err.shape)
+                tally[2] = f"{cell(*map(int, index))} err={err[index]:.3e}"
+    results = [CheckResult(n, m < tol, c, m, f) for n, (c, m, f) in zip(names, tallies)]
+    return results[0] if single else results
 
 
 @dataclass

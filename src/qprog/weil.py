@@ -51,7 +51,7 @@ import numpy as np
 
 from .field import FieldCtx, per_field, row_blocks
 from .characters import fourier_inverse_rows, phase_table, quadratic_char_table, unit_root_powers
-from .kernels import _ratio_parts, ratio_kernel_table, twisted_prefactor
+from .kernels import ratio_kernel_table, twisted_prefactor
 from .reporting import CheckResult, error_check
 
 
@@ -82,6 +82,15 @@ def _blocked_char_sums(ctx: FieldCtx, terms, rows: np.ndarray, cells: int):
         yield i.start, _char_sums(terms(ctx, rows[i]))
 
 
+def _ratio_parts(ctx: FieldCtx, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lambda-free parts at codes r: chi(1 - r^2), which is 0 at r = +-1,
+    and the log of (r-1)/(r+1), log(r-1) - log(r+1) mod q-1 (some unit's log
+    at r = +-1, where chi(1 - r^2) zeroes the term)."""
+    chi_part = quadratic_char_table(ctx)[ctx.sub_vec(1, ctx.sq_vec(rs))]
+    log0 = ctx.log0
+    return chi_part, (log0[ctx.sub_vec(rs, 1)] - log0[ctx.add_vec(rs, 1)]) % (ctx.q - 1)
+
+
 def _mixed_terms(ctx: FieldCtx, lams: np.ndarray) -> np.ndarray:
     """W[j, k] = chi(1 - r^2) e(lambda_j (r-1)/(r+1)) at r = g^k, by log:
     zero at r = +-1, the weights of the sum over r outside {0, +-1}.  The
@@ -107,9 +116,10 @@ def _reindexed_terms(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _ratio_terms(ctx: FieldCtx, hs: np.ndarray) -> np.ndarray:
-    """W[j, k] = L_{h_j}(g^k), the ratio kernel by log, over every nonzero r.
-    Their sums, sum_r L_h(r) eta_t(r), are sigma chi(h) times the mixed sums
-    at lambda = h: L_h vanishes at +-1, which the mixed sum deletes."""
+    """W[j, k] = L_{h_j}(g^k), the ratio kernel (by field arithmetic) read in
+    log order, over every nonzero r.  Their sums, sum_r L_h(r) eta_t(r), are
+    sigma chi(h) times the mixed sums at lambda = h: L_h vanishes at +-1,
+    which the mixed sum deletes."""
     return ratio_kernel_table(ctx, hs)[:, ctx.exp_table]
 
 

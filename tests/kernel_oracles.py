@@ -1,8 +1,9 @@
 """Kernel helpers that only the tests use.
 
-``pair_kernel_coeffs`` writes the pair kernel's summand phase as a quadratic
-A x^2 + B x + C in x; resumming that quadratic phase is an oracle for the
-pair kernel independent of both package routes.
+``pair_kernel_grid_closed`` is the closed-form pair kernel on one h's whole
+admissible grid.  ``pair_kernel_coeffs`` writes the pair kernel's summand
+phase as a quadratic A x^2 + B x + C in x; resumming that quadratic phase is
+an oracle for the pair kernel independent of both package routes.
 
 ``quad_kernel_table`` is the closed-form K on the whole q x q grid and
 ``quad_kernel_table_brute`` the literal average accumulated one y at a time;
@@ -10,9 +11,9 @@ pair kernel independent of both package routes.
 table, one column n != 0 at a time.  The package builds K in blocks of
 rows and never holds the grid.
 
-``ratio_kernel_table_by_mul`` is the ratio kernel with its phase read
-through ``mul_vec`` and (r-1)/(r+1) by division, where the package reads
-one phase-table entry at a log sum.
+``ratio_kernel_table_by_mul`` is the ratio kernel by field arithmetic on
+the r outside {1, -1} only, with zeros written at +-1, where the package
+evaluates every r and lets chi(1 - r^2) zero the two.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from qprog.characters import ComplexFn, additive_char_table, fourier, quadratic_char_table
 from qprog.field import FieldCtx, per_field
-from qprog.kernels import _quad_kernel, twisted_prefactor
+from qprog.kernels import _pair_closed, _quad_kernel, admissible_codes, twisted_prefactor
 
 
 def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int, int]:
@@ -34,6 +35,12 @@ def pair_kernel_coeffs(ctx: FieldCtx, h: int, y: int, z: int) -> tuple[int, int,
     b = ctx.div(ctx.mul(ctx.from_int(2), ctx.mul(h, ymz)), denom)
     c = ctx.div(ctx.mul(ctx.mul(h, h), ctx.neg(ymz)), denom)
     return a, b, c
+
+
+def pair_kernel_grid_closed(ctx: FieldCtx, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form grid over all admissible (y, z) for one h."""
+    ys = admissible_codes(ctx, h)
+    return ys, _pair_closed(ctx, h, ys[:, None], ys[None, :])
 
 
 @per_field("quad_kernel_table")

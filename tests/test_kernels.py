@@ -15,11 +15,9 @@ from qprog.kernels import (
     _quad_kernel,
     _slice_phase_columns,
     _twist,
-    decomposition_check,
     half_shift,
-    pair_kernel_check,
+    pair_kernel_checks,
     pair_kernel_grid_brute,
-    pair_kernel_grid_closed,
     quad_kernel_check,
     quad_kernel_rows_brute,
     ratio_kernel_table,
@@ -29,6 +27,7 @@ from qprog.kernels import (
 from conftest import Q_FULL, Q_MEDIUM, field_for
 from kernel_oracles import (
     pair_kernel_coeffs,
+    pair_kernel_grid_closed,
     quad_kernel_table,
     quad_kernel_table_brute,
     ratio_kernel_table_by_mul,
@@ -114,26 +113,72 @@ def test_pair_kernel_check_names_the_first_bad_cell_across_h(monkeypatch):
         return ys, grid
 
     monkeypatch.setattr(kernels, "pair_kernel_grid_brute", perturbed)
-    res = pair_kernel_check(get_field(5, 1))
+    res = pair_kernel_checks(get_field(5, 1))[0]
     assert not res.passed
     assert res.cases == 4 * 3 * 3
     assert res.first_failure.startswith("(h=2, y=1, z=2) err=1.000e-03")
     assert res.max_err == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("check", [pair_kernel_check, decomposition_check])
-def test_per_h_checks_hold_one_error_grid_at_a_time(check):
-    """At q = 81 the q - 1 stacked error grids would take 8 (q-1) (q-2)^2
-    bytes, about 4 MB; reduced grid by grid the check stays well below."""
+def test_pair_kernel_checks_build_each_brute_grid_once(monkeypatch):
+    """One literal Gram grid per h serves both checks: q - 1 builds of the
+    slice phase columns per pass."""
+    columns = kernels._slice_phase_columns
+    calls = []
+
+    def counted(ctx, h, ys):
+        calls.append(h)
+        return columns(ctx, h, ys)
+
+    monkeypatch.setattr(kernels, "_slice_phase_columns", counted)
+    ctx = get_field(3, 2)
+    results = pair_kernel_checks(ctx)
+    assert [r.name for r in results] == ["pair-kernel-equivalence", "twisted-decomposition"]
+    assert all(r.passed for r in results)
+    assert calls == list(range(1, ctx.q))
+
+
+def test_pair_kernel_checks_share_one_brute_cell(monkeypatch):
+    """A brute cell (y, z) on the twisted sub-grid fails both checks; the
+    decomposition names it at (Y, Z) = (y + c, z + c).  At q = 7 and h = 2,
+    c = 1: y = 1, z = 2 is (Y, Z) = (2, 3)."""
+    brute = kernels.pair_kernel_grid_brute
+
+    def perturbed(ctx, h):
+        ys, grid = brute(ctx, h)
+        if h == 2:
+            grid = grid.copy()
+            grid[0, 1] += 1e-3  # ys = [1, 2, 3, 4, 6]
+        return ys, grid
+
+    monkeypatch.setattr(kernels, "pair_kernel_grid_brute", perturbed)
+    pair, twisted = pair_kernel_checks(get_field(7, 1))
+    assert not pair.passed and not twisted.passed
+    assert (pair.cases, twisted.cases) == (6 * 5 * 5, 6 * 4 * 4)
+    assert pair.first_failure == "(h=2, y=1, z=2) err=1.000e-03"
+    assert twisted.first_failure == "(h=2, Y=2, Z=3) err=1.000e-03"
+
+
+@pytest.mark.parametrize("index, n_adm", [
+    pytest.param(0, 79, id="pair_kernel_check"),
+    pytest.param(1, 78, id="decomposition_check"),
+])
+def test_per_h_checks_hold_one_error_grid_at_a_time(index, n_adm):
+    """At q = 81 the q - 1 stacked error grids of either check would take
+    8 (q-1) (q-2)^2 bytes, about 4 MB; reduced grid by grid the shared pass
+    stays well below, and still covers every cell of the check."""
     ctx = get_field(3, 4)
-    check(ctx)  # warm the per-field tables
+    pair_kernel_checks(ctx)  # warm the per-field tables
     tracemalloc.start()
     try:
-        check(ctx)
+        res = pair_kernel_checks(ctx)[index]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2e6, peak
+    assert res.passed, res
+    assert res.cases == 80 * n_adm * n_adm
+
 
 def test_quad_kernel_modulus_on_generic(ctx_small):
     ctx = ctx_small
@@ -166,7 +211,7 @@ def test_pair_kernel_generic_modulus():
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
 def test_pair_kernel_closed_equals_brute_exhaustive(q):
-    res = pair_kernel_check(field_for(q))
+    res = pair_kernel_checks(field_for(q))[0]
     assert res.passed, res
     n_adm = q - 2
     assert res.cases == (q - 1) * n_adm * n_adm
@@ -238,8 +283,8 @@ def test_ratio_kernel_zeros_and_modulus(ctx_small):
 
 @pytest.mark.parametrize("q", Q_FULL)
 def test_ratio_kernel_table_matches_mul_vec_oracle(q):
-    """Phases read from the phase table at log h + log((r-1)/(r+1)): the
-    mul_vec route's table exactly, for every h and r."""
+    """Every r evaluated, r = -1 through a guarded quotient: the table of the
+    r outside {1, -1} with zeros written at +-1, exactly."""
     ctx = field_for(q)
     hs = ctx.units()
     assert np.array_equal(ratio_kernel_table(ctx, hs), ratio_kernel_table_by_mul(ctx, hs))
@@ -282,8 +327,9 @@ def test_twisted_kernel_diagonal_and_antidiagonal():
 
 @pytest.mark.parametrize("q", Q_MEDIUM)
 def test_decomposition_identity_exhaustive(q):
-    res = decomposition_check(field_for(q))
+    res = pair_kernel_checks(field_for(q))[1]
     assert res.passed, res
+    assert res.cases == (q - 1) * (q - 3) ** 2
 
 
 def test_twisted_prefactor_unimodular(ctx_small):

@@ -38,3 +38,19 @@ def test_stacked_error_check_matches_error_check_on_the_stack():
     assert (res.passed, res.cases, res.first_failure) == (whole.passed, 8, whole.first_failure)
     assert res.first_failure == "(h=1, i=0, j=1) err=2.000e-06"
     assert np.isnan(res.max_err) and np.isnan(whole.max_err)
+
+    # two checks reduced from one pass: each result as if stacked alone
+    others = [np.array([3e-6]), np.array([0.0])]
+
+    def pass_blocks():
+        for h, (g, o) in enumerate(zip(grids, others)):
+            yield (g, lambda i, j, h=h: cell(h, i, j)), (o, lambda k, h=h: f"(h={h}, k={k})")
+
+    both = stacked_error_check(("grid", "other"), pass_blocks(), 1e-6)
+    alone = [stacked_error_check(name, (pairs[n] for pairs in pass_blocks()), 1e-6)
+             for n, name in enumerate(("grid", "other"))]
+    assert [r.name for r in both] == ["grid", "other"]
+    for a, b in zip(both, alone):
+        assert (a.passed, a.cases, a.first_failure) == (b.passed, b.cases, b.first_failure)
+    assert both[0].first_failure == res.first_failure and np.isnan(both[0].max_err)
+    assert both[1].first_failure == "(h=0, k=0) err=3.000e-06" and both[1].max_err == 3e-6

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qprog import weil
+from qprog import kernels, weil
 from qprog.field import get_field
 from qprog.characters import quadratic_char_table, additive_char_table
 from qprog.weil import (
@@ -21,7 +21,6 @@ from qprog.weil import (
 from qprog.kernels import ratio_kernel_table, twisted_prefactor
 
 from conftest import Q_FULL, Q_MEDIUM, field_for
-from kernel_oracles import ratio_kernel_table_by_mul
 from transform_oracles import char_sums_dense, mult_char_table, mixed_weights_by_code
 from weil_oracles import weil_scan_every_row
 
@@ -164,6 +163,24 @@ def test_ratio_sum_check_names_first_bad_cell(monkeypatch):
     assert res.first_failure == f"(h=1, t=1) err={err(1, 1):.3e}"
 
 
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 27, 49])
+def test_ratio_sum_check_sides_are_two_routes(monkeypatch, q):
+    """Only the mixed side reads (r-1)/(r+1) by discrete log: shifting that
+    log by one wherever ``_ratio_parts`` is bound fails the check, where two
+    sides built from the same parts would shift together and pass."""
+    parts = weil._ratio_parts
+
+    def shifted(ctx, rs):
+        chi_part, log_u = parts(ctx, rs)
+        return chi_part, (log_u + 1) % (ctx.q - 1)
+
+    for module in (kernels, weil):
+        if hasattr(module, "_ratio_parts"):
+            monkeypatch.setattr(module, "_ratio_parts", shifted)
+    res = ratio_sum_check(field_for(q))
+    assert not res.passed and res.cases == (q - 1) ** 2
+
+
 def test_ratio_char_sum_brute():
     """Scalar oracle: sum the ratio kernel against a character directly."""
     ctx = get_field(9 // 3, 2)
@@ -303,14 +320,14 @@ def test_char_sums_match_dense_oracle(q, terms):
 
 @pytest.mark.parametrize("q", Q_FULL + [125, 243])
 def test_by_log_weights_are_code_order_weights_at_exp_table(q):
-    """The mixed and ratio weights built by discrete log equal the
-    code-order weights read at exp_table, cell for cell."""
+    """The mixed weights built by discrete log equal the code-order weights
+    read at exp_table, cell for cell, and the ratio kernel built by field
+    arithmetic is twisted_prefactor times them, bit for bit."""
     ctx = field_for(q)
     lams = ctx.units()
-    by_code = mixed_weights_by_code(ctx, lams)[:, ctx.exp_table]
-    assert np.array_equal(weil._mixed_terms(ctx, lams), by_code)
-    by_code = ratio_kernel_table_by_mul(ctx, lams)[:, ctx.exp_table]
-    assert np.array_equal(weil._ratio_terms(ctx, lams), by_code)
+    mixed = weil._mixed_terms(ctx, lams)
+    assert np.array_equal(mixed, mixed_weights_by_code(ctx, lams)[:, ctx.exp_table])
+    assert np.array_equal(weil._ratio_terms(ctx, lams), twisted_prefactor(ctx, lams)[:, None] * mixed)
 
 
 def test_scan_ratio_behavior_across_q():
