@@ -90,8 +90,11 @@ def quadratic_char_table(ctx: FieldCtx) -> np.ndarray:
 @dataclass
 class ComplexFn:
     """A complex-valued function on F_q as a dense length-q vector, or a
-    stack of such functions along leading axes: the transforms act along the
-    last axis, and ``mean`` and the norms take a single function.
+    stack of such functions along leading axes.  Stacks are the batch format:
+    k pairs are two (k, q) stacks, pair i in row i of each.  The transforms
+    act along the last axis; ``mean`` and ``norm_avg`` give one value per
+    row of a stack, each as for that row alone, and ``norm_count`` takes a
+    single function.
 
     ``domain`` distinguishes full-field functions from punctured ones that
     live on the multiplicative group and carry value 0 at code 0.
@@ -110,11 +113,15 @@ class ComplexFn:
         if self.domain == MULTIPLICATIVE and np.any(self.values[..., 0] != 0):
             raise ValueError("punctured functions must vanish at 0")
 
-    def mean(self) -> complex:
-        return complex(self.values.sum(axis=-1) / self.ctx.q)
+    def mean(self) -> complex | np.ndarray:
+        means = self.values.sum(axis=-1) / self.ctx.q
+        return complex(means) if means.ndim == 0 else means
 
-    def norm_avg(self) -> float:
-        return float((np.abs(self.values) ** 2).mean(axis=-1) ** 0.5)
+    def norm_avg(self) -> float | np.ndarray:
+        # a numpy scalar's ** 0.5 per row: np.sqrt of an array can differ in the last bit
+        squares = (np.abs(self.values) ** 2).mean(axis=-1)
+        roots = np.reshape([s ** 0.5 for s in np.ravel(squares)], np.shape(squares))
+        return float(roots) if roots.ndim == 0 else roots
 
     def norm_count(self) -> float:
         return float(np.sqrt((np.abs(self.values) ** 2).sum(axis=-1)))
@@ -131,6 +138,16 @@ def random_fn(ctx: FieldCtx, rng: np.random.Generator, kind: str = "gaussian") -
     else:
         raise ValueError(f"unknown random function kind {kind!r}")
     return ComplexFn(ctx, v)
+
+
+def random_pairs(ctx: FieldCtx, rng: np.random.Generator, kinds) -> tuple[ComplexFn, ComplexFn]:
+    """One seeded pair per entry of ``kinds`` as two (k, q) stacks, pair i, of
+    kind kinds[i], in row i of each: the successive (``random_fn``,
+    ``random_fn``) draws, f1 then f2, bit for bit, each written into its row."""
+    f1, f2 = np.empty((2, len(kinds), ctx.q), dtype=complex)
+    for i, kind in enumerate(kinds):
+        f1[i], f2[i] = random_fn(ctx, rng, kind).values, random_fn(ctx, rng, kind).values
+    return ComplexFn(ctx, f1), ComplexFn(ctx, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +285,16 @@ def fourier_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]:
     # _PAIR_BATCH trials (f, then g, per trial, as drawn one by one) per pass, at most a
     # block of cells: at q = 9973 a pass of 8 traced 10.8 MB at its peak, one 2.3 MB, as fast
     for i in row_blocks(trials, q, min(_PAIR_BATCH * q, field.ROW_BLOCK_CELLS)):
-        draws = np.array([random_fn(ctx, rng).values for _ in range(2 * (i.stop - i.start))])
-        f, g = ComplexFn(ctx, draws[0::2]), draws[1::2]
-        g[:, 0] = 0.0
+        f, g = random_pairs(ctx, rng, ["gaussian"] * (i.stop - i.start))
+        g.values[:, 0] = 0.0
         fh = fourier(f)
         parseval[i, 0] = relative_error(np.sqrt((np.abs(f.values) ** 2).mean(axis=1)),
                                         np.sqrt((np.abs(fh.values) ** 2).sum(axis=1)))
         round_trip[i, 0] = np.abs(fourier_inverse(fh).values - f.values).max(axis=1)
-        coeffs = mult_fourier(ComplexFn(ctx, g))
+        coeffs = mult_fourier(g)
         parseval[i, 1] = relative_error((np.abs(coeffs) ** 2).sum(axis=1) / n,
-                                        (np.abs(g) ** 2).sum(axis=1))
-        round_trip[i, 1] = np.abs(mult_fourier_inverse(ctx, coeffs).values - g).max(axis=1)
+                                        (np.abs(g.values) ** 2).sum(axis=1))
+        round_trip[i, 1] = np.abs(mult_fourier_inverse(ctx, coeffs).values - g.values).max(axis=1)
 
     def sampled(i, j):
         return f"(trial={i}, {('additive', 'multiplicative')[j]})"

@@ -7,9 +7,10 @@ conventions explicitly):
   (1/q) sum_y f1(x+y) f2(x+y^2); its norms are the averaged ||.||_2.  It
   sums over u = x + y, per block of u one gather at ``FieldCtx.square_rows`` and
   one BLAS product a pair, as the f1-side adjoint of the deviation does; its
-  f2-side adjoint sums the coefficient rows below down their columns.  Index
-  rows serve a batch of pairs: ``alternating_max_ratio`` steps 8 starts in lock
-  step (q^2 work per start, O(8q) memory), ``deviation_scan`` 8 pairs a pass.
+  f2-side adjoint sums the coefficient rows below down their columns.  A batch
+  of pairs is two ``ComplexFn`` stacks of shape (k, q), pair i in row i of each,
+  sharing each block's index rows: ``alternating_max_ratio`` steps 8 starts in
+  lock step (q^2 work per start, 8 x q stacks), ``deviation_scan`` 8 pairs a pass.
 * Fourier coefficients always carry the counting l2 norm; the two-route
   deviation check equates an averaged physical norm with a counting
   frequency-side norm, which is exactly what the transform conventions give.
@@ -64,14 +65,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import field
 from .field import FieldCtx, row_blocks
-from .characters import _PAIR_BATCH, ComplexFn, fourier, fourier_inverse_rows, random_fn
+from .characters import _PAIR_BATCH, ComplexFn, fourier, fourier_inverse_rows, random_pairs
 from .kernels import _quad_columns, _quad_kernel, _quad_phases, twisted_prefactor
 from .reporting import CheckResult, error_check
 from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
@@ -82,11 +82,21 @@ from .weil import _BLOCK_CELLS, _blocked_char_sums, _mixed_terms, weil_orbits
 # ---------------------------------------------------------------------------
 
 
-def _common_field(pairs) -> FieldCtx:
-    ctx = pairs[0][0].ctx
-    if any(f.ctx is not ctx for pair in pairs for f in pair):
+def _stacks(f1: ComplexFn, f2: ComplexFn) -> tuple[FieldCtx, ComplexFn, ComplexFn]:
+    """The field, and f1 and f2 as (k, q) stacks: a batch of k pairs is two
+    stacks of one shape, pair i in row i of each, and one pair a batch of one."""
+    if f1.ctx is not f2.ctx:
         raise ValueError("functions live on different fields")
-    return ctx
+    if f1.values.shape != f2.values.shape:
+        raise ValueError(f"stacks of shapes {f1.values.shape} and {f2.values.shape} do not pair")
+    return f1.ctx, *(ComplexFn(f.ctx, f.values.reshape(-1, f.ctx.q), f.domain) for f in (f1, f2))
+
+
+def _mean_products(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """E[f1] E[f2] of each pair of the (k, q) stacks, as a column of products of
+    Python complexes, as one pair forms it: numpy's complex multiply differs
+    from CPython's in the last bit on about half of all products."""
+    return np.array([[complex(a) * complex(b)] for a, b in zip(f1.mean(), f2.mean())])
 
 
 _AVERAGE_BLOCK_CELLS = 1 << 15  # cells per block of rows u: one-row products are slower
@@ -106,20 +116,16 @@ def _square_gathers(ctx: FieldCtx, values):
             yield i, u, v.take(at, out=rows, mode="clip")
 
 
-def _averages(pairs) -> np.ndarray:
-    """(1/q) sum_u f1(u) f2(x + (u-x)^2) for every x (u = x + y), row i for the pair i;
-    a block's index rows (column j at x = -j) serve all the pairs."""
-    ctx = _common_field(pairs)
-    v1 = np.array([f1.values for f1, _ in pairs])
-    acc = np.zeros(v1.shape, dtype=complex)
-    for i, u, rows in _square_gathers(ctx, [f2.values for _, f2 in pairs]):
-        acc[i] += v1[i, u] @ rows
-    return acc.take(ctx.neg_table, axis=1) / ctx.q
-
-
 def averaging_apply(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
-    """Direct route: (1/q) sum_y f1(x+y) f2(x+y^2) for every x (q^2 work)."""
-    return ComplexFn(f1.ctx, _averages([(f1, f2)])[0])
+    """Direct route: (1/q) sum_y f1(x+y) f2(x+y^2) for every x (q^2 work a
+    pair), as (1/q) sum_u f1(u) f2(x + (u-x)^2) over u = x + y.  One pair, or
+    a batch of (k, q) stacks whose pairs share each block's index rows
+    (column j at x = -j); row i of the result is the pair i's."""
+    ctx, s1, s2 = _stacks(f1, f2)
+    acc = np.zeros(s1.values.shape, dtype=complex)
+    for i, u, rows in _square_gathers(ctx, s2.values):
+        acc[i] += s1.values[i, u] @ rows
+    return ComplexFn(ctx, (acc.take(ctx.neg_table, axis=1) / ctx.q).reshape(f1.values.shape))
 
 
 # least rows in a block of ``_coefficient_rows`` (ROW_BLOCK_CELLS alone gives
@@ -148,57 +154,42 @@ def _coefficient_rows(ctx: FieldCtx, fhat1s):
             yield i, m.start, rows
 
 
-def _spectra(pairs):
-    """(ctx, fhat1s, weights): each pair's fhat1, and its column weight at
-    column j (n = -j), fhat2(n) times K's prefactor, which is 0 at n = 0."""
-    ctx = _common_field(pairs)
+def _spectra(f1: ComplexFn, f2: ComplexFn):
+    """(ctx, fhat1s, weights) of a batch, row i for the pair i: fhat1, and the
+    column weight at column j (n = -j), fhat2(n) times K's prefactor, 0 at n = 0."""
+    ctx, f1, f2 = _stacks(f1, f2)
     prefactor = _quad_columns(ctx, ctx.neg_table)[0]
-    return (ctx, [fourier(f1).values for f1, _ in pairs],
-            [fourier(f2).values[ctx.neg_table] * prefactor for _, f2 in pairs])
+    return ctx, fourier(f1).values, fourier(f2).values.take(ctx.neg_table, axis=1) * prefactor
 
 
-def _deviation_coeffs(pairs) -> np.ndarray:
-    """The coefficients of A(f1,f2) - E[f1] E[f2], row i for the pair i: the
-    row sums over n != 0, each block's as one matrix-vector product."""
-    ctx, fhat1s, weights = _spectra(pairs)
-    coeffs = np.empty((len(pairs), ctx.q), dtype=complex)
+def _deviation_coeffs(f1: ComplexFn, f2: ComplexFn) -> np.ndarray:
+    """The coefficients of A(f1,f2) - E[f1] E[f2], row i for the pair i of a
+    batch: the row sums over n != 0, each block's as one matrix-vector product."""
+    ctx, fhat1s, weights = _spectra(f1, f2)
+    coeffs = np.empty(weights.shape, dtype=complex)
     for i, m0, rows in _coefficient_rows(ctx, fhat1s):
         np.matmul(rows, weights[i], out=coeffs[i, m0 : m0 + len(rows)])
     return coeffs
 
 
-def _synthesize(pairs, coeffs: np.ndarray) -> np.ndarray:
+def _synthesize(f1: ComplexFn, f2: ComplexFn, coeffs: np.ndarray) -> np.ndarray:
     """A(f1, f2) from the deviation's coefficients, row i for the pair i: the
     n = 0 column adds fhat1(0) fhat2(0) = E[f1] E[f2] at m = 0 alone (K(., 0)
     is a point mass), in place, and sum_m e(mx) coeffs[i, m] is synthesized."""
-    coeffs[:, 0] += [f1.mean() * f2.mean() for f1, f2 in pairs]
-    return fourier_inverse_rows(pairs[0][0].ctx, coeffs)
+    coeffs[:, :1] += _mean_products(f1, f2)
+    return fourier_inverse_rows(f1.ctx, coeffs)
 
 
 def averaging_apply_fourier(f1: ComplexFn, f2: ComplexFn) -> ComplexFn:
-    """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n)."""
-    pairs = [(f1, f2)]
-    return ComplexFn(f1.ctx, _synthesize(pairs, _deviation_coeffs(pairs))[0])
+    """Fourier route: synthesize sum_m e(mx) sum_n fhat1(m-n) fhat2(n) K(m-n, n);
+    one pair or a batch, as ``averaging_apply``."""
+    ctx, s1, s2 = _stacks(f1, f2)
+    return ComplexFn(ctx, _synthesize(s1, s2, _deviation_coeffs(s1, s2)).reshape(f1.values.shape))
 
 
 class DeviationNorms(NamedTuple):
-    direct: float
-    fourier_side: float
-
-
-def _deviation_norms(pairs) -> list[DeviationNorms]:
-    """``deviation_norm`` of every pair, both routes taken in one pass over the pairs."""
-    out = []
-    for (f1, f2), average, coeffs in zip(pairs, _averages(pairs), _deviation_coeffs(pairs)):
-        dev = average - f1.mean() * f2.mean()
-        direct = float(np.sqrt((np.abs(dev) ** 2).mean()))
-        fourier_side = float(np.sqrt((np.abs(coeffs) ** 2).sum()))
-        if abs(direct - fourier_side) > 1e-8 * max(1.0, direct, fourier_side):
-            raise RuntimeError(
-                f"deviation-norm routes disagree: direct={direct!r} fourier={fourier_side!r}"
-            )
-        out.append(DeviationNorms(direct, fourier_side))
-    return out
+    direct: float | np.ndarray
+    fourier_side: float | np.ndarray
 
 
 def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
@@ -207,11 +198,20 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
     direct      = || A(f1,f2) - E[f1] E[f2] ||_2      (averaged, physical side)
     fourier_side = counting l2 norm over m of sum_{n != 0} fhat1(m-n) fhat2(n) K(m-n, n)
 
-    The two routes agree identically in exact arithmetic; a relative
-    mismatch beyond 1e-8 raises (internal-consistency failure, not an input
-    error).
+    One pair gives two floats; a batch of (k, q) stacks gives two arrays of
+    k norms, both routes taken in one pass over the pairs.  The two routes
+    agree identically in exact arithmetic; a relative mismatch beyond 1e-8
+    raises (internal-consistency failure, not an input error).
     """
-    return _deviation_norms([(f1, f2)])[0]
+    _, s1, s2 = _stacks(f1, f2)
+    dev = averaging_apply(s1, s2).values - _mean_products(s1, s2)
+    direct = np.sqrt((np.abs(dev) ** 2).mean(axis=1))
+    fourier_side = np.sqrt((np.abs(_deviation_coeffs(s1, s2)) ** 2).sum(axis=1))
+    for d, f in zip(direct.tolist(), fourier_side.tolist()):
+        if abs(d - f) > 1e-8 * max(1.0, d, f):
+            raise RuntimeError(f"deviation-norm routes disagree: direct={d!r} fourier={f!r}")
+    norms = DeviationNorms(direct, fourier_side)
+    return norms if f1.values.ndim > 1 else DeviationNorms(*(float(v[0]) for v in norms))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +219,8 @@ def deviation_norm(f1: ComplexFn, f2: ComplexFn) -> DeviationNorms:
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the coefficient rows of every pair, row i for the pair i:
+def _coefficient_pass(f1: ComplexFn, f2: ComplexFn) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the coefficient rows of a batch, row i for the pair i:
     the row sums of ``_deviation_coeffs``, from the same blocks by the same
     operations, and the deviation square expanded over difference slices h,
     whose entry h is
@@ -239,9 +239,9 @@ def _coefficient_pass(pairs) -> tuple[np.ndarray, np.ndarray]:
     power of their inverse transforms, one FFT call a block, added to the
     pair's; the last inverse transform runs once on the stack of powers.
     """
-    ctx, fhat1s, weights = _spectra(pairs)
-    sums = np.empty((len(pairs), ctx.q), dtype=complex)
-    power = np.zeros((len(pairs), ctx.q))
+    ctx, fhat1s, weights = _spectra(f1, f2)
+    sums = np.empty(weights.shape, dtype=complex)
+    power = np.zeros(weights.shape)
     for i, m0, rows in _coefficient_rows(ctx, fhat1s):
         np.matmul(rows, weights[i], out=sums[i, m0 : m0 + len(rows)])
         rows *= weights[i]
@@ -253,22 +253,19 @@ def averaging_checks(ctx: FieldCtx, seed: int, trials: int) -> list[CheckResult]
     """Per seeded random pair: both averaging routes pointwise, and
     the slices' sum against the mean of |direct - E f1 E f2|^2; the Fourier
     route and the slices read one pass over the coefficient rows.  Both
-    routes take the pairs ``_PAIR_BATCH`` at a time.
+    routes take the pairs ``_PAIR_BATCH`` at a time, as ``random_pairs`` stacks.
     Then T_1 on a point mass, whose image has modulus 1/q everywhere."""
     rng = np.random.default_rng(seed)
     routes = np.empty(trials)
     form = np.empty(trials)
-    drawn = ((random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(trials))
-    i = 0
-    while pairs := list(islice(drawn, _PAIR_BATCH)):
-        direct = _averages(pairs)
-        coeffs, slices = _coefficient_pass(pairs)
-        i1 = i + len(pairs)
-        routes[i:i1] = np.abs(direct - _synthesize(pairs, coeffs)).max(axis=1)
-        direct -= np.array([[f1.mean() * f2.mean()] for f1, f2 in pairs])
+    for i in row_blocks(trials, 1, _PAIR_BATCH):
+        f1, f2 = random_pairs(ctx, rng, ["gaussian"] * (i.stop - i.start))
+        direct = averaging_apply(f1, f2).values
+        coeffs, slices = _coefficient_pass(f1, f2)
+        routes[i] = np.abs(direct - _synthesize(f1, f2, coeffs)).max(axis=1)
+        direct -= _mean_products(f1, f2)
         gap = slices.sum(axis=1) - (np.abs(direct) ** 2).mean(axis=1)
-        form[i:i1] = np.hypot(gap.real, gap.imag)  # a complex scalar's abs; np.abs may differ by an ulp
-        i = i1
+        form[i] = np.hypot(gap.real, gap.imag)  # a complex scalar's abs; np.abs may differ by an ulp
     # the point mass sits at the first v >= 2 other than -1; F_3 has none,
     # and v = 1 serves there.  Its image under T_1 is K(u, v0) conj(K(u-1, v0+1))
     v0 = next((v for v in range(2, ctx.q) if v != ctx.neg(1)), 1)
@@ -596,21 +593,23 @@ class DeviationReport:
 ALTERNATING_STARTS = 32
 
 
-def _side_images(ctx: FieldCtx, g: np.ndarray, pairs, side: int) -> np.ndarray:
-    """Row i: u with sum_x conj(g[i](x)) D(x) = sum_a u(a) pairs[i][side](a), D the
-    pair's deviation, by one gather and one BLAS product per block and pair.  For
-    f1, u(a) = (1/q) sum_x conj(g)(x) (f2 - E f2)(x + (a-x)^2) over ``square_rows``;
-    for f2, u is the transform of w(n) = q prefactor(n) sum_m conj(ghat(m)) fhat1(m-n)
-    phase(m-n, n), n != 0 (K = prefactor times phase): the coefficient rows' column sums."""
+def _side_images(g: np.ndarray, f1: ComplexFn, f2: ComplexFn, side: int) -> np.ndarray:
+    """Row i: u with sum_x conj(g[i](x)) D(x) = sum_a u(a) f(a), f row i of f1
+    (side 0) or of f2 (side 1), D the pair i's deviation, by one gather and one
+    BLAS product per block and pair.  For f1, u(a) = (1/q) sum_x conj(g)(x)
+    (f2 - E f2)(x + (a-x)^2) over ``square_rows``; for f2, u is the transform of
+    w(n) = q prefactor(n) sum_m conj(ghat(m)) fhat1(m-n) phase(m-n, n), n != 0
+    (K = prefactor times phase): the coefficient rows' column sums."""
+    ctx, f1, f2 = _stacks(f1, f2)
     out = np.zeros(g.shape, dtype=complex)
     if side == 0:
         g_bar = np.conj(g).take(ctx.neg_table, axis=1)  # at x = -j
-        centred = [f2.values - f2.mean() for _, f2 in pairs]  # f2 = 1 + i gives exact zeros
+        centred = f2.values - f2.mean()[:, None]  # f2 = 1 + i gives exact zeros
         for i, a, rows in _square_gathers(ctx, centred):
             np.matmul(rows, g_bar[i], out=out[i, a])
         return out / ctx.q
     g_hat = np.conj(fourier(ComplexFn(ctx, g)).values)
-    for i, m0, rows in _coefficient_rows(ctx, [fourier(f1).values for f1, _ in pairs]):
+    for i, m0, rows in _coefficient_rows(ctx, fourier(f1).values):
         out[i] += g_hat[i, m0 : m0 + len(rows)] @ rows
     # n = -j at column j, so the transform of w is the inverse transform of w / q
     return fourier_inverse_rows(ctx, out * _quad_columns(ctx, ctx.neg_table)[0])
@@ -623,32 +622,22 @@ def alternating_max_ratio(
     one-sided maximization of |sum_x conj(g(x)) D(x)|, D = A(f1,f2) - E f1 E f2
     (the higher-order power method).  Each start draws f1, then f2; each round,
     for f1 and then f2, g becomes D, whose ratio is recorded, and that side the
-    normalized conjugate of its image.  No step lowers the ratio; D = 0, or an
-    image that is exactly 0, ends a start.
-    The starts are drawn in order and stepped in lock step, ``_PAIR_BATCH`` at a time."""
+    normalized conjugate of its image.  No step lowers the ratio; an image
+    that is exactly 0 (D = 0 gives one) ends a start.  The starts are drawn in
+    order, ``_PAIR_BATCH`` a stack, stepped in lock step, and dropped by a mask."""
     best = 0.0
-    drawn = ([random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(starts))
-    while pairs := list(islice(drawn, _PAIR_BATCH)):
-        for step in range(2 * rounds):  # the f1 side, the f2 side, the f1 side, ...
-            devs = []
-            for (f1, f2), average in zip(pairs, _averages(pairs)):
-                dev = ComplexFn(ctx, average - f1.mean() * f2.mean())
-                best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
-                devs.append(dev.values)
-            live = [i for i, dev in enumerate(devs) if dev.any()]
-            if not live:
+    for batch in row_blocks(starts, 1, _PAIR_BATCH):
+        f = list(random_pairs(ctx, rng, ["gaussian"] * (batch.stop - batch.start)))
+        for side in (0, 1) * rounds:  # the f1 side, the f2 side, the f1 side, ...
+            dev = ComplexFn(ctx, averaging_apply(*f).values - _mean_products(*f))
+            best = max(best, *(dev.norm_avg() / (f[0].norm_avg() * f[1].norm_avg())).tolist())
+            images = _side_images(dev.values, *f, side)
+            norms = np.array([np.linalg.norm(u) for u in images])
+            stepped = norms != 0  # a rounding-level deviation can have an exactly zero image
+            if not stepped.any():
                 break
-            pairs = [pairs[i] for i in live]
-            images = _side_images(ctx, np.array([devs[i] for i in live]), pairs, step % 2)
-            stepped = []
-            for pair, u in zip(pairs, images):
-                norm = np.linalg.norm(u)
-                if norm:  # a rounding-level deviation can have an exactly zero image
-                    pair[step % 2] = ComplexFn(ctx, np.conj(u) / norm)
-                    stepped.append(pair)
-            if not stepped:
-                break
-            pairs = stepped
+            f[1 - side] = ComplexFn(ctx, f[1 - side].values[stepped])
+            f[side] = ComplexFn(ctx, np.conj(images[stepped]) / norms[stepped, None])
     return best
 
 
@@ -659,23 +648,17 @@ def deviation_scan(
     || A(f1,f2) - E f1 E f2 ||_2 / (||f1||_2 ||f2||_2).  The pairs are drawn in
     trial order and their norms taken ``_PAIR_BATCH`` at a time."""
     rng = np.random.default_rng(seed)
-
-    def draws():
-        for i in range(trials):
-            for kind in ("pm1", "indicator"):
-                f1 = random_fn(ctx, rng, kind)
-                f2 = random_fn(ctx, rng, kind)
-                if f1.norm_avg() * f2.norm_avg() != 0.0:
-                    yield kind, i, f1, f2
-
+    drawn = [(kind, i) for i in range(trials) for kind in ("pm1", "indicator")]
     per_trial = []
     max_ratio = 0.0
     witness: dict = {}
-    drawn = draws()
-    while batch := list(islice(drawn, _PAIR_BATCH)):
-        norms = _deviation_norms([(f1, f2) for _, _, f1, f2 in batch])
-        for (kind, i, f1, f2), norm in zip(batch, norms):
-            ratio = norm.direct / (f1.norm_avg() * f2.norm_avg())
+    for batch in row_blocks(len(drawn), 1, _PAIR_BATCH):
+        f1, f2 = random_pairs(ctx, rng, [kind for kind, _ in drawn[batch]])
+        norms = deviation_norm(f1, f2).direct.tolist(), (f1.norm_avg() * f2.norm_avg()).tolist()
+        for (kind, i), direct, denom in zip(drawn[batch], *norms):
+            if denom == 0.0:  # a pair with a zero function has no ratio
+                continue
+            ratio = direct / denom
             per_trial.append((kind, i, ratio))
             if ratio > max_ratio:
                 max_ratio = ratio

@@ -166,7 +166,7 @@ def alternating_max_ratio_per_start(
             best = max(best, dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
             if not dev.values.any():
                 break
-            u = _side_images(ctx, dev.values[None], [pair], step % 2)[0]
+            u = _side_images(dev.values[None], f1, f2, step % 2)[0]
             norm = np.linalg.norm(u)
             if not norm:
                 break
@@ -200,7 +200,7 @@ def averaging_checks_per_trial(ctx: FieldCtx, seed: int, trials: int) -> list[Ch
         direct = averaging_apply(f1, f2).values
         routes[i] = np.abs(direct - averaging_apply_fourier(f1, f2).values).max()
         square = float((np.abs(direct - f1.mean() * f2.mean()) ** 2).mean())
-        form[i] = abs(_coefficient_pass([(f1, f2)])[1][0].sum() - square)
+        form[i] = abs(_coefficient_pass(f1, f2)[1][0].sum() - square)
     return [
         error_check("averaging-two-routes", routes, 1e-8, lambda i: f"(trial={i})"),
         error_check("slice-expansion-identity", form, 1e-8, lambda i: f"(trial={i})"),

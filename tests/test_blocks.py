@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qprog import characters, constructions, field, kernels, operators, weil
-from qprog.characters import fourier_checks, random_fn
+from qprog.characters import fourier_checks, random_pairs
 from qprog.constructions import plane_census
 from qprog.field import get_field, row_blocks, subfield_embed
 from qprog.kernels import quad_kernel_check
@@ -33,14 +33,13 @@ def test_row_blocks_read_the_default_budget_at_the_call(monkeypatch):
 
 
 def _pairs(ctx, k=3):
-    rng = np.random.default_rng(ctx.q)
-    return [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(k)]
+    return random_pairs(ctx, np.random.default_rng(ctx.q), ["gaussian"] * k)
 
 
 def _side_images(ctx, side):
     rng = np.random.default_rng(ctx.q + 1)
     g = rng.standard_normal((3, ctx.q)) + 1j * rng.standard_normal((3, ctx.q))
-    return [operators._side_images(ctx, g, _pairs(ctx), side)]
+    return [operators._side_images(g, *_pairs(ctx), side)]
 
 
 def _fourier_checks(ctx):
@@ -98,8 +97,8 @@ EXACT = {
     "plane-search": _plane_search,
 }
 ROUNDED = {
-    "averages": lambda ctx: [operators._averages(_pairs(ctx))],
-    "coefficient-pass": lambda ctx: list(operators._coefficient_pass(_pairs(ctx))),
+    "averages": lambda ctx: [operators.averaging_apply(*_pairs(ctx)).values],
+    "coefficient-pass": lambda ctx: list(operators._coefficient_pass(*_pairs(ctx))),
     "slice-norms": lambda ctx: [operators._slice_norms(ctx, ctx.units())],
     "f1-side-images": lambda ctx: _side_images(ctx, 0),
     "f2-side-images": lambda ctx: _side_images(ctx, 1),

@@ -19,6 +19,7 @@ from qprog.characters import (
     phase_table,
     quadratic_char_table,
     random_fn,
+    random_pairs,
     unit_root_powers,
 )
 
@@ -276,6 +277,32 @@ def test_complexfn_validation():
         ComplexFn(ctx, np.ones(5), "weird")
     f = ComplexFn(ctx, np.arange(5, dtype=float))
     assert complexfn_from_json(ctx, complexfn_to_json(f)).values.tolist() == f.values.tolist()
+
+
+@pytest.mark.parametrize("kinds", [["gaussian"], ["gaussian"] * 8, ["gaussian"] * 11,
+                                   ["pm1", "indicator"] * 4], ids=["1", "8", "11", "mixed-8"])
+def test_random_pairs_are_successive_one_function_draws(kinds):
+    """k pairs drawn into two stacks are k (random_fn, random_fn) draws, f1
+    then f2, of each pair's kind, bit for bit, and leave the generator where
+    those draws do."""
+    ctx = field_for(27)
+    rng, oracle_rng = np.random.default_rng(len(kinds)), np.random.default_rng(len(kinds))
+    f1, f2 = random_pairs(ctx, rng, kinds)
+    assert f1.values.shape == f2.values.shape == (len(kinds), 27)
+    for i, kind in enumerate(kinds):
+        assert np.array_equal(f1.values[i], random_fn(ctx, oracle_rng, kind).values)
+        assert np.array_equal(f2.values[i], random_fn(ctx, oracle_rng, kind).values)
+    assert rng.random() == oracle_rng.random()
+
+
+def test_mean_and_norm_of_a_stack_are_each_rows():
+    """Row i of a stack's mean and averaged norm is row i's alone, bit for bit."""
+    ctx = field_for(243)
+    stack = random_pairs(ctx, np.random.default_rng(243), ["gaussian"] * 8)[0]
+    for i, (mean, norm) in enumerate(zip(stack.mean(), stack.norm_avg())):
+        row = ComplexFn(ctx, stack.values[i])
+        assert complex(mean) == row.mean() and float(norm) == row.norm_avg()
+    assert isinstance(row.mean(), complex) and isinstance(row.norm_avg(), float)
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,8 @@ def _corrupt_coefficient_pass(monkeypatch, part: int):
     1 + 1e-6: the Fourier route's coefficients (0) or the slices (1)."""
     one_pass = operators._coefficient_pass
 
-    def corrupted(pairs):
-        out = list(one_pass(pairs))
+    def corrupted(f1, f2):
+        out = list(one_pass(f1, f2))
         out[part] = out[part] * (1 + 1e-6)
         return tuple(out)
 
@@ -331,14 +331,14 @@ def test_verify_operators_catches_a_wrong_averaging_route(tmp_path, monkeypatch)
 def test_a_wrong_direct_route_fails_the_two_route_checks(tmp_path, monkeypatch):
     """One cell of the direct route's output, pair 0 at x = 1, moved by 1e-3:
     the suite's route comparison fails, and so does ``deviation_norm``'s."""
-    averages = operators._averages
+    averages = operators.averaging_apply
 
-    def corrupted(pairs):
-        out = averages(pairs)
-        out[0, 1] += 1e-3
+    def corrupted(f1, f2):
+        out = averages(f1, f2)
+        out.values[0, 1] += 1e-3
         return out
 
-    monkeypatch.setattr(operators, "_averages", corrupted)
+    monkeypatch.setattr(operators, "averaging_apply", corrupted)
     rc, first, passed = _verify_operators_failure(tmp_path)
     assert (rc, first) == (1, "averaging-two-routes")
     assert not passed["averaging-two-routes"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qprog.field import build_field, get_field, prime_power
-from qprog.characters import ComplexFn, additive_char_table, random_fn
+from qprog.characters import ComplexFn, additive_char_table, random_fn, random_pairs
 from qprog import field, operators
 from qprog.kernels import _quad_kernel
 from qprog.weil import weil_orbits, weil_scan
@@ -58,6 +58,11 @@ Q_COUNT = Q_FULL + [125, 243, 343]
 Q_ROWS = Q_FULL + [125, 243]
 # the test ladder plus 125 = 5^3, the prime 127 and 243 = 3^5, for the slice-norm routes
 Q_SLICES = Q_FULL + [125, 127, 243]
+
+
+def _row(f: ComplexFn, i: int) -> ComplexFn:
+    """Row i of a stack, as one function."""
+    return ComplexFn(f.ctx, f.values[i])
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +118,26 @@ def test_averages_on_a_batch_match_one_pair_at_a_time(q, k):
     each pair's average is its one-pair average bit for bit."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(k)]
-    for pair, row in zip(pairs, operators._averages(pairs)):
-        assert np.array_equal(row, operators._averages([pair])[0])
+    f1, f2 = random_pairs(ctx, rng, ["gaussian"] * k)
+    for i, row in enumerate(averaging_apply(f1, f2).values):
+        assert np.array_equal(row, averaging_apply(_row(f1, i), _row(f2, i)).values)
+
+
+@pytest.mark.parametrize("route", [
+    averaging_apply, averaging_apply_fourier, deviation_norm, _deviation_coeffs,
+    lambda f1, f2: _side_images(np.zeros((3, 5)), f1, f2, 0),
+], ids=["direct", "fourier", "norm", "coeffs", "side-image"])
+def test_batch_routes_reject_stacks_that_do_not_pair(route):
+    """Stacks pair row by row: 3 functions do not pair with 2, nor one
+    function with a stack, and a context of the same q is another field
+    (``_coefficient_pass``: ``test_sliced_square_form_of_zero``)."""
+    ctx = get_field(5, 1)
+    one, two, three = (ComplexFn(ctx, np.zeros(shape)) for shape in (5, (2, 5), (3, 5)))
+    for f1, f2 in ((three, two), (two, three), (one, three)):
+        with pytest.raises(ValueError, match="do not pair"):
+            route(f1, f2)
+    with pytest.raises(ValueError, match="different fields"):
+        route(three, ComplexFn(build_field(5, 1), np.zeros((3, 5))))
 
 
 @pytest.mark.parametrize("q", [7, 27])
@@ -124,10 +146,10 @@ def test_averages_take_one_row_when_a_row_exceeds_the_budget(q, monkeypatch):
     still takes one row u a block, to the default budget's averages."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
-    default = operators._averages(pairs)
+    pairs = random_pairs(ctx, rng, ["gaussian"] * 3)
+    default = averaging_apply(*pairs).values
     monkeypatch.setattr(operators, "_AVERAGE_BLOCK_CELLS", q - 1)
-    assert np.abs(operators._averages(pairs) - default).max() <= 1e-12 * np.abs(default).max()
+    assert np.abs(averaging_apply(*pairs).values - default).max() <= 1e-12 * np.abs(default).max()
 
 
 def test_averaging_apply_holds_no_square_array():
@@ -153,22 +175,23 @@ def test_coefficient_rows_are_the_code_order_rows_reflected(q):
     a batch of three are its rows alone."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    pairs = random_pairs(ctx, rng, ["gaussian"] * 3)
 
-    def blocks(pairs):  # each block's coefficient rows, copied out of the reused buffer
-        _, fhat1s, weights = operators._spectra(pairs)
+    def blocks(f1, f2):  # each block's coefficient rows, copied out of the reused buffer
+        _, fhat1s, weights = operators._spectra(f1, f2)
         return [(i, m0, rows * weights[i]) for i, m0, rows in operators._coefficient_rows(ctx, fhat1s)]
 
-    batch = blocks(pairs)
+    batch = blocks(*pairs)
     assert [i for i, _, _ in batch] == [0, 1, 2] * (len(batch) // 3)  # each block, pair by pair
-    for k, (f1, f2) in enumerate(pairs):
+    for k in range(3):
+        f1, f2 = (_row(f, k) for f in pairs)
         rows = np.concatenate([block for i, _, block in batch if i == k])
         lengths = [len(block) for i, _, block in batch if i == k]
         assert [m0 for i, m0, _ in batch if i == k] == np.cumsum([0] + lengths[:-1]).tolist()
         expected = coefficient_rows_by_code(f1, f2)[:, ctx.neg_table]
         assert rows.shape == (q, q) and not rows[:, 0].any()
         assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
-        alone = np.concatenate([block for _, _, block in blocks([(f1, f2)])])
+        alone = np.concatenate([block for _, _, block in blocks(f1, f2)])
         assert np.array_equal(rows, alone)
 
 
@@ -178,8 +201,8 @@ def test_coefficient_pass_sums_are_the_deviation_coeffs(q):
     does, one pair at a time where it takes a batch: the same bits."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
-    assert np.array_equal(_coefficient_pass(pairs)[0], _deviation_coeffs(pairs))
+    pairs = random_pairs(ctx, rng, ["gaussian"] * 3)
+    assert np.array_equal(_coefficient_pass(*pairs)[0], _deviation_coeffs(*pairs))
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
@@ -189,7 +212,7 @@ def test_kernel_coeffs_match_table_oracle(q):
     rng = np.random.default_rng(q)
     for _ in range(2):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-        assert np.abs(_deviation_coeffs([(f1, f2)])[0] - kernel_coeffs_table(f1, f2)).max() <= 1e-12
+        assert np.abs(_deviation_coeffs(f1, f2)[0] - kernel_coeffs_table(f1, f2)).max() <= 1e-12
 
 
 def test_averaging_on_origin_indicators():
@@ -277,7 +300,7 @@ def test_sliced_square_form_equals_deviation_square(ctx_medium):
     for _ in range(5):
         f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
         norms = deviation_norm(f1, f2)
-        form = _coefficient_pass([(f1, f2)])[1][0].sum()
+        form = _coefficient_pass(f1, f2)[1][0].sum()
         assert abs(form.imag) < 1e-9
         target = norms.fourier_side**2
         assert abs(form.real - target) <= 1e-8 * max(1.0, target)
@@ -289,7 +312,7 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
     from qprog.characters import fourier
 
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    slices = _coefficient_pass([(f1, f2)])[1][0]
+    slices = _coefficient_pass(f1, f2)[1][0]
     l1 = (np.abs(fourier(f1).values) ** 2).sum()
     l2 = (np.abs(fourier(f2).values) ** 2).sum()
     assert slices[0].real <= l1 * l2 / ctx.q + 1e-12
@@ -299,10 +322,14 @@ def test_sliced_square_form_zero_slice_bound(ctx_small):
 def test_sliced_square_form_of_zero():
     ctx = get_field(5, 1)
     zero = ComplexFn(ctx, np.zeros(5))
-    assert np.abs(_coefficient_pass([(zero, zero)])[1]).max() == 0
+    assert np.abs(_coefficient_pass(zero, zero)[1]).max() == 0
     other = ComplexFn(build_field(5, 1), np.zeros(5))  # the same q, another context
     with pytest.raises(ValueError, match="different fields"):
-        _coefficient_pass([(zero, other)])
+        _coefficient_pass(zero, other)
+    three, two = ComplexFn(ctx, np.zeros((3, 5))), ComplexFn(ctx, np.zeros((2, 5)))
+    for stacks in ((three, two), (two, three), (zero, two)):  # 3 functions do not pair with 2
+        with pytest.raises(ValueError, match="do not pair"):
+            _coefficient_pass(*stacks)
 
 
 @pytest.mark.parametrize("q", Q_ROWS)
@@ -312,7 +339,7 @@ def test_slices_match_dense_loop_oracle(q):
     ctx = field_for(q)
     rng = np.random.default_rng(q)
     f1, f2 = random_fn(ctx, rng), random_fn(ctx, rng)
-    assert np.abs(_coefficient_pass([(f1, f2)])[1][0] - sliced_square_form_dense(f1, f2)).max() <= 1e-12
+    assert np.abs(_coefficient_pass(f1, f2)[1][0] - sliced_square_form_dense(f1, f2)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("q", [243, 729])
@@ -321,10 +348,10 @@ def test_sliced_square_form_of_a_batch_is_each_pair_alone(q):
     one-pair pass bit for bit: each pair's power is added block by block."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
-    sums, slices = _coefficient_pass(pairs)
-    for i, pair in enumerate(pairs):
-        one_sums, one_slices = _coefficient_pass([pair])
+    pairs = random_pairs(ctx, rng, ["gaussian"] * 3)
+    sums, slices = _coefficient_pass(*pairs)
+    for i in range(3):
+        one_sums, one_slices = _coefficient_pass(*(_row(f, i) for f in pairs))
         assert np.array_equal(sums[i], one_sums[0]) and np.array_equal(slices[i], one_slices[0])
 
 
@@ -334,10 +361,10 @@ def test_coefficient_pass_holds_no_square_array():
     ctx = get_field(3, 6)
     rng = np.random.default_rng(1)
     pair = (random_fn(ctx, rng), random_fn(ctx, rng))
-    _coefficient_pass([pair])
+    _coefficient_pass(*pair)
     tracemalloc.start()
     try:
-        _coefficient_pass([pair])
+        _coefficient_pass(*pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,7 +376,7 @@ def test_coefficient_rows_come_in_blocks_of_at_least_eight(monkeypatch):
     draws one run of blocks, 8 rows each but the last."""
     ctx = field_for(27)
     rng = np.random.default_rng(27)
-    pairs = [(random_fn(ctx, rng), random_fn(ctx, rng)) for _ in range(3)]
+    pairs = random_pairs(ctx, rng, ["gaussian"] * 3)
     runs = []
 
     def spy(n, width, cells=None):
@@ -360,7 +387,7 @@ def test_coefficient_rows_come_in_blocks_of_at_least_eight(monkeypatch):
 
     monkeypatch.setattr(field, "ROW_BLOCK_CELLS", 27)
     monkeypatch.setattr(operators, "row_blocks", spy)
-    _coefficient_pass(pairs)
+    _coefficient_pass(*pairs)
     assert runs == [[8, 8, 8, 3]]
 
 
@@ -775,10 +802,11 @@ def test_deviation_scan_reproducible_and_monotone():
     assert abs(a.ratio_times_q_delta - a.max_ratio * 25**0.25) < 1e-12
 
 
-@pytest.mark.parametrize("q, trials", [(5, 3), (27, 5), (243, 6)])
+@pytest.mark.parametrize("q, trials", [(3, 20), (5, 3), (27, 5), (243, 6)])
 def test_deviation_scan_batches_match_per_pair_norms(q, trials):
     """Norms taken a batch of pairs at a time (a partial batch last): the
-    per-trial record of one deviation_norm call per pair, exactly."""
+    per-trial record of one deviation_norm call per pair, exactly.  At q = 3
+    three of the 40 pairs hold a zero indicator and are skipped."""
     ctx = field_for(q)
     assert deviation_scan(ctx, trials, seed=q).per_trial == deviation_per_trial_by_pair(ctx, trials, q)
 
@@ -828,11 +856,11 @@ def test_side_images_match_per_y_oracle(q):
     coefficient rows, against the sums taken one y at a time."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [[random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(2)]
-    g = np.array([random_fn(ctx, rng).values for _ in pairs])
+    pairs = random_pairs(ctx, rng, ["gaussian"] * 2)
+    g = np.array([random_fn(ctx, rng).values for _ in range(2)])
     for side in (0, 1):
-        for image, gi, pair in zip(_side_images(ctx, g, pairs, side), g, pairs):
-            expected = side_image_per_y(ctx, gi, pair, side)
+        for i, (image, gi) in enumerate(zip(_side_images(g, *pairs, side), g)):
+            expected = side_image_per_y(ctx, gi, [_row(f, i) for f in pairs], side)
             assert np.abs(image - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -843,14 +871,14 @@ def test_side_images_are_the_adjoints(q):
     9409 each coefficient block is one row)."""
     ctx = field_for(q)
     rng = np.random.default_rng(q)
-    pairs = [[random_fn(ctx, rng), random_fn(ctx, rng)] for _ in range(2)]
-    g = np.array([random_fn(ctx, rng).values for _ in pairs])
-    forms = [np.vdot(gi, averaging_apply(f1, f2).values - f1.mean() * f2.mean())
-             for gi, (f1, f2) in zip(g, pairs)]
+    f1, f2 = random_pairs(ctx, rng, ["gaussian"] * 2)
+    g = np.array([random_fn(ctx, rng).values for _ in range(2)])
+    forms = [np.vdot(gi, average - m1 * m2)
+             for gi, average, m1, m2 in zip(g, averaging_apply(f1, f2).values, f1.mean(), f2.mean())]
     for side in (0, 1):
-        images = _side_images(ctx, g, pairs, side)
-        for image, pair, form in zip(images, pairs, forms):
-            assert abs(np.sum(image * pair[side].values) - form) <= 1e-12 * abs(form)
+        images = _side_images(g, f1, f2, side)
+        for image, f, form in zip(images, (f1, f2)[side].values, forms):
+            assert abs(np.sum(image * f) - form) <= 1e-12 * abs(form)
 
 
 def test_alternating_is_monotone_in_rounds(monkeypatch):
@@ -859,16 +887,17 @@ def test_alternating_is_monotone_in_rounds(monkeypatch):
     with a fixed seed more rounds never give less."""
     ctx = get_field(3, 3)
     ratios = []
-    averages = operators._averages
+    averages = operators.averaging_apply
 
-    def recording_averages(pairs):
-        out = averages(pairs)
-        for (f1, f2), average in zip(pairs, out):
-            dev = ComplexFn(ctx, average - f1.mean() * f2.mean())
-            ratios.append(dev.norm_avg() / (f1.norm_avg() * f2.norm_avg()))
+    def recording_averages(f1, f2):
+        out = averages(f1, f2)
+        for i, average in enumerate(out.values):
+            g1, g2 = _row(f1, i), _row(f2, i)
+            dev = ComplexFn(ctx, average - g1.mean() * g2.mean())
+            ratios.append(dev.norm_avg() / (g1.norm_avg() * g2.norm_avg()))
         return out
 
-    monkeypatch.setattr(operators, "_averages", recording_averages)
+    monkeypatch.setattr(operators, "averaging_apply", recording_averages)
     values = [alternating_max_ratio(ctx, np.random.default_rng(5), starts=1, rounds=r)
               for r in (1, 2, 4, 8, 16)]
     assert values == sorted(values), values
